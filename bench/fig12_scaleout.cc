@@ -41,25 +41,9 @@ Point run_nodes(const char* workload, unsigned nodes, const client::WorkloadSpec
   auto r = cluster.run(spec);
   // AFC_BENCH_JSON: this rung becomes a wall-clock trajectory datapoint
   // (stdout stays byte-identical either way).
-  if (core::BenchJson::enabled()) {
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig12_scaleout";
-    rec.config = std::string("afceph/") + workload;
-    rec.nodes = nodes;
-    rec.osds = nodes * cfg.osds_per_node;
-    rec.metric = write ? "write_iops" : "read_iops";
-    rec.value = write ? r.write_iops : r.read_iops;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    rec.max_node_cpu = r.max_osd_node_cpu;
-    core::BenchJson::record(rec);
-  }
+  core::record_run("fig12_scaleout", std::string("afceph/") + workload, cluster,
+                   write ? "write_iops" : "read_iops", write ? r.write_iops : r.read_iops, wall0,
+                   r.max_osd_node_cpu);
   return Point{write ? r.write_iops : r.read_iops, r.max_osd_node_cpu};
 }
 

@@ -69,25 +69,8 @@ Point run_rung(const Rung& rung, unsigned nodes, Time runtime) {
   spec.runtime = runtime;
   const auto wall0 = std::chrono::steady_clock::now();
   auto r = cluster.run(spec);
-  if (core::BenchJson::enabled()) {
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig13_transport";
-    rec.config = rung.name;
-    rec.nodes = nodes;
-    rec.osds = nodes * cfg.osds_per_node;
-    rec.metric = "read_iops";
-    rec.value = r.read_iops;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    rec.max_node_cpu = r.max_osd_node_cpu;
-    core::BenchJson::record(rec);
-  }
+  core::record_run("fig13_transport", rung.name, cluster, "read_iops", r.read_iops, wall0,
+                   r.max_osd_node_cpu);
   Point p;
   p.iops = r.read_iops;
   p.cpu = r.max_osd_node_cpu;

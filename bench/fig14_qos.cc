@@ -125,25 +125,8 @@ PhaseResult run_phase(const Phase& ph, Time warmup, Time runtime) {
   if (r.streams.size() > 1) out.flood = r.streams[1];
   out.cluster = r.cluster;
 
-  if (core::BenchJson::enabled()) {
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig14_qos";
-    rec.config = ph.name;
-    rec.nodes = cfg.osd_nodes;
-    rec.osds = cfg.osd_nodes * cfg.osds_per_node;
-    rec.metric = "steady_p99_ms";
-    rec.value = out.steady.p99_ms;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    rec.max_node_cpu = out.cluster.max_osd_node_cpu;
-    core::BenchJson::record(rec);
-  }
+  core::record_run("fig14_qos", ph.name, cluster, "steady_p99_ms", out.steady.p99_ms, wall0,
+                   out.cluster.max_osd_node_cpu);
   return out;
 }
 

@@ -40,23 +40,7 @@ struct Rung {
 
   void record(core::ClusterSim& cluster, const char* config, const char* metric,
               double value) {
-    if (!core::BenchJson::enabled()) return;
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig15_ec";
-    rec.config = config;
-    rec.nodes = cluster.config().osd_nodes;
-    rec.osds = cluster.config().osd_nodes * cluster.config().osds_per_node;
-    rec.metric = metric;
-    rec.value = value;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    core::BenchJson::record(rec);
+    core::record_run("fig15_ec", config, cluster, metric, value, wall0);
   }
 };
 

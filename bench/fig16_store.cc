@@ -68,12 +68,11 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec,
     std::uint64_t jent = 0, jbat = 0, jstall = 0;
     double jwait = 0;
     for (std::size_t i = 0; i < cluster.osd_count(); i++) {
-      fs::Journal* j = cluster.osd(i).store().wal();
-      if (j == nullptr) j = &cluster.osd(i).journal();
-      jent += j->entries_written();
-      jbat += j->batches_written();
-      jstall += j->full_stalls();
-      jwait += double(j->full_stall_ns());
+      const fs::Journal& j = cluster.osd(i).journal();
+      jent += j.entries_written();
+      jbat += j.batches_written();
+      jstall += j.full_stalls();
+      jwait += double(j.full_stall_ns());
     }
     if (jent > 0) {
       std::printf("    ring: %llu entries, avg batch %.2f, %llu full stalls (%.1f ms)\n",
@@ -100,25 +99,8 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec,
         r.net_batch_occupancy, (unsigned long long)r.net_nagle_stalls,
         (unsigned long long)r.net_shard_wakeups);
   }
-  if (core::BenchJson::enabled()) {
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig16_store";
-    rec.config = std::string(store::backend_name(backend)) + "/" + workload_name;
-    rec.nodes = cfg.osd_nodes;
-    rec.osds = cfg.osd_nodes * cfg.osds_per_node;
-    rec.metric = "write_iops";
-    rec.value = r.write_iops;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    rec.max_node_cpu = r.max_osd_node_cpu;
-    core::BenchJson::record(rec);
-  }
+  core::record_run("fig16_store", std::string(store::backend_name(backend)) + "/" + workload_name,
+                   cluster, "write_iops", r.write_iops, wall0, r.max_osd_node_cpu);
   return p;
 }
 

@@ -109,24 +109,9 @@ Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time 
     }
   }
 
-  if (core::BenchJson::enabled()) {
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    core::BenchRecord rec;
-    rec.bench = "fig17_membership";
-    rec.config = config_name;
-    rec.nodes = cfg.osd_nodes;
-    rec.osds = cfg.osd_nodes * cfg.osds_per_node;
-    rec.metric = crash_at > 0 ? "detect_ms" : "write_iops";
-    rec.value = crash_at > 0 ? p.detect_ms : p.write_iops;
-    rec.wall_ms = wall_ms;
-    rec.events = cluster.simulation().executed_events();
-    rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
-    rec.sim_ns = cluster.simulation().now();
-    rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
-    core::BenchJson::record(rec);
-  }
+  core::record_run("fig17_membership", config_name, cluster,
+                   crash_at > 0 ? "detect_ms" : "write_iops",
+                   crash_at > 0 ? p.detect_ms : p.write_iops, wall0);
 
   cluster.close_all();
   cluster.simulation().run();

@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Same-machine A/B of the working tree against a base commit.
+#
+# Builds <base-ref> in a git worktree under build/perf_ab and the working
+# tree beside it (both Release), then runs the identity set on each side:
+# fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16 and chaos (every
+# leg), with all AFC_* and FIG16_* variables cleared. Each bench's stdout is
+# compared with cmp and both sides' wall seconds are printed. Exits non-zero
+# when any stdout differs or any bench fails.
+#
+# Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
+set -euo pipefail
+
+base_ref="${1:?usage: scripts/perf_ab.sh <base-ref>}"
+cd "$(dirname "$0")/.."
+root="$PWD"
+out="$root/build/perf_ab"
+benches=(fig01_baseline fig03_latency_breakdown fig09_ladder fig10_vm_sweep fig11_solidfire
+         fig12_scaleout fig15_ec fig16_store chaos)
+
+base_sha="$(git rev-parse --verify "${base_ref}^{commit}")"
+worktree="$out/base-src"
+cleanup() { git worktree remove --force "$worktree" 2> /dev/null || true; }
+trap cleanup EXIT
+cleanup
+rm -rf "$worktree"
+mkdir -p "$out"
+git worktree add --quiet --detach "$worktree" "$base_sha"
+
+build() {  # <source dir> <build dir>; the log is shown only if the build fails
+  if ! { cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release &&
+         cmake --build "$2" -j "$(nproc)" --target "${benches[@]}"; } > "$2.log" 2>&1; then
+    cat "$2.log" >&2
+    echo "FAIL: building $1" >&2
+    exit 1
+  fi
+}
+echo "building base ${base_ref} (${base_sha:0:12}) and the working tree..."
+build "$worktree" "$out/base"
+build "$root" "$out/head"
+
+for v in $(compgen -e); do
+  case "$v" in AFC_* | FIG16_*) unset "$v" ;; esac
+done
+
+run() {  # <side> <bench>; prints wall seconds, returns the bench's status
+  local t0 t1 rc=0
+  t0=$(date +%s%N)
+  "$out/$1/bench/$2" > "$out/$1/$2.out" || rc=$?
+  t1=$(date +%s%N)
+  awk -v ns="$((t1 - t0))" 'BEGIN { printf "%.1f", ns / 1e9 }'
+  return "$rc"
+}
+
+status=0
+printf '%-26s %9s %9s  %s\n' bench base_s head_s stdout
+for b in "${benches[@]}"; do
+  base_s=$(run base "$b") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
+  head_s=$(run head "$b") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
+  if cmp -s "$out/base/$b.out" "$out/head/$b.out"; then
+    verdict=identical
+  else
+    verdict=DIFFERS
+    status=1
+  fi
+  printf '%-26s %9s %9s  %s\n' "$b" "$base_s" "$head_s" "$verdict"
+done
+exit "$status"

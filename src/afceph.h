@@ -26,7 +26,6 @@
 #include "core/profile.h"
 #include "core/report.h"
 #include "core/trace.h"
-#include "device/hdd.h"
 #include "device/nvram.h"
 #include "device/ssd.h"
 #include "ec/codec.h"

@@ -1,5 +1,7 @@
 #include "core/bench_json.h"
 
+#include "core/cluster_sim.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -107,6 +109,29 @@ bool BenchJson::record(const BenchRecord& rec) {
     return false;
   }
   return true;
+}
+
+bool record_run(const std::string& bench, const std::string& config, ClusterSim& cluster,
+                const std::string& metric, double value,
+                std::chrono::steady_clock::time_point wall0, double max_node_cpu) {
+  if (!BenchJson::enabled()) return true;
+  const double wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - wall0)
+          .count();
+  BenchRecord rec;
+  rec.bench = bench;
+  rec.config = config;
+  rec.nodes = cluster.config().osd_nodes;
+  rec.osds = cluster.config().osd_nodes * cluster.config().osds_per_node;
+  rec.metric = metric;
+  rec.value = value;
+  rec.wall_ms = wall_ms;
+  rec.events = cluster.simulation().executed_events();
+  rec.events_per_wall_sec = wall_ms > 0 ? double(rec.events) / (wall_ms / 1e3) : 0;
+  rec.sim_ns = cluster.simulation().now();
+  rec.sim_ns_per_wall_ns = wall_ms > 0 ? double(rec.sim_ns) / (wall_ms * 1e6) : 0;
+  rec.max_node_cpu = max_node_cpu;
+  return BenchJson::record(rec);
 }
 
 }  // namespace afc::core

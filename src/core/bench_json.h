@@ -1,11 +1,14 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
 #include "common/types.h"
 
 namespace afc::core {
+
+class ClusterSim;
 
 /// One datapoint of the perf trajectory: a bench rung's simulated result
 /// plus the wall-clock cost of computing it. Committed BENCH_*.json files
@@ -47,5 +50,12 @@ class BenchJson {
   /// an afc-bench-v1 document; no-op true when disabled.
   static bool record(const BenchRecord& rec);
 };
+
+/// Record one bench rung: `metric` = `value` for `bench`/`config`, with the
+/// cluster's shape, events executed and simulated time, and the wall time
+/// since `wall0`. No-op (true) unless BenchJson::enabled().
+bool record_run(const std::string& bench, const std::string& config, ClusterSim& cluster,
+                const std::string& metric, double value,
+                std::chrono::steady_clock::time_point wall0, double max_node_cpu = 0.0);
 
 }  // namespace afc::core

@@ -78,24 +78,14 @@ void FaultInjector::apply(std::size_t idx) {
       break;
     }
     case FaultKind::kJournalStall:
-      // Every write-ahead ring the OSD owns stalls: a device hiccup does not
-      // pick between the external journal and a store-internal WAL.
       osds_[e.osd]->journal().stall_until(sim_.now() + e.duration);
-      if (fs::Journal* w = osds_[e.osd]->store().wal(); w != nullptr) {
-        w->stall_until(sim_.now() + e.duration);
-      }
       break;
     case FaultKind::kBitFlip: {
       // Seeded per event so two flips in one plan pick independent victims.
       const std::uint64_t s = seed_ ^ (0x9e3779b97f4a7c15ull * (idx + 1));
       bool hit;
       if (e.media == 1) {
-        // Journal media: the external ring, or — when the store owns the
-        // only write-ahead ring (FlashStore) — that store's WAL.
         hit = osds_[e.osd]->journal().corrupt_record(s);
-        if (fs::Journal* w = osds_[e.osd]->store().wal(); !hit && w != nullptr) {
-          hit = w->corrupt_record(s);
-        }
       } else {
         hit = e.media == 2 ? corrupt_parity_shard(e.osd, s)
                            : corrupt_scrubbed_object(e.osd, s);
@@ -105,10 +95,7 @@ void FaultInjector::apply(std::size_t idx) {
     }
     case FaultKind::kTornWrite: {
       const std::uint64_t s = seed_ ^ (0x9e3779b97f4a7c15ull * (idx + 1));
-      std::size_t torn = osds_[e.osd]->journal().inject_torn_write(s);
-      if (fs::Journal* w = osds_[e.osd]->store().wal(); w != nullptr) {
-        torn += w->inject_torn_write(s);
-      }
+      const std::size_t torn = osds_[e.osd]->journal().inject_torn_write(s);
       if (torn > 0) counters_.add("fault.torn_entries", torn);
       // The tear is the last thing the daemon does: it dies mid-persist.
       do_crash(e.osd);

@@ -20,10 +20,10 @@ enum class FaultKind {
   kLinkDrop,       // links touching (osd, peer) drop each packet w.p. `p`
   kLinkDelay,      // links touching (osd, peer) gain `added_ns` propagation
   kLinkPartition,  // links touching (osd, peer) deliver nothing
-  kJournalStall,   // the OSD's journal writer freezes for `duration`
-  kBitFlip,        // flip a byte: data extent (`media`=0), journal record (1),
-                   // or an EC parity shard's extent (2)
-  kTornWrite,      // next journal batch persists only a prefix, then the daemon dies
+  kJournalStall,   // the store's write-ahead ring freezes for `duration`
+  kBitFlip,        // flip a byte: data extent (`media`=0), write-ahead ring
+                   // record (1), or an EC parity shard's extent (2)
+  kTornWrite,      // next ring batch persists only a prefix, then the daemon dies
 };
 
 const char* kind_name(FaultKind k);
@@ -40,7 +40,7 @@ struct FaultEvent {
   double p = 0.0;          // kLinkDrop: per-message drop probability
   Time added_ns = 0;       // kLinkDelay: extra propagation latency
   Time duration = 0;       // kSsdSlow / kLink* / kJournalStall: auto-clear after this
-  std::uint32_t media = 0; // kBitFlip: 0 = data extent, 1 = journal record
+  std::uint32_t media = 0; // kBitFlip: 0 = data extent, 1 = ring record, 2 = parity
 };
 
 inline constexpr std::uint32_t kAllPeers = ~std::uint32_t(0);
@@ -71,14 +71,15 @@ struct FaultPlan {
   FaultPlan& journal_stall(Time at, std::uint32_t osd, Time duration);
   /// Flip one byte of a seeded-random data extent on `osd` at `at`.
   FaultPlan& bit_flip_data(Time at, std::uint32_t osd);
-  /// Flip one byte of a seeded-random retained journal record on `osd`.
+  /// Flip one byte of a seeded-random retained record in the store's
+  /// write-ahead ring on `osd`.
   FaultPlan& bit_flip_journal(Time at, std::uint32_t osd);
   /// Flip one byte of a seeded-random EC *parity* shard on `osd` (shard
   /// index >= k). No-op on replicated pools; exercises the scrub's
   /// parity-consistency check and repair-by-recompute.
   FaultPlan& bit_flip_parity(Time at, std::uint32_t osd);
-  /// Tear the journal batch queued at `at` (prefix persists) and crash the
-  /// daemon; pair with restart() to exercise replay.
+  /// Tear the write-ahead ring batch queued at `at` (prefix persists) and
+  /// crash the daemon; pair with restart() to exercise replay.
   FaultPlan& torn_write(Time at, std::uint32_t osd);
   /// torn_write at `at`, restart `downtime` later.
   FaultPlan& torn_write_restart(Time at, std::uint32_t osd, Time downtime);

@@ -7,20 +7,74 @@
 
 namespace afc::fs {
 
-FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_dev,
-                     kv::Db& omap, const Config& cfg, Counters* counters)
-    : sim_(sim),
+FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
+                     dev::Device& data_dev, kv::Db& omap, const Config& cfg,
+                     const Journal::Config& journal_cfg, Hooks& hooks,
+                     store::QueueThrottles throttles, Counters* counters)
+    : ObjectStore(sim, hooks, throttles, counters),
       cpu_(cpu),
       dev_(data_dev),
       omap_(omap),
       cfg_(cfg),
-      counters_(counters),
       cache_(cfg.page_cache_pages),
+      journal_(sim, journal_dev, journal_cfg),
+      apply_q_(sim),
       dirty_sem_(sim, cfg.writeback_limit_bytes),
       wb_parallel_(sim, cfg.writeback_parallelism),
       wb_cv_(sim),
       wb_idle_cv_(sim) {
   sim::spawn(writeback_loop());
+  for (unsigned t = 0; t < cfg_.apply_threads; t++) sim::spawn(op_thread());
+}
+
+sim::CoTask<void> FileStore::admit(std::uint64_t bytes) {
+  co_await throttles_.ops.acquire(1);
+  co_await throttles_.bytes.acquire(bytes);
+  co_await throttles_.journal_ops.acquire(1);
+  co_await journal_.reserve(bytes);
+}
+
+sim::CoTask<bool> FileStore::queue_transaction(Transaction tx, std::uint64_t bytes,
+                                               bool lightweight, store::OpRef op) {
+  note_apply_queued(tx.ops().front().oid);
+  const std::uint64_t seq = co_await journal_.write_entry(bytes, tx.encode(), tx.trace);
+  if (seq == 0) co_return false;  // journal closing: entry rejected, not committed
+  throttles_.journal_ops.release(1);
+  co_await hooks_.on_commit(op);
+  // Write-ahead satisfied: queue the filestore apply.
+  apply_q_.try_push(PendingApply{std::move(tx), bytes, seq, lightweight, std::move(op)});
+  co_return true;
+}
+
+sim::CoTask<void> FileStore::op_thread() {
+  for (;;) {
+    auto item = co_await apply_q_.pop();
+    if (!item) break;
+    // OpSequencer: a PG's transactions apply strictly in submission order.
+    OpSequencer& seq = sequencers_[item->tx.ops().front().oid.pg];
+    if (seq.busy) {
+      seq.pending.push_back(std::move(*item));
+      continue;
+    }
+    seq.busy = true;
+    co_await apply_queued(std::move(*item));
+    while (!seq.pending.empty()) {
+      PendingApply next = std::move(seq.pending.front());
+      seq.pending.pop_front();
+      co_await apply_queued(std::move(next));
+    }
+    seq.busy = false;
+  }
+}
+
+sim::CoTask<void> FileStore::apply_queued(PendingApply item) {
+  co_await apply_transaction(item.tx, item.lightweight);
+  // Retire the journal record: its ring space frees with the apply.
+  journal_.mark_applied(item.seq);
+  throttles_.ops.release(1);
+  throttles_.bytes.release(item.bytes);
+  note_apply_done(item.tx.ops().front().oid);
+  co_await hooks_.on_applied(item.op);
 }
 
 sim::CoTask<void> FileStore::buffer_write(std::uint64_t bytes) {
@@ -54,6 +108,8 @@ sim::CoTask<void> FileStore::writeback_loop() {
 }
 
 void FileStore::close() {
+  apply_q_.close();
+  journal_.close();
   closing_ = true;
   wb_cv_.notify_all();
 }

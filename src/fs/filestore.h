@@ -6,9 +6,11 @@
 #include <unordered_map>
 
 #include "common/stats.h"
+#include "fs/journal.h"
 #include "fs/pagecache.h"
 #include "fs/transaction.h"
 #include "kv/db.h"
+#include "sim/channel.h"
 #include "sim/cpu.h"
 #include "store/object_store.h"
 
@@ -16,7 +18,10 @@ namespace afc::fs {
 
 /// The OSD's local object store: objects are files on a local filesystem
 /// (extent map + xattrs here), PG log / omap live in the LSM KV store, and
-/// all of it shares one data SSD. Re-creates the behaviours the paper's
+/// all of it shares one data SSD. Writes are journaled: queue_transaction()
+/// commits to the external NVRAM journal (the store's write-ahead ring),
+/// then `apply_threads` filestore op threads apply it, per-PG in submission
+/// order (Ceph's OpSequencer). Re-creates the behaviours the paper's
 /// §2.4/§3.4 analysis rests on:
 ///  * every apply costs syscalls (CPU) — community Ceph repeats open/stat/
 ///    write per op, AFCeph's light transactions collapse them;
@@ -54,17 +59,27 @@ class FileStore final : public store::ObjectStore {
     // apply path blocks — the filestore backlog of the paper's Fig. 4.
     std::uint64_t writeback_limit_bytes = 48 * kMiB;
     unsigned writeback_parallelism = 8;
+    unsigned apply_threads = 2;  // filestore op threads
   };
 
   /// Pseudo page index used to cache an object's inode/dentry/xattr block.
   static constexpr std::uint64_t kMetaPage = ~std::uint64_t(0);
 
-  FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_dev, kv::Db& omap,
-            const Config& cfg, Counters* counters = nullptr);
+  FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
+            dev::Device& data_dev, kv::Db& omap, const Config& cfg,
+            const Journal::Config& journal_cfg, Hooks& hooks, store::QueueThrottles throttles,
+            Counters* counters = nullptr);
 
-  /// Apply a journaled transaction to the backing store. `lightweight`
-  /// selects the AFCeph §3.4 path (merged syscalls, batched KV, no extra
-  /// xattr writeback I/O).
+  /// Queue throttles, then a journal_ops unit and journal ring space.
+  sim::CoTask<void> admit(std::uint64_t bytes) override;
+  /// Journal write (durable) -> journal_ops released -> on_commit -> the
+  /// apply is queued. Applies run on the op threads and end in on_applied.
+  sim::CoTask<bool> queue_transaction(Transaction tx, std::uint64_t bytes, bool lightweight,
+                                      store::OpRef op) override;
+
+  /// Apply a transaction to the backing store. `lightweight` selects the
+  /// AFCeph §3.4 path (merged syscalls, batched KV, no extra xattr
+  /// writeback I/O).
   sim::CoTask<void> apply_transaction(const Transaction& tx, bool lightweight) override;
 
   sim::CoTask<ReadResult> read(const ObjectId& oid, std::uint64_t off, std::uint64_t len,
@@ -99,7 +114,6 @@ class FileStore final : public store::ObjectStore {
   }
   bool verify_object(const ObjectId& oid) const override { return objects_.verify(oid); }
 
-  kv::Db& omap() { return omap_; }
   PageCache& page_cache() { return cache_; }
   const Config& config() const { return cfg_; }
 
@@ -108,7 +122,10 @@ class FileStore final : public store::ObjectStore {
     return cfg_.populated_object_size;
   }
 
-  /// Stop the writeback worker (flush first via drain()).
+  Journal* wal() override { return &journal_; }
+
+  /// Stop the journal, the op threads and the writeback worker (flush
+  /// first via drain()).
   void close() override;
   /// Wait until all dirty data has reached the device.
   sim::CoTask<void> drain() override;
@@ -140,13 +157,31 @@ class FileStore final : public store::ObjectStore {
   sim::CoTask<void> buffer_write(std::uint64_t bytes);
   sim::CoTask<void> writeback_loop();
 
-  sim::Simulation& sim_;
+  /// A journaled transaction waiting for an op thread.
+  struct PendingApply {
+    Transaction tx;
+    std::uint64_t bytes = 0;  // admitted size (queue throttle units)
+    std::uint64_t seq = 0;    // journal record to retire
+    bool lightweight = false;
+    store::OpRef op;
+  };
+  sim::CoTask<void> op_thread();
+  sim::CoTask<void> apply_queued(PendingApply item);
+
   sim::CpuPool& cpu_;
   dev::Device& dev_;
   kv::Db& omap_;
   Config cfg_;
-  Counters* counters_;
   PageCache cache_;
+  Journal journal_;
+  sim::Channel<PendingApply> apply_q_;
+  /// Per-PG apply sequencing (Ceph's OpSequencer): applies of one PG run
+  /// in submission order even with several op threads.
+  struct OpSequencer {
+    bool busy = false;
+    std::deque<PendingApply> pending;
+  };
+  std::unordered_map<std::uint32_t, OpSequencer> sequencers_;
 
   store::ExtentMap objects_;
   sim::Semaphore dirty_sem_;           // units = dirty bytes allowed

@@ -19,37 +19,22 @@ sim::CoTask<void> Journal::reserve(std::uint64_t bytes) {
 
 void Journal::release(std::uint64_t bytes) { space_.release(bytes + cfg_.header_bytes); }
 
-sim::CoTask<void> Journal::write_entry(std::uint64_t bytes, trace::Span span) {
-  if (queue_.closed()) {
-    // Closing journal: the entry was reserved but never persisted — it must
-    // not be counted as committed (and pushing to a closed channel aborts).
-    rejected_writes_++;
-    co_return;
-  }
-  const Time submit_t0 = sim_.now();
-  sim::OneShot done(sim_);
-  Pending p{bytes, &done};
-  co_await queue_.push(&p);
-  co_await done.wait();
-  // submit → durable: queueing behind the current batch plus the aggregated
-  // NVRAM write this entry rode in.
-  if (auto* tr = trace::Collector::active(); tr != nullptr && span.valid()) {
-    tr->complete(span, tr->stage_id(stage::kJournalWrite), submit_t0, sim_.now());
-  }
-}
-
 sim::CoTask<std::uint64_t> Journal::write_entry(std::uint64_t bytes,
                                                 std::vector<std::uint8_t> image,
                                                 trace::Span span) {
   if (queue_.closed()) {
+    // Closing journal: the entry was reserved but never persisted — it must
+    // not be counted as committed (and pushing to a closed channel aborts).
     rejected_writes_++;
     co_return 0;
   }
   const Time submit_t0 = sim_.now();
   sim::OneShot done(sim_);
-  Pending p{bytes, &done, /*record=*/true, std::move(image)};
+  Pending p{bytes, &done, std::move(image), /*seq=*/0};
   co_await queue_.push(&p);
   co_await done.wait();
+  // submit → durable: queueing behind the current batch plus the aggregated
+  // NVRAM write this entry rode in.
   if (auto* tr = trace::Collector::active(); tr != nullptr && span.valid()) {
     tr->complete(span, tr->stage_id(stage::kJournalWrite), submit_t0, sim_.now());
   }
@@ -129,13 +114,6 @@ std::size_t Journal::inject_torn_write(std::uint64_t seed) {
   const std::size_t k_full = n / 2;
   std::size_t idx = 0;
   for (Pending* p : drained) {
-    if (!p->record) {
-      // Raw (non-record) entry: nothing is retained for it; its space frees
-      // here since no apply will ever release it.
-      space_.release(p->bytes + cfg_.header_bytes);
-      idx++;
-      continue;
-    }
     if (idx < k_full) {
       append_record(*p);
     } else if (idx == k_full) {
@@ -183,7 +161,6 @@ sim::CoTask<void> Journal::writer_loop() {
     for (const Pending* p : batch) total += p->bytes;
     if (sim_.now() < stall_until_) {
       // Injected device stall: hold the batch until the stall lifts.
-      injected_stalls_++;
       co_await sim::delay(sim_, stall_until_ - sim_.now(), "journal.stall");
     }
     co_await nvram_.submit(dev::IoType::kWrite, write_pos_, total);
@@ -192,7 +169,7 @@ sim::CoTask<void> Journal::writer_loop() {
     batches_++;
     entries_ += batch.size();
     for (Pending* p : batch) {
-      if (p->record) append_record(*p);
+      append_record(*p);
       p->done->set();
     }
   }

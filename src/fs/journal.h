@@ -55,23 +55,20 @@ class Journal {
   /// Reserve ring space for an entry (blocks while the journal is full).
   sim::CoTask<void> reserve(std::uint64_t bytes);
 
-  /// Free ring space after the filestore applied the entry (entries written
-  /// through the legacy byte-count API below; record-mode entries free their
-  /// space through mark_applied()).
+  /// Free reserved space that no entry will use (a reservation whose
+  /// write was rejected). Written entries free their space through
+  /// mark_applied().
   void release(std::uint64_t bytes);
 
-  /// Durably write one reserved entry; resumes at commit. Concurrent
-  /// submitters are aggregated into one device write (journal batching).
-  /// A valid `span` attributes the submit→commit latency to that op in the
-  /// trace collector (stage journal.write). If the journal is already
-  /// closed the entry is rejected (counted, NOT committed) — a closing
-  /// journal must never report durability it cannot provide.
-  sim::CoTask<void> write_entry(std::uint64_t bytes, trace::Span span = {});
-
-  /// Record-mode write: like the above, but the encoded transaction `image`
-  /// is checksummed and retained in the replayable ring until
-  /// mark_applied(). Returns the assigned sequence number, or 0 when the
-  /// journal is closed (entry rejected, nothing committed).
+  /// Durably write one reserved entry of `bytes` simulated bytes; resumes
+  /// at commit. Concurrent submitters are aggregated into one device write
+  /// (journal batching). The encoded transaction `image` is checksummed and
+  /// retained in the replayable ring until mark_applied(). A valid `span`
+  /// attributes the submit→commit latency to that op in the trace
+  /// collector (stage journal.write). Returns the assigned sequence number,
+  /// or 0 when the journal is already closed: the entry is rejected
+  /// (counted, NOT committed) — a closing journal must never report
+  /// durability it cannot provide.
   sim::CoTask<std::uint64_t> write_entry(std::uint64_t bytes,
                                          std::vector<std::uint8_t> image,
                                          trace::Span span = {});
@@ -117,7 +114,6 @@ class Journal {
   void stall_until(Time t) {
     if (t > stall_until_) stall_until_ = t;
   }
-  std::uint64_t injected_stalls() const { return injected_stalls_; }
 
   std::uint64_t entries_written() const { return entries_; }
   std::uint64_t batches_written() const { return batches_; }
@@ -144,11 +140,10 @@ class Journal {
   };
 
   struct Pending {
-    std::uint64_t bytes;
-    sim::OneShot* done;
-    bool record = false;
-    std::vector<std::uint8_t> image;  // record mode: encoded transaction
-    std::uint64_t seq = 0;            // record mode: assigned at commit
+    std::uint64_t bytes = 0;
+    sim::OneShot* done = nullptr;
+    std::vector<std::uint8_t> image;  // encoded transaction
+    std::uint64_t seq = 0;            // assigned at commit
   };
 
   sim::CoTask<void> writer_loop();
@@ -171,7 +166,6 @@ class Journal {
   std::uint64_t bytes_written_ = 0;
   std::uint64_t rejected_writes_ = 0;
   Time stall_until_ = 0;
-  std::uint64_t injected_stalls_ = 0;
 };
 
 }  // namespace afc::fs

@@ -64,7 +64,7 @@ sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
       Osd* src = osds[holder];
       if (src == nullptr) continue;
       const fs::ObjectId soid = ec::shard_oid(base_oid, p);
-      co_await src->wait_object_flushed(soid);
+      co_await src->store().wait_object_readable(soid);
       if (!src->store().object_in_memory(soid)) continue;
       // Never rebuild from a chunk that fails its own CRC — that would
       // launder latent corruption into freshly "recovered" data.

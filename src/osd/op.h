@@ -175,12 +175,6 @@ static_assert(kStageCount == kWriteStageCount,
 struct OpCtx {
   std::shared_ptr<ClientIoMsg> msg;
   net::Connection* reply_conn = nullptr;
-  fs::Transaction txn;
-  /// Object the primary's own transaction targets: msg->oid for replicated
-  /// writes, the primary's shard object for EC stripes (journal replay and
-  /// readable-gating key off it).
-  fs::ObjectId local_oid;
-  std::uint64_t journal_bytes = 0;
   unsigned commits_needed = 0;
   unsigned commits_seen = 0;
   bool acked = false;

@@ -64,13 +64,14 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
       throttles_(sim, throttle_cfg),
       dlog_(sim, node.cpu(), log_with_profile(log_cfg, profile)),
       omap_(sim, data_dev, kv_with_profile(kv_cfg, profile), 1000 + id, &node.cpu()),
-      store_(store::make_store(sim, node.cpu(), journal_dev, data_dev, omap_,
-                               with_profile(store_cfg, profile), &counters_)),
-      journal_(sim, journal_dev, journal_cfg),
+      store_(store::make_store(
+          sim, node.cpu(), journal_dev, data_dev, omap_, with_profile(store_cfg, profile),
+          journal_cfg, *this,
+          {throttles_.filestore_ops, throttles_.filestore_bytes, throttles_.journal_ops},
+          &counters_)),
       meta_cache_(meta_cache_cfg(profile)),
       finisher_q_(sim),
-      completion_q_(sim),
-      apply_q_(sim) {
+      completion_q_(sim) {
   shard_queues_.reserve(cfg_.shards);
   for (unsigned s = 0; s < cfg_.shards; s++) {
     shard_queues_.push_back(std::make_unique<sim::Channel<WorkItem>>(sim));
@@ -81,7 +82,6 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
   } else {
     sim::spawn(finisher_loop());
   }
-  for (unsigned a = 0; a < cfg_.apply_threads; a++) sim::spawn(apply_loop());
   if (cmap_.erasure()) codec_ = std::make_unique<ec::Codec>(cmap_.ec_k(), cmap_.ec_m());
   if (cfg_.qos.enabled) {
     qos_ = std::make_unique<QosScheduler>(
@@ -200,25 +200,8 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
     // (qos_admit) — a flooding tenant's backlog must wait in *its* queue,
     // not exhaust the global message cap and stall every connection.
     co_await charge_cpu(cfg_.dispatch_cpu, true);
-    auto op = std::make_shared<OpCtx>();
-    op->msg = msg;
-    op->reply_conn = conn;
-    op->stamp(kStRecv, sim_.now());
-    if (auto* tr = trace::Collector::active()) {
-      op->span = trace::Span{msg->op_id, trace::osd_track(id_)};
-      tr->begin(op->span, tr->stage_id(msg->is_write ? stage::kWriteOp : stage::kReadOp),
-                sim_.now());
-    }
-    inflight_[msg->op_id] = op;
-    if (profile_.ordered_acks && msg->is_write) {
-      ack_state_[msg->client_id].outstanding.insert(msg->op_id);
-    }
-    WorkItem item;
-    item.kind = WorkItem::kClientOp;
-    item.pg = msg->pg;
-    item.op = std::move(op);
     const std::uint64_t bytes = msg->is_write ? msg->data.size() : msg->read_len;
-    qos_->enqueue(std::move(item), msg->tenant, bytes);
+    qos_->enqueue(open_client_op(msg, conn, sim_.now()), msg->tenant, bytes);
     co_return;
   }
   const Time throttle_t0 = sim_.now();
@@ -227,7 +210,11 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
   co_await throttles_.messages.acquire(1);
   co_await throttles_.message_bytes.acquire(msg->data.size() + 150);
   co_await charge_cpu(cfg_.dispatch_cpu, true);
+  shard_push(open_client_op(msg, conn, throttle_t0));
+}
 
+WorkItem Osd::open_client_op(std::shared_ptr<ClientIoMsg> msg, net::Connection* conn,
+                             Time throttle_t0) {
   auto op = std::make_shared<OpCtx>();
   op->msg = msg;
   op->reply_conn = conn;
@@ -244,12 +231,18 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
   if (profile_.ordered_acks && msg->is_write) {
     ack_state_[msg->client_id].outstanding.insert(msg->op_id);
   }
-
   WorkItem item;
   item.kind = WorkItem::kClientOp;
   item.pg = msg->pg;
   item.op = std::move(op);
-  shard_push(std::move(item));
+  return item;
+}
+
+void Osd::close_client_op(const ClientIoMsg& msg) {
+  throttles_.messages.release(1);
+  throttles_.message_bytes.release(msg.data.size() + 150);
+  qos_op_done();
+  inflight_.erase(msg.op_id);
 }
 
 sim::CoTask<void> Osd::qos_admit(WorkItem item) {
@@ -437,33 +430,14 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   co_await charge_cpu(cfg_.prepare_cpu, true);
 
   const std::uint64_t version = pg.next_version();
-  fs::Transaction txn;
-  txn.write(msg.oid, msg.offset, msg.data);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(msg.oid, std::move(kvs));
-  }
-  txn.setattrs(msg.oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                         {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(msg.oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(msg.oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
+  fs::Transaction txn = build_write_txn(pg, msg.oid, msg.offset, msg.data, version,
+                                        /*primary=*/true);
 
   // Every write refreshes the in-memory object context (community Ceph does
   // this too); the community/AFCeph difference is the cache's capacity and
   // whether a miss forces a storage read.
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  meta_cache_.insert(msg.oid,
+                     ObjectMeta{true, std::max(meta.size, msg.offset + msg.data.size()), version});
 
   // Splay replication: subops to every replica, ack when all journals
   // (local + replicas) have committed.
@@ -482,81 +456,88 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   op->min_commits = std::min(cmap_.min_size(), op->commits_needed);
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
+  co_await submit_txn(item, std::move(txn));
+}
 
-  // Admission to journal+filestore — still inside the PG critical section,
-  // which is exactly the paper's Fig. 3 step (3) complaint.
-  const std::uint64_t jbytes = txn.encoded_bytes();
+fs::Transaction Osd::build_write_txn(Pg& pg, const fs::ObjectId& oid, std::uint64_t off,
+                                     const Payload& data, std::uint64_t version,
+                                     bool primary) {
+  fs::Transaction txn;
+  txn.write(oid, off, data);
+  {
+    std::vector<std::pair<std::string, kv::Value>> kvs;
+    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
+    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
+    txn.omap_setkeys(oid, std::move(kvs));
+  }
+  if (primary) {
+    txn.setattrs(oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
+                       {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
+  } else {
+    txn.setattrs(oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))}});
+  }
+  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(oid);
+  if (primary && version % cfg_.pg_log_trim_every == 0 &&
+      version > pg.log_floor + cfg_.pg_log_keep) {
+    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
+    txn.omap_rmkeyrange(oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
+    pg.log_floor = new_floor;
+  }
+  return txn;
+}
+
+sim::CoTask<void> Osd::submit_txn(const WorkItem& item, fs::Transaction txn) {
+  if (trace::Collector::active() != nullptr) txn.trace = item_span(item, id_);
+  const std::uint64_t bytes = txn.encoded_bytes();
   const Time admit_t0 = sim_.now();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    if (const Time admitted = sim_.now(); admitted > admit_t0) {
-      tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
+  co_await store_->admit(bytes);
+  if (const OpRef& op = item.op) {
+    if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
+      if (const Time admitted = sim_.now(); admitted > admit_t0) {
+        tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
+      }
     }
-  }
-  txn.trace = op->span;
-  op->journal_bytes = jbytes;
-  op->txn = std::move(txn);
-  op->stamp(kStJournalQ, sim_.now());
-  client_writes_++;
-  op->local_oid = msg.oid;
-  note_apply_queued(msg.oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
+    op->stamp(kStJournalQ, sim_.now());
+    client_writes_++;
   } else {
-    sim::spawn(journal_path(op));
+    replica_ops_++;
+  }
+  sim::spawn(commit_txn(item, std::move(txn), bytes));
+}
+
+sim::CoTask<void> Osd::commit_txn(WorkItem item, fs::Transaction txn, std::uint64_t bytes) {
+  const bool committed = co_await store_->queue_transaction(
+      std::move(txn), bytes, profile_.light_transactions, item.op);
+  if (!committed) co_return;  // store closing: not committed, must not ack
+  if (profile_.dedicated_completion) {
+    // OP-lock work only. A primary defers its PG-side status work to the
+    // batched completion worker; a replica acks straight from here.
+    co_await charge_cpu(cfg_.oplock_cpu, false);
+    if (item.op != nullptr) {
+      completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, item.op, item.pg, {}, nullptr});
+    } else {
+      send_rep_reply(item.conn, *item.rep, false);
+    }
+  } else if (item.op != nullptr) {
+    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, item.op, item.pg, {}, nullptr});
+  } else {
+    // Community: the commit notification is finisher work under the PG lock.
+    finisher_q_.try_push(
+        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, item.pg, item.rep, item.conn});
   }
 }
 
-sim::CoTask<void> Osd::journal_path(OpRef op) {
-  const std::uint64_t seq =
-      co_await journal_.write_entry(op->journal_bytes, op->txn.encode(), op->span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
-  op->stamp(kStJournaled, sim_.now());
+sim::CoTask<void> Osd::on_commit(const OpRef& op) {
+  if (op != nullptr) op->stamp(kStJournaled, sim_.now());
   co_await dlog_.log(cfg_.log_entries_journal);
-
-  // Write-ahead satisfied: queue the filestore apply.
-  ApplyItem ai;
-  ai.txn = std::move(op->txn);
-  ai.journal_bytes = op->journal_bytes;
-  ai.op = op;
-  ai.oid = op->local_oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
-
-  if (profile_.dedicated_completion) {
-    // OP-lock work only; PG-side status work is deferred to the batched
-    // completion worker.
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  } else {
-    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  }
 }
 
-sim::CoTask<void> Osd::flash_commit_path(OpRef op) {
-  // One round trip: queue_transaction resumes with the write both durable
-  // (WAL/COW committed) and applied — there is no separate apply pass to
-  // queue and no journal record to retire later.
-  const std::uint64_t seq = co_await store_->queue_transaction(op->txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, must not ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(op->journal_bytes);
-  note_apply_done(op->local_oid);
-  op->stamp(kStJournaled, sim_.now());
-  co_await dlog_.log(cfg_.log_entries_journal);
-
+sim::CoTask<void> Osd::on_applied(const OpRef& op) {
+  if (op == nullptr) co_return;
   if (profile_.dedicated_completion) {
     co_await charge_cpu(cfg_.oplock_cpu, false);
-    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
   } else {
-    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
+    finisher_q_.try_push(CompletionEvent{CompletionEvent::kApplied, op, op->msg->pg, {}, nullptr});
   }
 }
 
@@ -571,22 +552,7 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
     // map older than ours. Reject before journaling — a stale ex-primary's
     // write must not gain durable copies — and tell it what to catch up to.
     counters_.add("osd.fenced_rep_ops");
-    if (item.conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep.op_id;
-      reply->pg = rep.pg;
-      reply->from_osd = id_;
-      reply->fenced = true;
-      reply->map_epoch = known_epoch_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      if (trace::Collector::active() != nullptr) {
-        wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
-      }
-      item.conn->send(std::move(wire));
-    }
+    send_rep_reply(item.conn, rep, true);
     co_return;
   }
   Pg* pgp = find_pg(item.pg);
@@ -596,102 +562,26 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
   co_await dlog_.log(cfg_.log_entries_replica);
   co_await charge_cpu(cfg_.replica_prepare_cpu, true);
   pg.observe_version(rep.version);
-
-  fs::Transaction txn;
-  txn.write(rep.oid, rep.offset, rep.data);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(rep.version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(rep.oid, std::move(kvs));
-  }
-  txn.setattrs(rep.oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(rep.oid);
-  if (trace::Collector::active() != nullptr) txn.trace = item_span(item, id_);
-
-  const std::uint64_t jbytes = txn.encoded_bytes();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  if (store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect) {
-    replica_ops_++;
-    note_apply_queued(rep.oid);
-    sim::spawn(flash_replica_path(item.rep, item.conn, std::move(txn), jbytes));
-    co_return;
-  }
-  co_await throttles_.journal_ops.acquire(1);
-  co_await journal_.reserve(jbytes);
-  replica_ops_++;
-  note_apply_queued(rep.oid);
-  sim::spawn(replica_journal_path(item.rep, item.conn, std::move(txn), jbytes));
+  co_await submit_txn(item, build_write_txn(pg, rep.oid, rep.offset, rep.data, rep.version,
+                                            /*primary=*/false));
 }
 
-sim::CoTask<void> Osd::replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                            net::Connection* conn, fs::Transaction txn,
-                                            std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await journal_.write_entry(bytes, txn.encode(), rep_span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  ApplyItem ai;
-  ai.txn = std::move(txn);
-  ai.journal_bytes = bytes;
-  ai.oid = rep->oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
-
-  if (profile_.dedicated_completion) {
-    // AFCeph: send the commit ack straight from the completion context.
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
-  } else {
-    // Community: the commit notification is finisher work under the PG lock.
-    finisher_q_.try_push(
-        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
+void Osd::send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced) {
+  if (conn == nullptr) return;
+  auto reply = std::make_shared<RepReplyMsg>();
+  reply->op_id = rep.op_id;
+  reply->pg = rep.pg;
+  reply->from_osd = id_;
+  reply->fenced = fenced;
+  if (fenced) reply->map_epoch = known_epoch_;
+  net::Message wire;
+  wire.type = kRepReply;
+  wire.size = cfg_.reply_msg_bytes;
+  wire.body = std::move(reply);
+  if (trace::Collector::active() != nullptr) {
+    wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
   }
-}
-
-sim::CoTask<void> Osd::flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                          net::Connection* conn, fs::Transaction txn,
-                                          std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await store_->queue_transaction(txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, no ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(bytes);
-  note_apply_done(rep->oid);
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  if (profile_.dedicated_completion) {
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
-  } else {
-    finisher_q_.try_push(
-        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
-  }
+  conn->send(std::move(wire));
 }
 
 // ---------------------------------------------------------------------------
@@ -753,13 +643,9 @@ void Osd::send_rep_op(OpCtx& op, std::uint32_t peer) {
     // EC stripe: the sub-op carries only this peer's shard (oid, shard-space
     // offset, chunk payload) — the replica path itself is EC-oblivious. The
     // shard table also serves watchdog resends.
-    const OpCtx::EcShard* sh = nullptr;
-    for (const auto& s : op.ec_shards)
-      if (s.peer == peer) {
-        sh = &s;
-        break;
-      }
-    if (sh == nullptr) return;
+    const auto sh = std::find_if(op.ec_shards.begin(), op.ec_shards.end(),
+                                 [peer](const OpCtx::EcShard& s) { return s.peer == peer; });
+    if (sh == op.ec_shards.end()) return;
     rep->oid = sh->oid;
     rep->offset = sh->offset;
     rep->data = sh->data;
@@ -836,10 +722,7 @@ void Osd::fail_op(OpRef op) {
   disarm_rep_timer(*op);
   counters_.add("osd.write_failures");
   ClientIoMsg& msg = *op->msg;
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
+  close_client_op(msg);
   if (profile_.ordered_acks && msg.is_write) {
     // Drop the failed op from the ordered-ack ledger, then drain any acks it
     // was holding back.
@@ -855,16 +738,8 @@ void Osd::fail_op(OpRef op) {
     }
   }
   auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = true;
   reply->ok = false;
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = kWriteReply;
-  wire.size = cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  if (op->reply_conn != nullptr) op->reply_conn->send(std::move(wire));
+  send_io_reply(op->reply_conn, msg, std::move(reply), op->span);
   if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
     tr->end(op->span, tr->stage_id(stage::kWriteOp), sim_.now());
   }
@@ -890,34 +765,17 @@ sim::CoTask<void> Osd::finisher_loop() {
     co_await charge_cpu(cfg_.commit_cpu, false);
     switch (evt->kind) {
       case CompletionEvent::kCommit:
-        evt->op->commits_seen++;
-        evt->op->stamp(kStCommitEvt, sim_.now());
-        handle_commit_recorded(evt->op);
-        break;
       case CompletionEvent::kRepCommit:
         evt->op->commits_seen++;
-        evt->op->stamp(kStRepAcked, sim_.now());
+        evt->op->stamp(evt->kind == CompletionEvent::kCommit ? kStCommitEvt : kStRepAcked,
+                       sim_.now());
         handle_commit_recorded(evt->op);
         break;
       case CompletionEvent::kApplied:
         break;  // bookkeeping only
-      case CompletionEvent::kRepCommitSend: {
-        if (evt->conn != nullptr) {
-          auto reply = std::make_shared<RepReplyMsg>();
-          reply->op_id = evt->rep->op_id;
-          reply->pg = evt->rep->pg;
-          reply->from_osd = id_;
-          net::Message wire;
-          wire.type = kRepReply;
-          wire.size = cfg_.reply_msg_bytes;
-          wire.body = std::move(reply);
-          if (trace::Collector::active() != nullptr) {
-            wire.trace = trace::Span{evt->rep->op_id, trace::osd_track(id_)};
-          }
-          evt->conn->send(std::move(wire));
-        }
+      case CompletionEvent::kRepCommitSend:
+        send_rep_reply(evt->conn, *evt->rep, false);
         break;
-      }
     }
     pg->lock().unlock();
   }
@@ -957,70 +815,6 @@ sim::CoTask<void> Osd::completion_worker_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Filestore apply
-// ---------------------------------------------------------------------------
-
-sim::CoTask<void> Osd::apply_loop() {
-  for (;;) {
-    auto item = co_await apply_q_.pop();
-    if (!item) break;
-    // OpSequencer: a PG's transactions apply strictly in submission order.
-    ApplySeq& seq = apply_seq_[item->oid.pg];
-    if (seq.busy) {
-      seq.pending.push_back(std::move(*item));
-      continue;
-    }
-    seq.busy = true;
-    co_await do_apply(std::move(*item));
-    while (!seq.pending.empty()) {
-      ApplyItem next = std::move(seq.pending.front());
-      seq.pending.pop_front();
-      co_await do_apply(std::move(next));
-    }
-    seq.busy = false;
-  }
-}
-
-sim::CoTask<void> Osd::do_apply(ApplyItem item) {
-  co_await store_->apply_transaction(item.txn, profile_.light_transactions);
-  if (item.seq != 0) {
-    // Retire the journal record: same bytes freed at the same point as the
-    // raw release below, plus the retained ring image is dropped.
-    journal_.mark_applied(item.seq);
-  } else {
-    journal_.release(item.journal_bytes);
-  }
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(item.journal_bytes);
-  note_apply_done(item.oid);
-  if (item.op != nullptr) {
-    if (profile_.dedicated_completion) {
-      co_await charge_cpu(cfg_.oplock_cpu, false);
-    } else {
-      finisher_q_.try_push(
-          CompletionEvent{CompletionEvent::kApplied, item.op, item.op->msg->pg, {}, nullptr});
-    }
-  }
-}
-
-void Osd::note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid]++; }
-
-void Osd::note_apply_done(const fs::ObjectId& oid) {
-  auto it = pending_applies_.find(oid);
-  if (it == pending_applies_.end()) return;
-  if (--it->second == 0) {
-    pending_applies_.erase(it);
-    apply_gate_cv_.notify_all();
-  }
-}
-
-sim::CoTask<void> Osd::wait_object_readable(const fs::ObjectId& oid) {
-  while (pending_applies_.find(oid) != pending_applies_.end()) {
-    co_await apply_gate_cv_.wait();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
 
@@ -1034,39 +828,14 @@ sim::CoTask<void> Osd::process_client_read(WorkItem& item) {
 
   // Read-after-write consistency (ondisk_read_lock): wait for this
   // object's journaled writes to reach the filestore.
-  co_await wait_object_readable(msg.oid);
+  co_await store_->wait_object_readable(msg.oid);
   co_await dlog_.log(cfg_.log_entries_read);
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.read_cpu, true);
-
-  auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = false;
-  reply->issued_at = msg.issued_at;
-  if (meta.exists) {
-    auto rr = co_await store_->read(msg.oid, msg.offset, msg.read_len, msg.want_data);
-    reply->ok = rr.found;
-    reply->data_len = rr.length;
-    reply->data = std::move(rr.data);
-  } else {
-    reply->ok = false;
-  }
+  store::ObjectStore::ReadResult rr;
+  if (meta.exists) rr = co_await store_->read(msg.oid, msg.offset, msg.read_len, msg.want_data);
   client_reads_++;
-
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
-
-  net::Message wire;
-  wire.type = kReadReply;
-  wire.size = reply->data_len + cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  op->reply_conn->send(std::move(wire));
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    tr->end(op->span, tr->stage_id(stage::kReadOp), sim_.now());
-  }
+  send_read_reply(op, rr.found, rr.length, std::move(rr.data));
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,30 +897,10 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
 
   const std::uint64_t version = pg.next_version();
   op->version = version;
-  op->local_oid = ec::shard_oid(msg.oid, self_pos);
-  fs::Transaction txn;
-  txn.write(op->local_oid, soff, shards[self_pos]);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(op->local_oid, std::move(kvs));
-  }
-  txn.setattrs(op->local_oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                               {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(op->local_oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(op->local_oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  fs::Transaction txn = build_write_txn(pg, ec::shard_oid(msg.oid, self_pos), soff,
+                                        shards[self_pos], version, /*primary=*/true);
+  meta_cache_.insert(msg.oid,
+                     ObjectMeta{true, std::max(meta.size, msg.offset + msg.data.size()), version});
 
   // One sub-op per remote shard position; the replica path is EC-oblivious.
   op->commits_needed = 0;
@@ -1174,32 +923,7 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
   op->min_commits = cmap_.ack_floor();
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
-
-  const std::uint64_t jbytes = txn.encoded_bytes();
-  const Time admit_t0 = sim_.now();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    if (const Time admitted = sim_.now(); admitted > admit_t0) {
-      tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
-    }
-  }
-  txn.trace = op->span;
-  op->journal_bytes = jbytes;
-  op->txn = std::move(txn);
-  op->stamp(kStJournalQ, sim_.now());
-  client_writes_++;
-  note_apply_queued(op->local_oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
-  } else {
-    sim::spawn(journal_path(op));
-  }
+  co_await submit_txn(item, std::move(txn));
 }
 
 sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {
@@ -1273,7 +997,7 @@ sim::CoTask<void> Osd::ec_read_gather(OpRef op) {
   // Serve one locally-held shard position (the primary usually holds one).
   auto fetch_local = [&](unsigned p) -> sim::CoTask<void> {
     const fs::ObjectId soid = ec::shard_oid(msg.oid, p);
-    co_await wait_object_readable(soid);
+    co_await store_->wait_object_readable(soid);
     bool ok = store_->object_in_memory(soid) && store_->verify_object(soid);
     if (ok) {
       auto rr = co_await store_->read(soid, soff, clen, msg.want_data);
@@ -1377,7 +1101,7 @@ sim::CoTask<void> Osd::serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
   auto reply = std::make_shared<ShardReadReplyMsg>();
   reply->rid = msg->rid;
   if (auto sn = ec::parse_shard(msg->oid.name)) reply->shard = sn->shard;
-  co_await wait_object_readable(msg->oid);
+  co_await store_->wait_object_readable(msg->oid);
   // Per-shard CRC gate: a bit-flipped shard reports itself bad here, which
   // is what turns silent corruption into a reconstructing read.
   if (store_->object_in_memory(msg->oid) && store_->verify_object(msg->oid)) {
@@ -1415,23 +1139,12 @@ void Osd::handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg) {
 void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                           std::optional<std::vector<std::uint8_t>> data) {
   ClientIoMsg& msg = *op->msg;
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
+  close_client_op(msg);
   auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = false;
   reply->ok = ok;
   reply->data_len = data_len;
   reply->data = std::move(data);
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = kReadReply;
-  wire.size = data_len + cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  if (op->reply_conn != nullptr) op->reply_conn->send(std::move(wire));
+  send_io_reply(op->reply_conn, msg, std::move(reply), op->span);
   if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
     tr->end(op->span, tr->stage_id(stage::kReadOp), sim_.now());
   }
@@ -1498,21 +1211,21 @@ void Osd::send_reply_message(OpRef& op) {
     tr->end(op->span, tr->stage_id(stage::kWriteOp), sim_.now());
   }
 
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
+  close_client_op(msg);
+  send_io_reply(op->reply_conn, msg, std::make_shared<IoReplyMsg>(), op->span);
+}
 
-  auto reply = std::make_shared<IoReplyMsg>();
+void Osd::send_io_reply(net::Connection* conn, const ClientIoMsg& msg,
+                        std::shared_ptr<IoReplyMsg> reply, trace::Span span) {
   reply->op_id = msg.op_id;
-  reply->is_write = true;
+  reply->is_write = msg.is_write;
   reply->issued_at = msg.issued_at;
   net::Message wire;
-  wire.type = kWriteReply;
-  wire.size = cfg_.reply_msg_bytes;
+  wire.type = msg.is_write ? kWriteReply : kReadReply;
+  wire.size = reply->data_len + cfg_.reply_msg_bytes;
   wire.body = std::move(reply);
-  wire.trace = op->span;
-  op->reply_conn->send(std::move(wire));
+  wire.trace = span;
+  if (conn != nullptr) conn->send(std::move(wire));
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,7 +1258,7 @@ sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
       // an up-to-date replica backwards (the replica applied those writes
       // already; the snapshot install erases them, and the source's late
       // apply then diverges the copies for good).
-      co_await wait_object_readable(oid);
+      co_await store_->wait_object_readable(oid);
       if (target.store().object_in_memory(oid) &&
           target.store().object_fingerprint(oid) == store_->object_fingerprint(oid)) {
         break;
@@ -1657,17 +1370,10 @@ void Osd::send_beacon(bool boot) {
 
 void Osd::send_fence_reply(const ClientIoMsg& msg, net::Connection* conn) {
   auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = msg.is_write;
   reply->ok = false;
   reply->fenced = true;
   reply->map_epoch = known_epoch_;
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = msg.is_write ? kWriteReply : kReadReply;
-  wire.size = cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  if (conn != nullptr) conn->send(std::move(wire));
+  send_io_reply(conn, msg, std::move(reply), {});
 }
 
 void Osd::request_map() {
@@ -1777,44 +1483,7 @@ sim::CoTask<void> Osd::on_restart() {
   // Replay completes before the caller marks this OSD up: no client op or
   // backfill push may land while possibly-stale records re-apply, or a
   // replayed write could clobber data written during the downtime.
-  co_await replay_journal(journal_);
-  // A store-internal WAL (FlashStore) recovers under the same contract and
-  // counters: records whose effects the crash may have lost re-apply here.
-  if (fs::Journal* w = store_->wal(); w != nullptr) co_await replay_journal(*w);
-}
-
-sim::CoTask<void> Osd::replay_journal(fs::Journal& j) {
-  auto replay = j.restart();
-  if (replay.torn_tails > 0) counters_.add("osd.journal.torn_tails", replay.torn_tails);
-  if (replay.crc_failures > 0)
-    counters_.add("osd.journal.crc_failures", replay.crc_failures);
-  if (replay.truncated > 0)
-    counters_.add("osd.journal.replay_truncated", replay.truncated);
-  if (!replay.records.empty()) co_await replay_records(j, std::move(replay.records));
-}
-
-sim::CoTask<void> Osd::replay_records(fs::Journal& j,
-                                      std::vector<fs::Journal::ReplayedRecord> records) {
-  for (auto& rec : records) {
-    auto tx = fs::Transaction::decode(rec.payload.data(), rec.payload.size());
-    if (tx.has_value()) {
-      // Re-apply idempotently: re-writing the same extents/omap keys is
-      // content-idempotent, so racing a zombie apply of the same record is
-      // harmless. Sequencing against new client ops is the dedup-by-seq
-      // contract — each record applies at most once from here.
-      co_await store_->apply_transaction(*tx, profile_.light_transactions);
-      counters_.add("osd.journal.records_replayed");
-      if (auto* tr = trace::Collector::active(); tr != nullptr) {
-        tr->instant(trace::Span{rec.seq, trace::kFaultTrack},
-                    tr->stage_id(stage::kJournalReplay), sim_.now());
-      }
-    } else {
-      // CRC-clean but undecodable should be impossible; retire it so the
-      // ring cannot wedge on it either way.
-      counters_.add("osd.journal.replay_undecodable");
-    }
-    j.mark_applied(rec.seq);
-  }
+  co_await store_->replay(profile_.light_transactions);
 }
 
 // ---------------------------------------------------------------------------
@@ -1822,14 +1491,11 @@ sim::CoTask<void> Osd::replay_records(fs::Journal& j,
 // ---------------------------------------------------------------------------
 
 void Osd::close() {
-  closing_ = true;
   if (hb_ != nullptr) hb_->stop();
   for (auto& q : shard_queues_) q->close();
   finisher_q_.close();
   completion_q_.close();
-  apply_q_.close();
   dlog_.close();
-  journal_.close();
   store_->close();
   omap_.close();
   msgr_.close_all();

@@ -30,7 +30,6 @@ namespace afc::osd {
 struct OsdConfig {
   unsigned shards = 5;             // Ceph 0.94 osd_op_num_shards
   unsigned workers_per_shard = 2;  // osd_op_num_threads_per_shard
-  unsigned apply_threads = 2;      // filestore op threads
 
   Time dispatch_cpu = 45000;          // ns, message decode + PG mapping (alloc-heavy)
   Time prepare_cpu = 110000;           // txn build/encode on the primary (alloc-heavy)
@@ -92,8 +91,8 @@ struct OsdConfig {
 };
 
 /// One Ceph OSD daemon: messenger dispatch → sharded OP_WQ → PG (lock or
-/// pending-queue) → journal (NVRAM) → filestore (SSD + LSM omap), with
-/// splay replication to peer OSDs. Every mechanism of the paper exists in
+/// pending-queue) → object store (write-ahead ring on NVRAM, data on SSD,
+/// LSM omap), with splay replication to peer OSDs. Every mechanism of the paper exists in
 /// both its community and its AFCeph form, selected by core::Profile:
 ///
 ///   PG path        : blocking PG lock  | pending queue (Fig. 5)
@@ -103,7 +102,7 @@ struct OsdConfig {
 ///   logging        : blocking single-writer dout | non-blocking multi-writer
 ///   transactions   : full op set + RMW metadata reads | light transactions
 ///   throttles      : HDD defaults | SSD-sized
-class Osd : public net::Receiver {
+class Osd : public net::Receiver, private store::ObjectStore::Hooks {
  public:
   Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
       dev::Device& data_dev, cluster::ClusterMap& cmap, std::uint32_t id,
@@ -139,19 +138,13 @@ class Osd : public net::Receiver {
   sim::CoTask<std::uint64_t> push_pg(std::uint32_t pgid, Osd& target);
   /// Install one recovered object (charged as a light apply).
   sim::CoTask<void> recover_object(const fs::ObjectId& oid, store::ObjectExport data);
-  /// Recovery support: wait until the object's journaled writes have reached
-  /// the filestore (public face of the ondisk-read gate; EC shard rebuild
-  /// must not export a shard the filestore is still behind on).
-  sim::CoTask<void> wait_object_flushed(const fs::ObjectId& oid) {
-    return wait_object_readable(oid);
-  }
   /// The daemon died (fault injection): its RAM — the op ledger and the
   /// ordered-ack bookkeeping — is gone. Journal and filestore state
   /// survive on media; coroutines already in flight keep running as
   /// zombies whose output is blackholed.
   void on_crash();
-  /// The daemon came back: replay the journal ring from the last
-  /// filestore-applied sequence (CRC-verified, tail-truncated) so locally
+  /// The daemon came back: replay the store's write-ahead ring from the
+  /// last applied sequence (CRC-verified, tail-truncated) so locally
   /// durable writes recover without peer traffic. Called before backfill
   /// re-targets the cluster; backfill then covers only what replay could
   /// not. Completes only when every surviving record has re-applied: the
@@ -197,7 +190,8 @@ class Osd : public net::Receiver {
 
   // --- instrumentation -------------------------------------------------
   store::ObjectStore& store() { return *store_; }
-  fs::Journal& journal() { return journal_; }
+  /// The store's write-ahead ring (FileStore's journal, FlashStore's WAL).
+  fs::Journal& journal() { return *store_->wal(); }
   kv::Db& omap_db() { return omap_; }
   DebugLog& dlog() { return dlog_; }
   ThrottleSet& throttles() { return throttles_; }
@@ -222,6 +216,12 @@ class Osd : public net::Receiver {
   sim::CoTask<void> dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
                                        net::Connection* conn);
   sim::CoTask<void> dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg);
+  /// Admit a dispatched client op to the ledger (inflight, ordered acks,
+  /// trace span — with the dispatch-throttle wait since `throttle_t0`).
+  WorkItem open_client_op(std::shared_ptr<ClientIoMsg> msg, net::Connection* conn,
+                          Time throttle_t0);
+  /// An op resolved: free its message throttles, QoS slot and ledger entry.
+  void close_client_op(const ClientIoMsg& msg);
   void shard_push(WorkItem item);
   /// QoS path only: acquire the message throttles a dispatched op skipped
   /// (they are held until resolution, like the seed path), then shard_push.
@@ -252,6 +252,10 @@ class Osd : public net::Receiver {
   void handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg);
   void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                        std::optional<std::vector<std::uint8_t>> data);
+  /// Reply to a client: `reply` carries the outcome; op id, direction and
+  /// wire size come from `msg`.
+  void send_io_reply(net::Connection* conn, const ClientIoMsg& msg,
+                     std::shared_ptr<IoReplyMsg> reply, trace::Span span);
   bool osd_up(std::uint32_t osd_id) const;
 
   // --- metadata ---------------------------------------------------------
@@ -267,6 +271,8 @@ class Osd : public net::Receiver {
   void on_rep_timeout(std::uint64_t op_id);
   /// Resolve an op as failed: reply ok=false, release throttles, account.
   void fail_op(OpRef op);
+  /// Replica -> primary commit ack, or (`fenced`) an epoch-fence rejection.
+  void send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced);
 
   // --- membership helpers (kDetected only) -------------------------------
   /// Reject a stale-epoch client op before admission (no throttles held).
@@ -274,7 +280,21 @@ class Osd : public net::Receiver {
   /// Ask the monitor for the current map (once per stuck epoch).
   void request_map();
 
-  // --- journal & completions --------------------------------------------
+  // --- the write transaction --------------------------------------------
+  /// The PG-log write transaction for one object write. The primary also
+  /// records the snapset and trims the PG log; a replica only mirrors.
+  fs::Transaction build_write_txn(Pg& pg, const fs::ObjectId& oid, std::uint64_t off,
+                                  const Payload& data, std::uint64_t version, bool primary);
+  /// The one admission step (still inside the PG critical section — the
+  /// paper's Fig. 3 step (3)), then the detached commit. `item` is the
+  /// client op (primary, replicated or EC shard) or the replica sub-op.
+  sim::CoTask<void> submit_txn(const WorkItem& item, fs::Transaction txn);
+  sim::CoTask<void> commit_txn(WorkItem item, fs::Transaction txn, std::uint64_t bytes);
+  // store::ObjectStore::Hooks
+  sim::CoTask<void> on_commit(const OpRef& op) override;
+  sim::CoTask<void> on_applied(const OpRef& op) override;
+
+  // --- completions ---------------------------------------------------------
   struct CompletionEvent {
     enum Kind {
       kCommit,         // primary local journal commit
@@ -287,44 +307,10 @@ class Osd : public net::Receiver {
     std::shared_ptr<RepOpMsg> rep;
     net::Connection* conn;
   };
-  sim::CoTask<void> journal_path(OpRef op);
-  sim::CoTask<void> replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                         net::Connection* conn, fs::Transaction txn,
-                                         std::uint64_t bytes);
-  /// FlashStore (kStoreDirect) primary path: the store's own
-  /// queue_transaction is the durability point — no external journal entry,
-  /// no separate apply pass.
-  sim::CoTask<void> flash_commit_path(OpRef op);
-  sim::CoTask<void> flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                       net::Connection* conn, fs::Transaction txn,
-                                       std::uint64_t bytes);
   sim::CoTask<void> finisher_loop();           // community: one, PG lock per event
   sim::CoTask<void> completion_worker_loop();  // AFCeph: batched, no PG lock
   void handle_commit_recorded(OpRef& op);      // common bookkeeping
-  sim::CoTask<void> queue_ack(OpRef op);       // community path
   void fast_ack_now(OpRef op);
-
-  // --- filestore apply ---------------------------------------------------
-  struct ApplyItem {
-    fs::Transaction txn;
-    std::uint64_t journal_bytes = 0;
-    OpRef op;          // null for replica ops
-    fs::ObjectId oid;  // for the ondisk-read gate
-    std::uint64_t seq = 0;  // journal record to retire (0 = raw entry)
-  };
-  sim::CoTask<void> apply_loop();
-  sim::CoTask<void> do_apply(ApplyItem item);
-  /// Restart-time recovery of one write-ahead ring (the external NVRAM
-  /// journal, or a store-internal WAL): CRC-scan, re-apply, retire.
-  sim::CoTask<void> replay_journal(fs::Journal& j);
-  sim::CoTask<void> replay_records(fs::Journal& j,
-                                   std::vector<fs::Journal::ReplayedRecord> records);
-
-  /// Ceph's ondisk_read_lock: a read of an object waits until the object's
-  /// in-flight (journaled but not yet applied) writes reach the filestore.
-  void note_apply_queued(const fs::ObjectId& oid);
-  void note_apply_done(const fs::ObjectId& oid);
-  sim::CoTask<void> wait_object_readable(const fs::ObjectId& oid);
 
   // --- ack delivery -------------------------------------------------------
   void deliver_ack(OpRef op);
@@ -345,7 +331,6 @@ class Osd : public net::Receiver {
   DebugLog dlog_;
   kv::Db omap_;
   std::unique_ptr<store::ObjectStore> store_;
-  fs::Journal journal_;
   MetaCache meta_cache_;
 
   std::unique_ptr<QosScheduler> qos_;  // null unless cfg_.qos.enabled
@@ -371,18 +356,8 @@ class Osd : public net::Receiver {
   std::vector<std::unique_ptr<sim::Channel<WorkItem>>> shard_queues_;
   sim::Channel<CompletionEvent> finisher_q_;
   sim::Channel<CompletionEvent> completion_q_;
-  sim::Channel<ApplyItem> apply_q_;
 
   std::unordered_map<std::uint64_t, OpRef> inflight_;
-  std::unordered_map<fs::ObjectId, unsigned, fs::ObjectIdHash> pending_applies_;
-  sim::CondVar apply_gate_cv_{sim_};
-  /// Per-PG apply sequencing (Ceph's OpSequencer): applies of one PG run
-  /// in submission order even with multiple filestore op threads.
-  struct ApplySeq {
-    bool busy = false;
-    std::deque<ApplyItem> pending;
-  };
-  std::unordered_map<std::uint32_t, ApplySeq> apply_seq_;
 
   // Ordered-ack delivery (per client): op ids outstanding and acks held
   // back until their predecessors complete.
@@ -409,7 +384,6 @@ class Osd : public net::Receiver {
   std::uint64_t client_writes_ = 0;
   std::uint64_t client_reads_ = 0;
   std::uint64_t replica_ops_ = 0;
-  bool closing_ = false;
 };
 
 }  // namespace afc::osd

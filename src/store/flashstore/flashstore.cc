@@ -8,14 +8,13 @@
 namespace afc::store {
 
 FlashStore::FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
-                       dev::Device& data_dev, kv::Db& kvdb, const Config& cfg,
-                       Counters* counters)
-    : sim_(sim),
+                       dev::Device& data_dev, kv::Db& kvdb, const Config& cfg, Hooks& hooks,
+                       QueueThrottles throttles, Counters* counters)
+    : ObjectStore(sim, hooks, throttles, counters),
       cpu_(cpu),
       dev_(data_dev),
       kv_(kvdb),
       cfg_(cfg),
-      counters_(counters),
       cache_(cfg.page_cache_pages),
       wal_(sim, wal_dev, cfg.wal),
       alloc_(cfg.device_bytes, cfg.block_size),
@@ -196,9 +195,16 @@ sim::CoTask<void> FlashStore::flush_block(BlockKey key) {
   flush_idle_cv_.notify_all();
 }
 
-sim::CoTask<std::uint64_t> FlashStore::queue_transaction(const fs::Transaction& tx,
-                                                         bool /*lightweight*/) {
-  if (closing_) co_return 0;
+sim::CoTask<void> FlashStore::admit(std::uint64_t bytes) {
+  co_await throttles_.ops.acquire(1);
+  co_await throttles_.bytes.acquire(bytes);
+}
+
+sim::CoTask<bool> FlashStore::queue_transaction(fs::Transaction tx, std::uint64_t bytes,
+                                                bool /*lightweight*/, OpRef op) {
+  const fs::ObjectId& oid = tx.ops().front().oid;
+  note_apply_queued(oid);
+  if (closing_) co_return false;
   applies_++;
   const Time t0 = sim_.now();
 
@@ -225,7 +231,7 @@ sim::CoTask<std::uint64_t> FlashStore::queue_transaction(const fs::Transaction& 
   const std::uint64_t seq = co_await wal_.write_entry(wal_bytes, tx.encode(), tx.trace);
   if (seq == 0) {
     wal_.release(wal_bytes);
-    co_return 0;  // closing mid-write: nothing durable, the op must not ack
+    co_return false;  // closing mid-write: nothing durable, the op must not ack
   }
 
   // Phase 3 — install, synchronously and in WAL-commit order: extents,
@@ -303,7 +309,13 @@ sim::CoTask<std::uint64_t> FlashStore::queue_transaction(const fs::Transaction& 
   if (auto* tr = trace::Collector::active(); tr != nullptr && tx.trace.valid()) {
     tr->complete(tx.trace, tr->stage_id(stage::kFsApply), t0, sim_.now());
   }
-  co_return seq;
+  // Durable and applied in one round trip: release what the commit held,
+  // then the hook. No apply pass follows, so no record is left to retire.
+  throttles_.ops.release(1);
+  throttles_.bytes.release(bytes);
+  note_apply_done(oid);
+  co_await hooks_.on_commit(op);
+  co_return true;
 }
 
 sim::CoTask<void> FlashStore::kv_finalize_loop() {

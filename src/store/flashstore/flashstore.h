@@ -44,8 +44,8 @@ namespace afc::store {
 ///
 /// Crash consistency: queue_transaction() resumes only after the WAL record
 /// is durable; on_daemon_crash() drops the RAM deferred ledger, and restart
-/// replays unapplied WAL records through apply_transaction() (the OSD runs
-/// the same replay loop it uses for the external journal).
+/// replays unapplied WAL records through apply_transaction()
+/// (ObjectStore::replay(), the same loop FileStore's journal goes through).
 class FlashStore final : public ObjectStore {
  public:
   using PageCache = fs::PageCache;
@@ -97,16 +97,17 @@ class FlashStore final : public ObjectStore {
   };
 
   FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
-             dev::Device& data_dev, kv::Db& kvdb, const Config& cfg,
-             Counters* counters = nullptr);
+             dev::Device& data_dev, kv::Db& kvdb, const Config& cfg, Hooks& hooks,
+             QueueThrottles throttles, Counters* counters = nullptr);
 
-  CommitModel commit_model() const override { return CommitModel::kStoreDirect; }
-
-  /// Commit path: COW data writes for aligned extents, one WAL record for
+  /// Queue throttles only: WAL space is reserved inside the commit, sized
+  /// by what actually rides the record.
+  sim::CoTask<void> admit(std::uint64_t bytes) override;
+  /// The commit: COW data writes for aligned extents, one WAL record for
   /// metadata + sub-block payloads, one KV batch for onode/omap. Durable
-  /// AND applied at resume. Returns the WAL seq, or 0 when closing.
-  sim::CoTask<std::uint64_t> queue_transaction(const fs::Transaction& tx,
-                                               bool lightweight) override;
+  /// AND applied when on_commit runs; no apply pass, no on_applied.
+  sim::CoTask<bool> queue_transaction(fs::Transaction tx, std::uint64_t bytes, bool lightweight,
+                                      OpRef op) override;
 
   /// Direct install, no WAL record: WAL replay after a crash, recovery
   /// imports, scrub repair. Charges the same CPU, allocation and device
@@ -225,12 +226,10 @@ class FlashStore final : public ObjectStore {
   /// the WAL records whose only outstanding obligation was the KV commit.
   sim::CoTask<void> kv_finalize_loop();
 
-  sim::Simulation& sim_;
   sim::CpuPool& cpu_;
   dev::Device& dev_;
   kv::Db& kv_;
   Config cfg_;
-  Counters* counters_;
   PageCache cache_;
   fs::Journal wal_;
   ExtentAllocator alloc_;

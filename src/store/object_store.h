@@ -1,24 +1,47 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/stats.h"
 #include "kv/db.h"
 #include "sim/cpu.h"
+#include "sim/sync.h"
 #include "store/extent_map.h"
 
 namespace afc::fs {
 class Journal;
 }
 
+namespace afc::osd {
+struct OpCtx;
+}
+
 namespace afc::store {
 
-/// What the OSD needs from its local object store. Two backends implement
-/// it: fs::FileStore (objects as files, write-ahead through the external
-/// NVRAM journal) and store::FlashStore (raw-device extent allocator, its
-/// own small WAL for sub-block writes, metadata in the LSM KV).
+/// The primary client op a queued transaction belongs to (Ceph's
+/// TrackedOpRef); null for replica sub-ops. A store only carries it from
+/// queue_transaction() back to the hooks.
+using OpRef = std::shared_ptr<osd::OpCtx>;
+
+/// The owning OSD's store admission throttles (kept in osd::ThrottleSet):
+/// admit() acquires them, the store's commit and apply release them.
+struct QueueThrottles {
+  sim::Semaphore& ops;          // filestore_queue_max_ops
+  sim::Semaphore& bytes;        // filestore_queue_max_bytes
+  sim::Semaphore& journal_ops;  // journal_queue_max_ops (FileStore only)
+};
+
+/// What the OSD needs from its local object store, Ceph's shape: admit(),
+/// then queue_transaction() with on-commit / on-applied hooks. Two backends
+/// implement it, each owning exactly one write-ahead ring (wal()):
+/// fs::FileStore (objects as files; NVRAM journal, then an apply pass on op
+/// threads) and store::FlashStore (raw-device extents; a small WAL for
+/// sub-block writes, metadata in the LSM KV; applied at commit).
 class ObjectStore {
  public:
   struct ReadResult {
@@ -28,37 +51,60 @@ class ObjectStore {
   };
   using ObjectExport = store::ObjectExport;
 
-  /// How the OSD makes this backend's transactions durable.
-  enum class CommitModel {
-    /// External journal write-ahead (NVRAM ring), then apply_transaction:
-    /// the classic FileStore double-write discipline.
-    kJournaled,
-    /// queue_transaction(): the store commits internally (COW extents +
-    /// deferred-write WAL); durable AND applied when it resumes. The OSD
-    /// skips the external journal entirely.
-    kStoreDirect,
+  /// Callbacks of a queued transaction (Ceph's on_commit / on_applied
+  /// Contexts), implemented once by the owner.
+  class Hooks {
+   public:
+    virtual ~Hooks() = default;
+    /// The transaction is durable and the store has released the units its
+    /// commit held. Runs inside queue_transaction(), before FileStore
+    /// queues the apply.
+    virtual sim::CoTask<void> on_commit(const OpRef& op) = 0;
+    /// FileStore's apply pass finished the transaction; its queue throttles
+    /// and read gate are already released.
+    virtual sim::CoTask<void> on_applied(const OpRef& op) = 0;
   };
 
+  ObjectStore(sim::Simulation& sim, Hooks& hooks, QueueThrottles throttles,
+              Counters* counters)
+      : sim_(sim), hooks_(hooks), throttles_(throttles), counters_(counters), gate_cv_(sim) {}
   virtual ~ObjectStore() = default;
 
-  virtual CommitModel commit_model() const { return CommitModel::kJournaled; }
+  /// Admission (the paper's Fig. 3 step (3), inside the PG critical
+  /// section): take the queue throttles and write-ahead ring space for a
+  /// transaction of `bytes` encoded bytes. Blocks under backpressure.
+  virtual sim::CoTask<void> admit(std::uint64_t bytes) = 0;
 
-  /// Apply a (journaled or replayed) transaction to the backing store.
-  /// `lightweight` selects the AFCeph §3.4 path where the backend
-  /// distinguishes them.
+  /// Commit an admitted transaction through the store's write-ahead ring.
+  /// The event order is load-bearing for every figure:
+  ///   1. the write becomes durable;
+  ///   2. the store releases what the commit held — FileStore its
+  ///      journal_ops unit; FlashStore the queue throttles and the read
+  ///      gate;
+  ///   3. hooks.on_commit(op);
+  ///   4. FileStore queues the apply. Its end releases the queue throttles
+  ///      and the read gate, then runs hooks.on_applied(op).
+  /// FlashStore applies at commit and never fires on_applied: its apply
+  /// cost is modeled inside the commit, and there is no second completion
+  /// to charge. Resumes with true once step 4 is queued, or with false when
+  /// the store is closing (nothing committed: the op must not be acked).
+  virtual sim::CoTask<bool> queue_transaction(fs::Transaction tx, std::uint64_t bytes,
+                                              bool lightweight, OpRef op) = 0;
+
+  /// Apply a transaction directly, with no write-ahead record: ring replay,
+  /// recovery imports, scrub repair. `lightweight` selects the AFCeph §3.4
+  /// path where the backend distinguishes them.
   virtual sim::CoTask<void> apply_transaction(const fs::Transaction& tx,
                                               bool lightweight) = 0;
 
-  /// kStoreDirect backends only: make `tx` durable and applied in one call;
-  /// resumes at commit. Returns the store-WAL sequence of the commit
-  /// record, or 0 when the store is closing (the op must not be acked —
-  /// same contract as a closed journal). kJournaled backends never take
-  /// this path; the default funnels into apply_transaction for safety.
-  virtual sim::CoTask<std::uint64_t> queue_transaction(const fs::Transaction& tx,
-                                                       bool lightweight) {
-    co_await apply_transaction(tx, lightweight);
-    co_return 0;
-  }
+  /// Ceph's ondisk_read_lock: resumes once every queued transaction on
+  /// `oid` has applied (FileStore's apply lags its journal).
+  sim::CoTask<void> wait_object_readable(const fs::ObjectId& oid);
+
+  /// Restart recovery (Ceph's replay at mount): re-apply, in order, the
+  /// records Journal::restart() finds intact in wal(), retiring each;
+  /// resumes once all have re-applied. Counts osd.journal.*.
+  sim::CoTask<void> replay(bool lightweight);
 
   /// Read [off, off+len) of an object. `want_data=false` skips
   /// materialization (benchmarks) but still charges the same I/O.
@@ -90,10 +136,10 @@ class ObjectStore {
   /// Deep-scrub self-check: stored checksums still match content.
   virtual bool verify_object(const fs::ObjectId& oid) const = 0;
 
-  /// The store's internal WAL (kStoreDirect backends), exposed for fault
-  /// injection (stall / torn write / bit flip) and restart replay; nullptr
-  /// for journaled backends.
-  virtual fs::Journal* wal() { return nullptr; }
+  /// The store's one write-ahead ring (FileStore's external journal,
+  /// FlashStore's WAL); never null. Fault injection stalls, tears and
+  /// flips it; restart replays it.
+  virtual fs::Journal* wal() = 0;
   /// The daemon died (fault injection): drop RAM-only bookkeeping (e.g.
   /// the deferred-write ledger). Media-durable state must survive.
   virtual void on_daemon_crash() {}
@@ -114,6 +160,20 @@ class ObjectStore {
   virtual std::uint64_t metadata_device_reads() const { return 0; }
   virtual std::uint64_t applies() const { return 0; }
   virtual std::uint64_t data_bytes_written() const { return 0; }
+
+ protected:
+  /// The read gate: a transaction on `oid` was queued / has applied.
+  void note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid]++; }
+  void note_apply_done(const fs::ObjectId& oid);
+
+  sim::Simulation& sim_;
+  Hooks& hooks_;
+  QueueThrottles throttles_;
+  Counters* counters_;
+
+ private:
+  std::unordered_map<fs::ObjectId, unsigned, fs::ObjectIdHash> pending_applies_;
+  sim::CondVar gate_cv_;
 };
 
 }  // namespace afc::store

@@ -19,15 +19,18 @@ std::optional<Backend> parse_backend(const std::string& name) {
 std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
                                         dev::Device& journal_dev, dev::Device& data_dev,
                                         kv::Db& kvdb, const StoreConfig& cfg,
+                                        const fs::Journal::Config& journal_cfg,
+                                        ObjectStore::Hooks& hooks, QueueThrottles throttles,
                                         Counters* counters) {
   switch (cfg.backend) {
     case Backend::kFlash:
-      return std::make_unique<FlashStore>(sim, cpu, journal_dev, data_dev, kvdb,
-                                          cfg.flash, counters);
+      return std::make_unique<FlashStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.flash,
+                                          hooks, throttles, counters);
     case Backend::kFile:
       break;
   }
-  return std::make_unique<fs::FileStore>(sim, cpu, data_dev, kvdb, cfg.file, counters);
+  return std::make_unique<fs::FileStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.file,
+                                         journal_cfg, hooks, throttles, counters);
 }
 
 }  // namespace afc::store

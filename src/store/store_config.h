@@ -10,7 +10,7 @@
 namespace afc::store {
 
 /// Which object-store backend an OSD runs. `kFile` is the paper's
-/// FileStore-on-XFS pipeline (external NVRAM journal + filesystem apply);
+/// FileStore-on-XFS pipeline (NVRAM journal + filesystem apply);
 /// `kFlash` is the raw-device FlashStore (extent allocator + deferred-write
 /// WAL + KV metadata). Default is kFile: with it, every figure is
 /// byte-identical to the pre-FlashStore tree.
@@ -27,14 +27,17 @@ const char* backend_name(Backend b);
 /// Parse "file" / "flash" (anything else: nullopt).
 std::optional<Backend> parse_backend(const std::string& name);
 
-/// Build the configured backend. `journal_dev` is the NVRAM card: FileStore
-/// ignores it (the OSD's external journal owns that device); FlashStore
-/// places its deferred-write WAL on it. `data_dev` is the data SSD and
-/// `kvdb` the OSD's LSM KV (omap for FileStore; omap + onodes for
-/// FlashStore).
+/// Build the configured backend. `journal_dev` is the NVRAM card that holds
+/// the store's write-ahead ring: FileStore's external journal (sized by
+/// `journal_cfg`) or FlashStore's deferred-write WAL (FlashStore::Config::wal).
+/// `data_dev` is the data SSD and `kvdb` the OSD's LSM KV (omap for
+/// FileStore; omap + onodes for FlashStore). `hooks` and `throttles` come
+/// from the owning OSD.
 std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
                                         dev::Device& journal_dev, dev::Device& data_dev,
                                         kv::Db& kvdb, const StoreConfig& cfg,
+                                        const fs::Journal::Config& journal_cfg,
+                                        ObjectStore::Hooks& hooks, QueueThrottles throttles,
                                         Counters* counters = nullptr);
 
 }  // namespace afc::store

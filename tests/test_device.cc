@@ -1,10 +1,9 @@
 // Tests for the device models: channel queueing, service-time structure,
 // clean vs sustained SSD behaviour, mixed read/write interference, GC
-// stalls, bandwidth aggregation, HDD seek vs streaming.
+// stalls, bandwidth aggregation.
 
 #include <gtest/gtest.h>
 
-#include "device/hdd.h"
 #include "device/nvram.h"
 #include "device/ssd.h"
 #include "sim/task.h"
@@ -173,47 +172,6 @@ TEST(NvramModel, OrdersOfMagnitudeFasterThanSsdSmallWrites) {
   const Time tn = dn.run_ios(nv, IoType::kWrite, 4096, 400, 4);
   const Time ts = ds.run_ios(ssd, IoType::kWrite, 4096, 400, 4);
   EXPECT_GT(double(ts) / double(tn), 5.0);
-}
-
-TEST(HddModel, RandomAccessPaysSeek) {
-  Driver d;
-  HddModel hdd(d.sim, "hdd");
-  // Random: scatter offsets.
-  sim::spawn_fn([&]() -> sim::CoTask<void> {
-    Rng rng(3);
-    for (int i = 0; i < 50; i++) {
-      co_await hdd.submit(IoType::kRead, rng.next() % (1ull << 30), 4096);
-    }
-  });
-  d.sim.run();
-  // ~8ms average positioning => 50 ops well above 200ms total.
-  EXPECT_GT(d.sim.now(), 200 * kMillisecond);
-}
-
-TEST(HddModel, SequentialStreamsNearMediaRate) {
-  Driver d;
-  HddModel::Config cfg;
-  HddModel hdd(d.sim, "hdd", cfg);
-  const int ops = 64;
-  d.run_ios(hdd, IoType::kWrite, 1 * kMiB, ops, 1);
-  const double mbps = double(ops) / to_s(d.sim.now());
-  EXPECT_GT(mbps, 100.0);  // close to the 160 MB/s media rate
-}
-
-TEST(HddModel, RandomVsSequentialGapIsLarge) {
-  // The core premise of the paper's framing: HDDs don't care about software
-  // overhead because positioning dominates random I/O.
-  Driver dr, ds;
-  HddModel r(dr.sim, "r"), s(ds.sim, "s");
-  sim::spawn_fn([&]() -> sim::CoTask<void> {
-    Rng rng(9);
-    for (int i = 0; i < 100; i++) {
-      co_await r.submit(IoType::kWrite, (rng.next() % (1ull << 28)) & ~4095ull, 4096);
-    }
-  });
-  dr.sim.run();
-  ds.run_ios(s, IoType::kWrite, 4096, 100, 1);
-  EXPECT_GT(double(dr.sim.now()) / double(ds.sim.now()), 20.0);
 }
 
 TEST(Device, UtilizationBounded) {

@@ -276,37 +276,42 @@ TEST(FaultInjector, SsdSlowAndJournalStallAreTransparentToClients) {
 // Corruption faults end to end: torn-write replay and bit-flip scrub repair.
 
 TEST(FaultInjector, TornWriteReplaysDurableRecordsOnRestart) {
-  core::ClusterConfig cfg = small_cluster(42);
-  cfg.osd.rep_timeout = 20 * kMillisecond;
-  cfg.osd.rep_retries = 1;
-  cfg.client_op_timeout = 100 * kMillisecond;
-  core::ClusterSim cluster(cfg);
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    SCOPED_TRACE(store::backend_name(backend));
+    core::ClusterConfig cfg = small_cluster(42);
+    cfg.store_backend = backend;
+    cfg.osd.rep_timeout = 20 * kMillisecond;
+    cfg.osd.rep_retries = 1;
+    cfg.client_op_timeout = 100 * kMillisecond;
+    core::ClusterSim cluster(cfg);
 
-  // Stall the journal writer so a backlog of batches queues up, then tear
-  // the queue mid-stall (prefix persists, daemon dies) and restart later.
-  fault::FaultPlan plan;
-  plan.journal_stall(100 * kMillisecond, 1, 40 * kMillisecond);
-  plan.torn_write_restart(120 * kMillisecond, 1, 80 * kMillisecond);
-  fault::FaultInjector& inj = cluster.install_faults(plan);
+    // Stall the store's ring writer so a backlog of batches queues up, then
+    // tear the queue mid-stall (prefix persists, daemon dies) and restart
+    // later.
+    fault::FaultPlan plan;
+    plan.journal_stall(100 * kMillisecond, 1, 40 * kMillisecond);
+    plan.torn_write_restart(120 * kMillisecond, 1, 80 * kMillisecond);
+    fault::FaultInjector& inj = cluster.install_faults(plan);
 
-  const SoakResult r = drive(cluster, 400 * kMillisecond);
-  EXPECT_GT(r.begun, 0u);
-  EXPECT_EQ(r.begun, r.resolved);  // exactly-once: every op acked or failed
-  EXPECT_EQ(r.pending, 0u);
-  EXPECT_EQ(r.below_min, 0u);
+    const SoakResult r = drive(cluster, 400 * kMillisecond);
+    EXPECT_GT(r.begun, 0u);
+    EXPECT_EQ(r.begun, r.resolved);  // exactly-once: every op acked or failed
+    EXPECT_EQ(r.pending, 0u);
+    EXPECT_EQ(r.below_min, 0u);
 
-  // The tear found queued batches; the prefix survived as records.
-  EXPECT_EQ(inj.counters().get("fault.torn_write"), 1u);
-  EXPECT_EQ(inj.counters().get("fault.osd_restart"), 1u);
-  EXPECT_GT(inj.counters().get("fault.torn_entries"), 0u);
+    // The tear found queued batches; the prefix survived as records.
+    EXPECT_EQ(inj.counters().get("fault.torn_write"), 1u);
+    EXPECT_EQ(inj.counters().get("fault.osd_restart"), 1u);
+    EXPECT_GT(inj.counters().get("fault.torn_entries"), 0u);
 
-  // On restart the OSD replayed the surviving prefix from its own ring —
-  // locally durable writes came back without peer traffic — and counted
-  // exactly one torn tail where replay stopped.
-  auto& c = cluster.osd(1).counters();
-  EXPECT_GT(c.get("osd.journal.records_replayed"), 0u);
-  EXPECT_EQ(c.get("osd.journal.torn_tails"), 1u);
-  EXPECT_EQ(c.get("osd.journal.crc_failures"), 0u);
+    // On restart the OSD replayed the surviving prefix from its own ring —
+    // locally durable writes came back without peer traffic — and counted
+    // exactly one torn tail where replay stopped.
+    auto& c = cluster.osd(1).counters();
+    EXPECT_GT(c.get("osd.journal.records_replayed"), 0u);
+    EXPECT_EQ(c.get("osd.journal.torn_tails"), 1u);
+    EXPECT_EQ(c.get("osd.journal.crc_failures"), 0u);
+  }
 }
 
 TEST(FaultInjector, BitFlipsAreFoundAndRepairedByDeepScrub) {

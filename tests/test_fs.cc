@@ -8,6 +8,7 @@
 #include "device/ssd.h"
 #include "fs/filestore.h"
 #include "fs/journal.h"
+#include "store_harness.h"
 
 namespace afc::fs {
 namespace {
@@ -15,11 +16,14 @@ namespace {
 struct StoreFixture {
   sim::Simulation sim;
   sim::CpuPool cpu{sim, 8};
+  dev::NvramModel nvram{sim, "nvram"};
   dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
   kv::Db omap{sim, ssd};
+  store::StoreHarness owner{sim};
   FileStore store;
 
-  explicit StoreFixture(FileStore::Config cfg = {}) : store(sim, cpu, ssd, omap, cfg) {}
+  explicit StoreFixture(FileStore::Config cfg = {})
+      : store(sim, cpu, nvram, ssd, omap, cfg, Journal::Config{}, owner, owner.throttles()) {}
 
   template <class Fn>
   void run(Fn fn) {
@@ -46,6 +50,26 @@ TEST(Transaction, EncodedBytesCoverOps) {
   t.set_alloc_hint(oid);
   EXPECT_GT(t.encoded_bytes(), with_data + 180 + 250);
   EXPECT_EQ(t.op_count(), 4u);
+}
+
+TEST(FileStore, QueuedTransactionJournalsThenApplies) {
+  StoreFixture f;
+  f.run([&]() -> sim::CoTask<void> {
+    Transaction t;
+    t.write(f.oid("a"), 0, Payload::pattern(4096, 3));
+    EXPECT_TRUE(co_await store::commit_txn(f.store, t));
+    // Durable in the store's one ring and committed; the apply is queued
+    // behind it, so the record stays retained until the op thread runs.
+    EXPECT_NE(f.store.wal(), nullptr);
+    EXPECT_EQ(f.store.wal()->entries_written(), 1u);
+    EXPECT_EQ(f.owner.commits, 1u);
+    EXPECT_EQ(f.owner.applied, 0u);
+    co_await f.store.wait_object_readable(f.oid("a"));
+    EXPECT_EQ(f.owner.applied, 1u);
+    EXPECT_EQ(f.store.wal()->records_retained(), 0u);
+    auto r = co_await f.store.read(f.oid("a"), 0, 4096);
+    EXPECT_TRUE(r.found);
+  });
 }
 
 TEST(FileStore, WriteThenReadBack) {
@@ -301,8 +325,7 @@ TEST(Journal, WritesBatchUnderConcurrency) {
     wg.add(1);
     sim::spawn_fn([&j, &wg]() -> sim::CoTask<void> {
       co_await j.reserve(8192);
-      co_await j.write_entry(8192);
-      j.release(8192);
+      j.mark_applied(co_await j.write_entry(8192, std::vector<std::uint8_t>(16, 1)));
       wg.done();
     });
   }
@@ -321,8 +344,8 @@ TEST(Journal, FullRingBlocksUntilRelease) {
   Time second_done = 0;
   f.run([&]() -> sim::CoTask<void> {
     co_await j.reserve(48 * 1024);
-    co_await j.write_entry(48 * 1024);
-    // This reservation cannot fit until the first is released.
+    const std::uint64_t seq = co_await j.write_entry(48 * 1024, std::vector<std::uint8_t>(16, 1));
+    // This reservation cannot fit until the first is applied.
     sim::spawn_fn([&]() -> sim::CoTask<void> {
       co_await j.reserve(32 * 1024);
       second_done = f.sim.now();
@@ -330,7 +353,7 @@ TEST(Journal, FullRingBlocksUntilRelease) {
     co_await sim::delay(f.sim, 5 * kMillisecond);
     EXPECT_EQ(second_done, 0u);
     EXPECT_GT(j.full_stalls(), 0u);
-    j.release(48 * 1024);
+    j.mark_applied(seq);
     co_await sim::delay(f.sim, 1 * kMillisecond);
     EXPECT_GT(second_done, 0u);
   });
@@ -566,9 +589,7 @@ TEST(Journal, CloseDuringStallRejectsNewWritesDeterministically) {
     co_await j.reserve(4096);
     const std::uint64_t seq = co_await j.write_entry(4096, std::vector<std::uint8_t>(32, 2));
     EXPECT_EQ(seq, 0u);
-    co_await j.write_entry(4096);  // legacy API: same rejection path
-    EXPECT_EQ(j.rejected_writes(), 2u);
-    j.release(4096);
+    EXPECT_EQ(j.rejected_writes(), 1u);
     j.release(4096);
   });
   // The entry in flight at close() still drained and committed.
@@ -582,8 +603,7 @@ TEST(Journal, TracksBytesAndStallTime) {
   Journal j(f.sim, f.nvram, cfg);
   f.run([&]() -> sim::CoTask<void> {
     co_await j.reserve(4096);
-    co_await j.write_entry(4096);
-    j.release(4096);
+    j.mark_applied(co_await j.write_entry(4096, std::vector<std::uint8_t>(16, 1)));
   });
   EXPECT_GT(j.bytes_written(), 4096u);  // header included
   EXPECT_EQ(j.bytes_in_use(), 0u);

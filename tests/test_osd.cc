@@ -34,15 +34,31 @@ void drive(core::ClusterSim& cluster, Fn fn) {
   ASSERT_TRUE(done) << "cluster coroutine did not finish";
 }
 
-class OsdPipeline : public ::testing::TestWithParam<bool> {
+/// One pipeline case: the profile and the store backend under the OSDs.
+struct PipelineCase {
+  bool afceph = false;
+  store::Backend backend = store::Backend::kFile;
+};
+
+// The listed test name carries the printed parameter: FileStore cases print
+// as the bare profile flag they were first registered with.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << (c.afceph ? "true" : "false");
+  if (c.backend != store::Backend::kFile) *os << " on " << store::backend_name(c.backend);
+}
+
+class OsdPipeline : public ::testing::TestWithParam<PipelineCase> {
  protected:
-  core::Profile profile() const {
-    return GetParam() ? core::Profile::afceph() : core::Profile::community();
+  core::ClusterConfig config() const {
+    auto cfg = tiny_cluster(GetParam().afceph ? core::Profile::afceph()
+                                              : core::Profile::community());
+    cfg.store_backend = GetParam().backend;
+    return cfg;
   }
 };
 
 TEST_P(OsdPipeline, ReadYourWrites) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     auto data = Payload::pattern(4096, 0x1234);
@@ -54,7 +70,7 @@ TEST_P(OsdPipeline, ReadYourWrites) {
 }
 
 TEST_P(OsdPipeline, OverwriteVisible) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     co_await vm.write_once(0, Payload::pattern(4096, 1));
@@ -65,7 +81,7 @@ TEST_P(OsdPipeline, OverwriteVisible) {
 }
 
 TEST_P(OsdPipeline, DataReplicatedToAllActingOsds) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     co_await vm.write_once(4 * kMiB, Payload::pattern(4096, 9));
@@ -89,7 +105,7 @@ TEST_P(OsdPipeline, DataReplicatedToAllActingOsds) {
 }
 
 TEST_P(OsdPipeline, ConcurrentWritesToSameObjectKeepLastWriterVisible) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     // Issue 32 sequential overwrites of the same 4K block back-to-back.
@@ -102,7 +118,7 @@ TEST_P(OsdPipeline, ConcurrentWritesToSameObjectKeepLastWriterVisible) {
 }
 
 TEST_P(OsdPipeline, ManyObjectsSurviveVerification) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     for (int i = 0; i < 64; i++) {
@@ -119,7 +135,7 @@ TEST_P(OsdPipeline, ManyObjectsSurviveVerification) {
 }
 
 TEST_P(OsdPipeline, PgLogWrittenAndTrimmed) {
-  auto cfg = tiny_cluster(profile());
+  auto cfg = config();
   cfg.osd.pg_log_keep = 32;
   cfg.osd.pg_log_trim_every = 16;
   core::ClusterSim cluster(cfg);
@@ -147,10 +163,18 @@ TEST_P(OsdPipeline, PgLogWrittenAndTrimmed) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(CommunityAndAfceph, OsdPipeline, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "afceph" : "community";
-                         });
+std::string profile_name(const ::testing::TestParamInfo<PipelineCase>& info) {
+  return info.param.afceph ? "afceph" : "community";
+}
+
+INSTANTIATE_TEST_SUITE_P(CommunityAndAfceph, OsdPipeline,
+                         ::testing::Values(PipelineCase{false, store::Backend::kFile},
+                                           PipelineCase{true, store::Backend::kFile}),
+                         profile_name);
+INSTANTIATE_TEST_SUITE_P(CommunityAndAfcephFlash, OsdPipeline,
+                         ::testing::Values(PipelineCase{false, store::Backend::kFlash},
+                                           PipelineCase{true, store::Backend::kFlash}),
+                         profile_name);
 
 // ---------------------------------------------------------------------------
 // Mechanism-specific behaviour
@@ -291,6 +315,26 @@ TEST(OsdMechanism, JournalEntriesSmallerWithLightTransactions) {
   }
   // The alloc-hint op and redundancy disappear; entries shrink.
   EXPECT_LT(journal_bytes[1], journal_bytes[0]);
+}
+
+TEST(OsdMechanism, EachStoreOwnsOneWriteAheadRing) {
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      EXPECT_TRUE(co_await cluster.vm(0).write_once(0, Payload::pattern(4096, 1)));
+    });
+    std::uint64_t entries = 0;
+    for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+      osd::Osd& o = cluster.osd(i);
+      ASSERT_NE(o.store().wal(), nullptr) << store::backend_name(backend);
+      EXPECT_EQ(&o.journal(), o.store().wal()) << store::backend_name(backend);
+      entries += o.journal().entries_written();
+    }
+    // Primary and replica each committed the write through their ring.
+    EXPECT_EQ(entries, 2u) << store::backend_name(backend);
+  }
 }
 
 TEST(OsdMechanism, ReadsDoNotTouchTheJournal) {

@@ -15,6 +15,7 @@
 #include <set>
 
 #include "core/cluster_sim.h"
+#include "store_harness.h"
 
 namespace afc {
 namespace {
@@ -31,7 +32,10 @@ TEST_P(ExtentMapProperty, RandomWritesMatchReferenceBuffer) {
   sim::CpuPool cpu(sim, 8);
   dev::SsdModel ssd(sim, "ssd", dev::SsdModel::Config{});
   kv::Db omap(sim, ssd);
-  fs::FileStore store(sim, cpu, ssd, omap, fs::FileStore::Config{});
+  dev::NvramModel nvram(sim, "nvram");
+  store::StoreHarness owner(sim);
+  fs::FileStore store(sim, cpu, nvram, ssd, omap, fs::FileStore::Config{},
+                      fs::Journal::Config{}, owner, owner.throttles());
 
   constexpr std::uint64_t kObjectSize = 64 * 1024;
   std::vector<std::uint8_t> reference(kObjectSize, 0);
@@ -97,6 +101,10 @@ struct DbCorner {
   int l0_trigger;
   std::uint64_t target_file;
 };
+
+// Without a printer gtest dumps the raw bytes, name pointer included, into the
+// listed test name, which then changes from build to build.
+void PrintTo(const DbCorner& c, std::ostream* os) { *os << c.name; }
 
 class DbProperty : public ::testing::TestWithParam<DbCorner> {};
 
@@ -243,6 +251,8 @@ struct Shape {
   unsigned per_host;
   unsigned replication;
 };
+
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
 
 class CrushProperty : public ::testing::TestWithParam<Shape> {};
 

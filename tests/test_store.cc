@@ -7,6 +7,7 @@
 #include "device/nvram.h"
 #include "device/ssd.h"
 #include "store/flashstore/flashstore.h"
+#include "store_harness.h"
 
 namespace afc::store {
 namespace {
@@ -17,10 +18,11 @@ struct FlashFixture {
   dev::NvramModel nvram{sim, "nvram"};
   dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
   kv::Db kvdb{sim, ssd};
+  StoreHarness owner{sim};
   FlashStore store;
 
   explicit FlashFixture(FlashStore::Config cfg = {})
-      : store(sim, cpu, nvram, ssd, kvdb, cfg) {}
+      : store(sim, cpu, nvram, ssd, kvdb, cfg, owner, owner.throttles()) {}
 
   template <class Fn>
   void run(Fn fn) {
@@ -43,8 +45,10 @@ TEST(FlashStore, AlignedLargeWriteGoesDirectAndReadsBack) {
   f.run([&]() -> sim::CoTask<void> {
     fs::Transaction t;
     t.write(f.oid("a"), 0, Payload::pattern(65536, 42));
-    const auto seq = co_await f.store.queue_transaction(t, false);
-    EXPECT_GT(seq, 0u);
+    EXPECT_TRUE(co_await commit_txn(f.store, t));
+    // Durable and applied at commit: on_commit fired, no apply pass follows.
+    EXPECT_EQ(f.owner.commits, 1u);
+    EXPECT_EQ(f.owner.applied, 0u);
     // 64K >= prefer_deferred_bytes: COW extents, nothing in the deferred
     // ledger, payload on the data device (no journal double-write).
     EXPECT_EQ(f.store.deferred_writes(), 0u);
@@ -64,7 +68,7 @@ TEST(FlashStore, SmallAlignedWriteRidesDeferredWal) {
     fs::Transaction t;
     t.write(f.oid("a"), 0, Payload::pattern(4096, 1));
     const auto dev_before = f.ssd.bytes_written();
-    co_await f.store.queue_transaction(t, false);
+    co_await commit_txn(f.store, t);
     // 4K < prefer_deferred_bytes: the payload commits in the WAL record —
     // one NVRAM program in the ack path, no data-SSD program yet.
     EXPECT_EQ(f.store.deferred_writes(), 1u);
@@ -82,14 +86,14 @@ TEST(FlashStore, SubBlockUpdateFoldsIntoNextRewrite) {
   f.run([&]() -> sim::CoTask<void> {
     fs::Transaction t1;
     t1.write(f.oid("a"), 100, Payload::pattern(1000, 7));
-    co_await f.store.queue_transaction(t1, false);
+    co_await commit_txn(f.store, t1);
     EXPECT_EQ(f.store.deferred_writes(), 1u);
     EXPECT_EQ(f.store.deferred_folds(), 0u);
     // A direct rewrite covering the dirtied block realizes the deferred
     // payload for free: the record folds instead of needing its own flush.
     fs::Transaction t2;
     t2.write(f.oid("a"), 0, Payload::pattern(65536, 8));
-    co_await f.store.queue_transaction(t2, false);
+    co_await commit_txn(f.store, t2);
     EXPECT_GE(f.store.deferred_folds(), 1u);
     EXPECT_EQ(f.store.dirty_bytes(), 0u);
     co_await f.store.drain();
@@ -106,7 +110,7 @@ TEST(FlashStore, DeferredBacklogFlushesPastThreshold) {
     for (int i = 0; i < 8; i++) {
       fs::Transaction t;
       t.write(f.oid("a"), std::uint64_t(i) * 4096, Payload::pattern(4096, i));
-      co_await f.store.queue_transaction(t, false);
+      co_await commit_txn(f.store, t);
     }
     co_await f.store.drain();
     EXPECT_EQ(f.store.deferred_writes(), 8u);
@@ -126,10 +130,10 @@ TEST(FlashStore, KvCommitGatesWalRetirement) {
   f.run([&]() -> sim::CoTask<void> {
     fs::Transaction t1;
     t1.write(f.oid("a"), 100, Payload::pattern(1000, 7));
-    co_await f.store.queue_transaction(t1, false);
+    co_await commit_txn(f.store, t1);
     fs::Transaction t2;
     t2.write(f.oid("a"), 0, Payload::pattern(65536, 8));
-    co_await f.store.queue_transaction(t2, false);
+    co_await commit_txn(f.store, t2);
     // Every covering block is durably rewritten (the fold counted), but the
     // onode batch has not committed: the record must stay replayable — a
     // crash now loses the in-flight KV metadata.
@@ -150,7 +154,7 @@ TEST(FlashStore, CrashDropsLedgerAndWalReplayRestores) {
     for (int i = 0; i < 4; i++) {
       fs::Transaction t;
       t.write(f.oid("a"), std::uint64_t(i) * 4096, Payload::pattern(4096, i));
-      co_await f.store.queue_transaction(t, false);
+      co_await commit_txn(f.store, t);
     }
     EXPECT_EQ(f.store.deferred_pending(), 4u);
 
@@ -187,7 +191,7 @@ TEST(FlashStore, ReplayStopsAtFlippedRecord) {
     for (int i = 0; i < 6; i++) {
       fs::Transaction t;
       t.write(f.oid("a"), std::uint64_t(i) * 4096, Payload::pattern(4096, i));
-      co_await f.store.queue_transaction(t, false);
+      co_await commit_txn(f.store, t);
     }
     f.store.on_daemon_crash();
     EXPECT_TRUE(f.store.wal()->corrupt_record(123));
