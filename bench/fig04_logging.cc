@@ -53,7 +53,6 @@ int main() {
   }
   t.print();
 
-  const std::size_t half = no_log.write_series.size() / 2;
   std::printf("\nsummary (paper: no-log holds a high plateau, then fluctuation after point B):\n");
   std::printf("  log   : %8.0f IOPS overall, fluctuation (CoV) %.3f\n", with_log.write_iops,
               with_log.write_cov);

@@ -29,9 +29,9 @@ int main() {
     spec.runtime = 1500 * kMillisecond;
     auto r = cluster.run(spec);
     if (step == 0) base = r.write_iops;
+    const std::string gain = Table::num((r.write_iops / prev - 1.0) * 100.0, 0);
     t.row({core::Profile::ladder_name(step), Table::kiops(r.write_iops),
-           Table::num(r.write_lat_ms, 2),
-           step == 0 ? "-" : "+" + Table::num((r.write_iops / prev - 1.0) * 100.0, 0) + "%",
+           Table::num(r.write_lat_ms, 2), step == 0 ? "-" : "+" + gain + "%",
            Table::num(r.write_iops / base, 2) + "x"});
     prev = r.write_iops;
   }

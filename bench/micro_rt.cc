@@ -43,8 +43,7 @@ void bench_opqueue(benchmark::State& state, bool pending) {
         while (auto c = q.pop(w % 2)) {
           // Simulated service: the hot key holds its "PG" longer.
           volatile std::uint64_t spin = c->key == 1 ? 2000 : 200;
-          while (spin-- > 0) {
-          }
+          while (spin > 0) spin = spin - 1;
           processed.fetch_add(1, std::memory_order_relaxed);
           q.complete(c->key);
         }

@@ -35,9 +35,14 @@ int main() {
     }
     co_await sim::delay(sim, 2 * kSecond);  // filestore applies settle
 
-    // Count how much data the victim holds.
+    // Count how many of the objects the victim holds a replica of.
     constexpr std::uint32_t kVictim = 1;
-    std::size_t victim_objects = cluster.osd(kVictim).store().object_count();
+    std::size_t victim_objects = 0;
+    for (int i = 0; i < kObjects; i++) {
+      const auto m = vm.image().map(std::uint64_t(i) * 4 * kMiB);
+      const fs::ObjectId oid{cluster.map().pg_of(m.object_name), m.object_name};
+      if (cluster.osd(kVictim).store().object_in_memory(oid)) victim_objects++;
+    }
     std::printf("2. failing osd.%u (holds %zu object replicas)...\n", kVictim, victim_objects);
 
     const Time t0 = sim.now();

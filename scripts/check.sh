@@ -16,7 +16,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+# -Werror: the Release build is warning-free and must stay so.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

@@ -89,27 +89,21 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
   // placement change — waits for the monitor's down_out_interval.
   cmap_.set_filter_down(cfg_.membership.detected());
   cfg_.ssd.sustained = cfg_.sustained;
-  cfg_.fs.assume_populated = cfg_.populated < 0 ? cfg_.sustained : cfg_.populated != 0;
+  // The flash backend sees the same RAM budget as the file backend —
+  // backend choice must not smuggle in a cache-size edge.
+  const std::size_t cache_pages = cfg_.sustained ? 16384    // 64 MiB: cold vs the working set
+                                                 : 262144;  // 1 GiB: small images stay resident
+  cfg_.fs.page_cache_pages = cache_pages;
+  cfg_.flash.page_cache_pages = cache_pages;
+  store_cfg_ = store::StoreConfig{cfg_.store_backend, cfg_.fs, cfg_.flash};
   // EC pools can never fabricate pre-existing objects: a synthesized shard
   // would not satisfy the stripe's parity equation, so every degraded read
   // and scrub would see phantom corruption. Reads before the first write of
   // an extent return not-found, exactly like a fresh replicated pool.
-  if (cfg_.ec_pool) cfg_.fs.assume_populated = false;
-  if (cfg_.sustained) {
-    cfg_.fs.page_cache_pages = 16384;  // 64 MiB: cold vs the working set
-  } else {
-    cfg_.fs.page_cache_pages = 262144;  // 1 GiB: small images stay resident
-  }
-  // The flash backend sees the same pre-fill state and RAM budget as the
-  // file backend — backend choice must not smuggle in a cache-size edge.
-  cfg_.flash.assume_populated = cfg_.fs.assume_populated;
-  cfg_.flash.page_cache_pages = cfg_.fs.page_cache_pages;
-
-  const osd::ThrottleSet::Config throttle_cfg = cfg_.profile.ssd_throttles
-                                                    ? osd::ThrottleSet::Config::ssd_tuned()
-                                                    : osd::ThrottleSet::Config::community();
-
-  const store::StoreConfig store_cfg{cfg_.store_backend, cfg_.fs, cfg_.flash};
+  store_cfg_.assume_populated =
+      !cfg_.ec_pool && (cfg_.populated < 0 ? cfg_.sustained : cfg_.populated != 0);
+  throttle_cfg_ = cfg_.profile.ssd_throttles ? osd::ThrottleSet::Config::ssd_tuned()
+                                             : osd::ThrottleSet::Config::community();
 
   // --- nodes, devices, OSDs --------------------------------------------
   const unsigned total_osds = cfg_.osd_nodes * cfg_.osds_per_node;
@@ -134,7 +128,7 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(i), ssd_cfg));
     osds_.push_back(std::make_unique<osd::Osd>(
         sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[i], cmap_, i, cfg_.osd, cfg_.profile,
-        store_cfg, cfg_.kv, throttle_cfg, cfg_.log, cfg_.journal));
+        store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log, cfg_.journal));
     if (auto* tr = trace::Collector::active()) {
       tr->name_track(trace::osd_track(i), "osd." + std::to_string(i));
     }
@@ -446,13 +440,9 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
   nvrams_.push_back(std::make_unique<dev::NvramModel>(
       sim_, "nvram." + std::to_string(node_index), cfg_.nvram));
 
-  const osd::ThrottleSet::Config throttle_cfg = cfg_.profile.ssd_throttles
-                                                    ? osd::ThrottleSet::Config::ssd_tuned()
-                                                    : osd::ThrottleSet::Config::community();
   const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
   const net::Connection::Config client_net =
       net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
-  const store::StoreConfig store_cfg{cfg_.store_backend, cfg_.fs, cfg_.flash};
 
   const std::size_t first_new = osds_.size();
   for (unsigned k = 0; k < cfg_.osds_per_node; k++) {
@@ -464,7 +454,7 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
     ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(id), ssd_cfg));
     osds_.push_back(std::make_unique<osd::Osd>(
         sim_, *osd_nodes_[node_index], *nvrams_[node_index], *ssds_[id], cmap_, id, cfg_.osd,
-        cfg_.profile, store_cfg, cfg_.kv, throttle_cfg, cfg_.log, cfg_.journal));
+        cfg_.profile, store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log, cfg_.journal));
     if (auto* tr = trace::Collector::active()) {
       tr->name_track(trace::osd_track(id), "osd." + std::to_string(id));
     }

@@ -247,6 +247,9 @@ class ClusterSim {
   sim::CoTask<ScrubReport> deep_scrub_ec(bool repair);
 
   ClusterConfig cfg_;
+  /// Derived from cfg_ once by the constructor; add_node() reuses them.
+  store::StoreConfig store_cfg_;
+  osd::ThrottleSet::Config throttle_cfg_;
   /// Owned only when this ClusterSim installed the collector itself (env
   /// opt-in); run() then also exports the Chrome JSON on completion.
   std::unique_ptr<trace::Collector> tracer_;

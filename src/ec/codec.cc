@@ -22,7 +22,7 @@ std::vector<std::vector<std::uint8_t>> Codec::encode(
     const std::vector<std::vector<std::uint8_t>>& data) const {
   assert(data.size() == k_);
   std::size_t len = data[0].size();
-  for (const auto& d : data) assert(d.size() == len);
+  for ([[maybe_unused]] const auto& d : data) assert(d.size() == len);
   std::vector<std::vector<std::uint8_t>> parity(
       m_, std::vector<std::uint8_t>(len, 0));
   for (unsigned i = 0; i < m_; i++)

@@ -1,8 +1,5 @@
 #include "fs/filestore.h"
 
-#include <algorithm>
-
-#include "common/rng.h"
 #include "common/stage_names.h"
 
 namespace afc::fs {
@@ -10,13 +7,12 @@ namespace afc::fs {
 FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
                      dev::Device& data_dev, kv::Db& omap, const Config& cfg,
                      const Journal::Config& journal_cfg, Hooks& hooks,
-                     store::QueueThrottles throttles, Counters* counters)
-    : ObjectStore(sim, hooks, throttles, counters),
-      cpu_(cpu),
-      dev_(data_dev),
+                     store::QueueThrottles throttles, Counters* counters,
+                     bool assume_populated)
+    : ObjectStore(sim, cpu, data_dev, cfg.page_cache_pages, assume_populated, hooks, throttles,
+                  counters),
       omap_(omap),
       cfg_(cfg),
-      cache_(cfg.page_cache_pages),
       journal_(sim, journal_dev, journal_cfg),
       apply_q_(sim),
       dirty_sem_(sim, cfg.writeback_limit_bytes),
@@ -118,29 +114,15 @@ sim::CoTask<void> FileStore::drain() {
   while (!wb_queue_.empty() || wb_inflight_ > 0) co_await wb_idle_cv_.wait();
 }
 
-bool FileStore::implicitly_exists(const ObjectId& oid) const {
-  return cfg_.assume_populated && !objects_.contains(oid);
-}
-
-FileStore::Object& FileStore::materialize_object(const ObjectId& oid) {
-  if (Object* existing = objects_.find(oid); existing != nullptr) return *existing;
-  Object& obj = objects_.get_or_create(oid);
-  if (cfg_.assume_populated) {
-    // The cluster is pre-filled: this object already holds data and
-    // metadata from before the measurement window.
-    obj.size = cfg_.populated_object_size;
-    obj.extents.emplace(0, store::ExtentMap::make_extent(Payload::pattern(
-                               cfg_.populated_object_size, populated_seed(oid))));
-    obj.xattrs.emplace("_", kv::Value::virt(std::uint32_t(cfg_.populated_xattr_bytes)));
-    obj.xattrs.emplace("snapset", kv::Value::virt(31));
-  }
-  return obj;
-}
-
-sim::CoTask<void> FileStore::charge_syscalls(unsigned n) {
+Time FileStore::count_syscalls(unsigned n) {
   syscalls_ += n;
   if (counters_ != nullptr) counters_->add("fs.syscalls", n);
-  co_await cpu_.consume(Time(double(cfg_.syscall_cpu) * n * cfg_.cpu_multiplier));
+  return Time(double(cfg_.syscall_cpu) * n * cfg_.cpu_multiplier);
+}
+
+sim::CoTask<void> FileStore::read_cold_metadata(const ObjectId& /*oid*/) {
+  if (counters_ != nullptr) counters_->add("fs.metadata_reads");
+  co_await dev_.submit(dev::IoType::kRead, 0, 4096);
 }
 
 sim::CoTask<void> FileStore::apply_transaction(const Transaction& tx, bool lightweight) {
@@ -156,11 +138,8 @@ sim::CoTask<void> FileStore::apply_transaction(const Transaction& tx, bool light
                                          : cfg_.syscalls_per_op_community);
     switch (op.type) {
       case TxOpType::kWrite: {
-        Object& obj = materialize_object(op.oid);
+        install_write(op);
         const std::uint64_t len = op.data.size();
-        cache_.insert_range(object_hash(op.oid), op.offset, len);
-        store::ExtentMap::write_extent(obj, op.offset, op.data);
-        data_bytes_written_ += len;
         if (lightweight) {
           co_await buffer_write(len);  // buffered; writeback hits the device
         } else {
@@ -192,9 +171,7 @@ sim::CoTask<void> FileStore::apply_transaction(const Transaction& tx, bool light
         break;
       }
       case TxOpType::kSetAttrs: {
-        Object& obj = materialize_object(op.oid);
-        for (const auto& [k, v] : op.attrs) obj.xattrs[k] = v;
-        cache_.insert(object_hash(op.oid), kMetaPage);
+        install_attrs(op);
         // xattrs land in the inode and ride the data write's fdatasync; no
         // separate device op in either mode (syscall CPU already charged).
         break;
@@ -212,86 +189,6 @@ sim::CoTask<void> FileStore::apply_transaction(const Transaction& tx, bool light
   if (auto* tr = trace::Collector::active(); tr != nullptr && tx.trace.valid()) {
     tr->complete(tx.trace, tr->stage_id(stage::kFsApply), apply_t0, sim_.now());
   }
-}
-
-sim::CoTask<FileStore::ReadResult> FileStore::read(const ObjectId& oid, std::uint64_t off,
-                                                   std::uint64_t len, bool want_data) {
-  ReadResult result;
-  co_await charge_syscalls(1);
-  const Object* obj = objects_.find(oid);
-  const bool implicit = obj == nullptr && cfg_.assume_populated;
-  if (obj == nullptr && !implicit) co_return result;
-
-  const std::uint64_t obj_size = implicit ? cfg_.populated_object_size : obj->size;
-  if (off >= obj_size) {
-    result.found = true;
-    result.length = 0;
-    if (want_data) result.data.emplace();
-    co_return result;
-  }
-  const std::uint64_t n = std::min(len, obj_size - off);
-
-  // Charge device reads for non-resident pages.
-  const std::uint64_t oh = object_hash(oid);
-  const std::uint64_t missing = cache_.missing_pages(oh, off, n);
-  if (missing > 0) {
-    co_await dev_.submit(dev::IoType::kRead, off, missing * PageCache::kPageSize);
-  }
-  cache_.insert_range(oh, off, n);
-
-  result.found = true;
-  result.length = n;
-  if (want_data) {
-    if (implicit) {
-      result.data = Payload::pattern(n, populated_seed(oid), off).materialize();
-    } else {
-      result.data = store::ExtentMap::assemble(*obj, off, n);
-    }
-  }
-  co_return result;
-}
-
-sim::CoTask<std::optional<kv::Value>> FileStore::getattr(const ObjectId& oid,
-                                                         const std::string& name) {
-  co_await charge_syscalls(1);
-  const std::uint64_t oh = object_hash(oid);
-  if (!cache_.lookup(oh, kMetaPage)) {
-    metadata_device_reads_++;
-    if (counters_ != nullptr) counters_->add("fs.metadata_reads");
-    co_await dev_.submit(dev::IoType::kRead, 0, 4096);
-    cache_.insert(oh, kMetaPage);
-  }
-  const Object* obj = objects_.find(oid);
-  if (obj == nullptr) {
-    if (cfg_.assume_populated) {
-      if (name == "_") co_return kv::Value::virt(std::uint32_t(cfg_.populated_xattr_bytes));
-      if (name == "snapset") co_return kv::Value::virt(31);
-    }
-    co_return std::nullopt;
-  }
-  auto it = obj->xattrs.find(name);
-  if (it == obj->xattrs.end()) co_return std::nullopt;
-  co_return it->second;
-}
-
-sim::CoTask<std::optional<std::uint64_t>> FileStore::stat(const ObjectId& oid) {
-  co_await charge_syscalls(1);
-  const std::uint64_t oh = object_hash(oid);
-  if (!cache_.lookup(oh, kMetaPage)) {
-    metadata_device_reads_++;
-    if (counters_ != nullptr) counters_->add("fs.metadata_reads");
-    co_await dev_.submit(dev::IoType::kRead, 0, 4096);
-    cache_.insert(oh, kMetaPage);
-  }
-  const Object* obj = objects_.find(oid);
-  if (obj != nullptr) co_return obj->size;
-  if (cfg_.assume_populated) co_return cfg_.populated_object_size;
-  co_return std::nullopt;
-}
-
-std::uint64_t FileStore::object_size(const ObjectId& oid) const {
-  const Object* obj = objects_.find(oid);
-  return obj != nullptr ? obj->size : 0;
 }
 
 }  // namespace afc::fs

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <deque>
-#include <map>
-#include <optional>
 #include <unordered_map>
 
 #include "common/stats.h"
 #include "fs/journal.h"
-#include "fs/pagecache.h"
 #include "fs/transaction.h"
 #include "kv/db.h"
 #include "sim/channel.h"
@@ -25,15 +22,11 @@ namespace afc::fs {
 /// §2.4/§3.4 analysis rests on:
 ///  * every apply costs syscalls (CPU) — community Ceph repeats open/stat/
 ///    write per op, AFCeph's light transactions collapse them;
-///  * metadata reads (getattr/stat) hit the page cache or pay a device
-///    read — and in sustained state those reads interleave with the write
+///  * a cold metadata read (getattr) pays a 4 KiB inode-page device read
+///    — and in sustained state those reads interleave with the write
 ///    stream (the SSD model charges mixed-pattern penalties);
 ///  * community omap updates are separate KV puts, light transactions use
-///    one WriteBatch;
-///  * `assume_populated` simulates an 80%-full cluster: unknown objects
-///    exist implicitly with 4 MiB of (virtual) data, so writes are
-///    overwrites that need metadata, without allocating per-object state up
-///    front.
+///    one WriteBatch.
 class FileStore final : public store::ObjectStore {
  public:
   struct Config {
@@ -46,10 +39,6 @@ class FileStore final : public store::ObjectStore {
     Time apply_cpu = 3000;                    // per-txn bookkeeping
     double cpu_multiplier = 1.0;              // allocator tax (tcmalloc ~1.6x)
     std::size_t page_cache_pages = 65536;     // 256 MiB
-    bool assume_populated = false;
-    std::uint64_t populated_object_size = 4 * kMiB;
-    std::uint64_t populated_xattr_bytes = 250;
-    std::uint64_t xattr_device_bytes = 4096;  // inode/xattr writeback page
     /// Extra bytes the community path's per-apply fdatasync drags to the
     /// device (filesystem journal + inode block).
     std::uint64_t fdatasync_overhead_bytes = 4096;
@@ -62,13 +51,10 @@ class FileStore final : public store::ObjectStore {
     unsigned apply_threads = 2;  // filestore op threads
   };
 
-  /// Pseudo page index used to cache an object's inode/dentry/xattr block.
-  static constexpr std::uint64_t kMetaPage = ~std::uint64_t(0);
-
   FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
             dev::Device& data_dev, kv::Db& omap, const Config& cfg,
             const Journal::Config& journal_cfg, Hooks& hooks, store::QueueThrottles throttles,
-            Counters* counters = nullptr);
+            Counters* counters, bool assume_populated);
 
   /// Queue throttles, then a journal_ops unit and journal ring space.
   sim::CoTask<void> admit(std::uint64_t bytes) override;
@@ -81,46 +67,6 @@ class FileStore final : public store::ObjectStore {
   /// AFCeph §3.4 path (merged syscalls, batched KV, no extra xattr
   /// writeback I/O).
   sim::CoTask<void> apply_transaction(const Transaction& tx, bool lightweight) override;
-
-  sim::CoTask<ReadResult> read(const ObjectId& oid, std::uint64_t off, std::uint64_t len,
-                               bool want_data = true) override;
-
-  sim::CoTask<std::optional<kv::Value>> getattr(const ObjectId& oid,
-                                                const std::string& name) override;
-
-  sim::CoTask<std::optional<std::uint64_t>> stat(const ObjectId& oid) override;
-
-  /// Cheap in-memory checks for tests (no simulated cost).
-  bool object_in_memory(const ObjectId& oid) const override {
-    return objects_.contains(oid);
-  }
-  std::size_t object_count() const override { return objects_.count(); }
-  std::uint64_t object_size(const ObjectId& oid) const override;
-
-  // --- recovery support (control plane; I/O costs charged by the caller) -
-  std::vector<ObjectId> objects_in_pg(std::uint32_t pg) const override {
-    return objects_.objects_in_pg(pg);
-  }
-  ObjectExport export_object(const ObjectId& oid) const override {
-    return objects_.export_object(oid);
-  }
-  void remove_object(const ObjectId& oid) override { objects_.remove(oid); }
-  std::uint64_t object_fingerprint(const ObjectId& oid) const override {
-    return objects_.fingerprint(oid);
-  }
-  bool corrupt_object(const ObjectId& oid) override { return objects_.corrupt(oid); }
-  std::optional<ObjectId> corrupt_some_object(std::uint64_t seed) override {
-    return objects_.corrupt_some(seed);
-  }
-  bool verify_object(const ObjectId& oid) const override { return objects_.verify(oid); }
-
-  PageCache& page_cache() { return cache_; }
-  const Config& config() const { return cfg_; }
-
-  bool assume_populated() const override { return cfg_.assume_populated; }
-  std::uint64_t populated_object_size() const override {
-    return cfg_.populated_object_size;
-  }
 
   Journal* wal() override { return &journal_; }
 
@@ -135,22 +81,16 @@ class FileStore final : public store::ObjectStore {
   }
 
   std::uint64_t syscalls() const override { return syscalls_; }
-  std::uint64_t metadata_device_reads() const override { return metadata_device_reads_; }
-  std::uint64_t applies() const override { return applies_; }
-  std::uint64_t data_bytes_written() const override { return data_bytes_written_; }
 
  private:
-  using Object = store::ExtentMap::Object;
+  /// One syscall (open/stat/getxattr).
+  Time lookup_cpu() override { return count_syscalls(1); }
+  /// The object's inode page, read from the data device.
+  sim::CoTask<void> read_cold_metadata(const ObjectId& oid) override;
 
-  sim::CoTask<void> charge_syscalls(unsigned n);
-  Object& materialize_object(const ObjectId& oid);
-  bool implicitly_exists(const ObjectId& oid) const;
-  static std::uint64_t object_hash(const ObjectId& oid) {
-    return store::ExtentMap::object_hash(oid);
-  }
-  static std::uint64_t populated_seed(const ObjectId& oid) {
-    return store::ExtentMap::populated_seed(oid);
-  }
+  /// Count `n` syscalls; returns their CPU.
+  Time count_syscalls(unsigned n);
+  sim::CpuPool::Consume charge_syscalls(unsigned n) { return cpu_.consume(count_syscalls(n)); }
 
   /// Mark `bytes` dirty (blocking if over the writeback limit) and hand
   /// them to the writeback worker.
@@ -168,11 +108,8 @@ class FileStore final : public store::ObjectStore {
   sim::CoTask<void> op_thread();
   sim::CoTask<void> apply_queued(PendingApply item);
 
-  sim::CpuPool& cpu_;
-  dev::Device& dev_;
   kv::Db& omap_;
   Config cfg_;
-  PageCache cache_;
   Journal journal_;
   sim::Channel<PendingApply> apply_q_;
   /// Per-PG apply sequencing (Ceph's OpSequencer): applies of one PG run
@@ -183,7 +120,6 @@ class FileStore final : public store::ObjectStore {
   };
   std::unordered_map<std::uint32_t, OpSequencer> sequencers_;
 
-  store::ExtentMap objects_;
   sim::Semaphore dirty_sem_;           // units = dirty bytes allowed
   sim::Semaphore wb_parallel_;         // concurrent writeback I/Os
   std::deque<std::uint64_t> wb_queue_;  // dirty extent sizes awaiting writeback
@@ -193,9 +129,6 @@ class FileStore final : public store::ObjectStore {
   bool closing_ = false;
   std::uint64_t wb_pos_ = 0;
   std::uint64_t syscalls_ = 0;
-  std::uint64_t metadata_device_reads_ = 0;
-  std::uint64_t applies_ = 0;
-  std::uint64_t data_bytes_written_ = 0;
 };
 
 }  // namespace afc::fs

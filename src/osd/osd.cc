@@ -395,7 +395,7 @@ sim::CoTask<ObjectMeta> Osd::ensure_object_meta(const fs::ObjectId& oid) {
     // Write-through cache warmed since boot: a miss is authoritative and
     // costs no storage read (§3.4: "most of the metadata exist in memory").
     meta.exists = store_->object_in_memory(oid) || store_->assume_populated();
-    meta.size = meta.exists ? store_->populated_object_size() : 0;
+    meta.size = meta.exists ? store::ObjectStore::kPopulatedObjectSize : 0;
   } else {
     // Community read-modify-write: object_info then snapset, from the
     // filestore — device reads that land in the middle of the write stream.
@@ -404,7 +404,7 @@ sim::CoTask<ObjectMeta> Osd::ensure_object_meta(const fs::ObjectId& oid) {
     if (meta.exists) {
       auto ss = co_await store_->getattr(oid, "snapset");
       (void)ss;
-      meta.size = store_->assume_populated() ? store_->populated_object_size()
+      meta.size = store_->assume_populated() ? store::ObjectStore::kPopulatedObjectSize
                                              : store_->object_size(oid);
     }
   }

@@ -9,41 +9,24 @@ namespace afc::store {
 
 FlashStore::FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
                        dev::Device& data_dev, kv::Db& kvdb, const Config& cfg, Hooks& hooks,
-                       QueueThrottles throttles, Counters* counters)
-    : ObjectStore(sim, hooks, throttles, counters),
-      cpu_(cpu),
-      dev_(data_dev),
+                       QueueThrottles throttles, Counters* counters,
+                       bool assume_populated)
+    : ObjectStore(sim, cpu, data_dev, cfg.page_cache_pages, assume_populated, hooks, throttles,
+                  counters),
       kv_(kvdb),
       cfg_(cfg),
-      cache_(cfg.page_cache_pages),
       wal_(sim, wal_dev, cfg.wal),
       alloc_(cfg.device_bytes, cfg.block_size),
       flush_idle_cv_(sim),
       kv_cv_(sim) {}
 
-sim::CoTask<void> FlashStore::charge_cpu(Time t) {
-  co_await cpu_.consume(Time(double(t) * cfg_.cpu_multiplier));
-}
-
 std::string FlashStore::onode_key(const fs::ObjectId& oid) {
   return "onode." + std::to_string(oid.pg) + "." + oid.name;
 }
 
-FlashStore::Object& FlashStore::materialize_object(const fs::ObjectId& oid) {
-  if (Object* existing = objects_.find(oid); existing != nullptr) return *existing;
-  Object& obj = objects_.get_or_create(oid);
-  if (cfg_.assume_populated) {
-    // The cluster is pre-filled: this object already holds data and
-    // metadata from before the measurement window. Its base data is
-    // conceptually outside the allocator pool (written before this run),
-    // so no physical blocks are mapped for it.
-    obj.size = cfg_.populated_object_size;
-    obj.extents.emplace(0, ExtentMap::make_extent(Payload::pattern(
-                               cfg_.populated_object_size, ExtentMap::populated_seed(oid))));
-    obj.xattrs.emplace("_", kv::Value::virt(std::uint32_t(cfg_.populated_xattr_bytes)));
-    obj.xattrs.emplace("snapset", kv::Value::virt(31));
-  }
-  return obj;
+sim::CoTask<void> FlashStore::read_cold_metadata(const fs::ObjectId& oid) {
+  if (counters_ != nullptr) counters_->add("flash.onode_reads");
+  co_await kv_.get(onode_key(oid));
 }
 
 std::uint64_t FlashStore::ensure_phys(const fs::ObjectId& oid, std::uint64_t block_off) {
@@ -248,10 +231,7 @@ sim::CoTask<bool> FlashStore::queue_transaction(fs::Transaction tx, std::uint64_
       case fs::TxOpType::kWrite: {
         const std::uint64_t len = op.data.size();
         if (len == 0) break;
-        Object& obj = materialize_object(op.oid);
-        cache_.insert_range(ExtentMap::object_hash(op.oid), op.offset, len);
-        ExtentMap::write_extent(obj, op.offset, op.data);
-        data_bytes_written_ += len;
+        install_write(op);
         if (!use_deferred(op.offset, len)) {
           // Fresh durable blocks under this range: deferred records that
           // were only waiting on them are superseded and retire.
@@ -269,13 +249,10 @@ sim::CoTask<bool> FlashStore::queue_transaction(fs::Transaction tx, std::uint64_
       case fs::TxOpType::kOmapRmKeyRange:
         rmranges.push_back(&op);
         break;
-      case fs::TxOpType::kSetAttrs: {
-        Object& obj = materialize_object(op.oid);
-        for (const auto& [k, v] : op.attrs) obj.xattrs[k] = v;
-        cache_.insert(ExtentMap::object_hash(op.oid), kMetaPage);
+      case fs::TxOpType::kSetAttrs:
+        install_attrs(op);
         onodes.insert(onode_key(op.oid));
         break;
-      }
       case fs::TxOpType::kSetAllocHint:
         break;  // raw-device store: no filesystem to hint
     }
@@ -411,10 +388,7 @@ sim::CoTask<void> FlashStore::apply_transaction(const fs::Transaction& tx,
       case fs::TxOpType::kWrite: {
         const std::uint64_t len = op.data.size();
         if (len == 0) break;
-        Object& obj = materialize_object(op.oid);
-        cache_.insert_range(ExtentMap::object_hash(op.oid), op.offset, len);
-        ExtentMap::write_extent(obj, op.offset, op.data);
-        data_bytes_written_ += len;
+        install_write(op);
         data_ops.push_back({op.oid, op.offset, len, is_aligned(op.offset, len)});
         onodes.insert(onode_key(op.oid));
         break;
@@ -425,13 +399,10 @@ sim::CoTask<void> FlashStore::apply_transaction(const fs::Transaction& tx,
       case fs::TxOpType::kOmapRmKeyRange:
         rmranges.push_back(&op);
         break;
-      case fs::TxOpType::kSetAttrs: {
-        Object& obj = materialize_object(op.oid);
-        for (const auto& [k, v] : op.attrs) obj.xattrs[k] = v;
-        cache_.insert(ExtentMap::object_hash(op.oid), kMetaPage);
+      case fs::TxOpType::kSetAttrs:
+        install_attrs(op);
         onodes.insert(onode_key(op.oid));
         break;
-      }
       case fs::TxOpType::kSetAllocHint:
         break;
     }
@@ -472,91 +443,8 @@ sim::CoTask<void> FlashStore::apply_transaction(const fs::Transaction& tx,
   }
 }
 
-sim::CoTask<FlashStore::ReadResult> FlashStore::read(const fs::ObjectId& oid,
-                                                     std::uint64_t off,
-                                                     std::uint64_t len, bool want_data) {
-  ReadResult result;
-  co_await charge_cpu(cfg_.read_cpu);
-  const Object* obj = objects_.find(oid);
-  const bool implicit = obj == nullptr && cfg_.assume_populated;
-  if (obj == nullptr && !implicit) co_return result;
-
-  const std::uint64_t obj_size = implicit ? cfg_.populated_object_size : obj->size;
-  if (off >= obj_size) {
-    result.found = true;
-    result.length = 0;
-    if (want_data) result.data.emplace();
-    co_return result;
-  }
-  const std::uint64_t n = std::min(len, obj_size - off);
-
-  const std::uint64_t oh = ExtentMap::object_hash(oid);
-  const std::uint64_t missing = cache_.missing_pages(oh, off, n);
-  if (missing > 0) {
-    co_await dev_.submit(dev::IoType::kRead, off, missing * fs::PageCache::kPageSize);
-  }
-  cache_.insert_range(oh, off, n);
-
-  result.found = true;
-  result.length = n;
-  if (want_data) {
-    if (implicit) {
-      result.data =
-          Payload::pattern(n, ExtentMap::populated_seed(oid), off).materialize();
-    } else {
-      result.data = ExtentMap::assemble(*obj, off, n);
-    }
-  }
-  co_return result;
-}
-
-sim::CoTask<std::optional<kv::Value>> FlashStore::getattr(const fs::ObjectId& oid,
-                                                          const std::string& name) {
-  co_await charge_cpu(cfg_.read_cpu);
-  const std::uint64_t oh = ExtentMap::object_hash(oid);
-  if (!cache_.lookup(oh, kMetaPage)) {
-    // Cold onode: one KV point lookup (block cache / SSTables charge their
-    // own device reads) instead of FileStore's inode page read.
-    onode_misses_++;
-    if (counters_ != nullptr) counters_->add("flash.onode_reads");
-    co_await kv_.get(onode_key(oid));
-    cache_.insert(oh, kMetaPage);
-  }
-  const Object* obj = objects_.find(oid);
-  if (obj == nullptr) {
-    if (cfg_.assume_populated) {
-      if (name == "_") co_return kv::Value::virt(std::uint32_t(cfg_.populated_xattr_bytes));
-      if (name == "snapset") co_return kv::Value::virt(31);
-    }
-    co_return std::nullopt;
-  }
-  auto it = obj->xattrs.find(name);
-  if (it == obj->xattrs.end()) co_return std::nullopt;
-  co_return it->second;
-}
-
-sim::CoTask<std::optional<std::uint64_t>> FlashStore::stat(const fs::ObjectId& oid) {
-  co_await charge_cpu(cfg_.read_cpu);
-  const std::uint64_t oh = ExtentMap::object_hash(oid);
-  if (!cache_.lookup(oh, kMetaPage)) {
-    onode_misses_++;
-    if (counters_ != nullptr) counters_->add("flash.onode_reads");
-    co_await kv_.get(onode_key(oid));
-    cache_.insert(oh, kMetaPage);
-  }
-  const Object* obj = objects_.find(oid);
-  if (obj != nullptr) co_return obj->size;
-  if (cfg_.assume_populated) co_return cfg_.populated_object_size;
-  co_return std::nullopt;
-}
-
-std::uint64_t FlashStore::object_size(const fs::ObjectId& oid) const {
-  const Object* obj = objects_.find(oid);
-  return obj != nullptr ? obj->size : 0;
-}
-
 void FlashStore::remove_object(const fs::ObjectId& oid) {
-  objects_.remove(oid);
+  ObjectStore::remove_object(oid);
   auto pit = phys_.find(oid);
   if (pit != phys_.end()) {
     for (const auto& [lb, pb] : pit->second) alloc_.free(pb, cfg_.block_size);

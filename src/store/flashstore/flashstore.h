@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 
 #include "common/stats.h"
 #include "fs/journal.h"
-#include "fs/pagecache.h"
 #include "fs/transaction.h"
 #include "kv/db.h"
 #include "sim/cpu.h"
@@ -48,8 +46,6 @@ namespace afc::store {
 /// (ObjectStore::replay(), the same loop FileStore's journal goes through).
 class FlashStore final : public ObjectStore {
  public:
-  using PageCache = fs::PageCache;
-
   struct Config {
     std::uint64_t block_size = 4096;
     /// Allocator pool over the data SSD. A working-set bound for the
@@ -88,9 +84,6 @@ class FlashStore final : public ObjectStore {
     /// commit. Off the ack path (the WAL record is already durable); the
     /// only cost is WAL records staying replayable a little longer.
     Time kv_commit_interval = 1 * kMillisecond;
-    bool assume_populated = false;
-    std::uint64_t populated_object_size = 4 * kMiB;
-    std::uint64_t populated_xattr_bytes = 250;
     /// Deferred-write WAL ring (on the NVRAM device). Small on purpose:
     /// only sub-block payloads and per-txn metadata records live here.
     fs::Journal::Config wal{128 * kMiB, 512, 32};
@@ -98,7 +91,7 @@ class FlashStore final : public ObjectStore {
 
   FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
              dev::Device& data_dev, kv::Db& kvdb, const Config& cfg, Hooks& hooks,
-             QueueThrottles throttles, Counters* counters = nullptr);
+             QueueThrottles throttles, Counters* counters, bool assume_populated);
 
   /// Queue throttles only: WAL space is reserved inside the commit, sized
   /// by what actually rides the record.
@@ -115,69 +108,31 @@ class FlashStore final : public ObjectStore {
   sim::CoTask<void> apply_transaction(const fs::Transaction& tx,
                                       bool lightweight) override;
 
-  sim::CoTask<ReadResult> read(const fs::ObjectId& oid, std::uint64_t off,
-                               std::uint64_t len, bool want_data = true) override;
-  sim::CoTask<std::optional<kv::Value>> getattr(const fs::ObjectId& oid,
-                                                const std::string& name) override;
-  sim::CoTask<std::optional<std::uint64_t>> stat(const fs::ObjectId& oid) override;
-
-  bool object_in_memory(const fs::ObjectId& oid) const override {
-    return objects_.contains(oid);
-  }
-  std::size_t object_count() const override { return objects_.count(); }
-  std::uint64_t object_size(const fs::ObjectId& oid) const override;
-
-  std::vector<fs::ObjectId> objects_in_pg(std::uint32_t pg) const override {
-    return objects_.objects_in_pg(pg);
-  }
-  ObjectExport export_object(const fs::ObjectId& oid) const override {
-    return objects_.export_object(oid);
-  }
+  /// Also frees the object's physical blocks and folds its deferred records.
   void remove_object(const fs::ObjectId& oid) override;
-  std::uint64_t object_fingerprint(const fs::ObjectId& oid) const override {
-    return objects_.fingerprint(oid);
-  }
-  bool corrupt_object(const fs::ObjectId& oid) override { return objects_.corrupt(oid); }
-  std::optional<fs::ObjectId> corrupt_some_object(std::uint64_t seed) override {
-    return objects_.corrupt_some(seed);
-  }
-  bool verify_object(const fs::ObjectId& oid) const override {
-    return objects_.verify(oid);
-  }
 
   fs::Journal* wal() override { return &wal_; }
   void on_daemon_crash() override;
-
-  bool assume_populated() const override { return cfg_.assume_populated; }
-  std::uint64_t populated_object_size() const override {
-    return cfg_.populated_object_size;
-  }
 
   void close() override;
   sim::CoTask<void> drain() override;
 
   std::uint64_t dirty_bytes() const override { return deferred_pending_bytes_; }
-  std::uint64_t metadata_device_reads() const override { return onode_misses_; }
-  std::uint64_t applies() const override { return applies_; }
-  std::uint64_t data_bytes_written() const override { return data_bytes_written_; }
 
-  const ExtentAllocator& allocator() const { return alloc_; }
-  PageCache& page_cache() { return cache_; }
-  const Config& config() const { return cfg_; }
   std::uint64_t deferred_writes() const { return deferred_writes_; }
   std::uint64_t deferred_folds() const { return deferred_folds_; }
   std::uint64_t deferred_flushes() const { return deferred_flushes_; }
   std::uint64_t deferred_pending() const { return deferred_.size(); }
 
-  /// Pseudo page index caching an object's onode (mirrors FileStore's
-  /// inode/dentry/xattr block).
-  static constexpr std::uint64_t kMetaPage = ~std::uint64_t(0);
-
  private:
-  using Object = ExtentMap::Object;
   using BlockKey = std::pair<fs::ObjectId, std::uint64_t>;  // (object, block off)
 
-  Object& materialize_object(const fs::ObjectId& oid);
+  /// Per-read bookkeeping.
+  Time lookup_cpu() override { return cpu_time(cfg_.read_cpu); }
+  /// One onode KV point lookup (block cache / SSTables charge their own
+  /// device reads) instead of FileStore's inode page read.
+  sim::CoTask<void> read_cold_metadata(const fs::ObjectId& oid) override;
+
   bool is_aligned(std::uint64_t off, std::uint64_t len) const {
     return len >= cfg_.block_size && off % cfg_.block_size == 0 &&
            len % cfg_.block_size == 0;
@@ -192,7 +147,8 @@ class FlashStore final : public ObjectStore {
     return 1 + unsigned(ExtentMap::object_hash(oid) % cfg_.write_streams);
   }
   static std::string onode_key(const fs::ObjectId& oid);
-  sim::CoTask<void> charge_cpu(Time t);
+  Time cpu_time(Time t) const { return Time(double(t) * cfg_.cpu_multiplier); }
+  sim::CpuPool::Consume charge_cpu(Time t) { return cpu_.consume(cpu_time(t)); }
 
   /// COW write of aligned blocks: allocate, device-write with the stream
   /// hint, swap the physical mapping (old blocks free).
@@ -226,15 +182,11 @@ class FlashStore final : public ObjectStore {
   /// the WAL records whose only outstanding obligation was the KV commit.
   sim::CoTask<void> kv_finalize_loop();
 
-  sim::CpuPool& cpu_;
-  dev::Device& dev_;
   kv::Db& kv_;
   Config cfg_;
-  PageCache cache_;
   fs::Journal wal_;
   ExtentAllocator alloc_;
 
-  ExtentMap objects_;
   /// logical block offset -> physical block offset, per object. Only
   /// explicitly written blocks are mapped; implicit populated base data is
   /// conceptually outside the allocator pool.
@@ -276,9 +228,6 @@ class FlashStore final : public ObjectStore {
   std::uint64_t crash_epoch_ = 0;
 
   bool closing_ = false;
-  std::uint64_t applies_ = 0;
-  std::uint64_t data_bytes_written_ = 0;
-  std::uint64_t onode_misses_ = 0;
   std::uint64_t deferred_writes_ = 0;
   std::uint64_t deferred_folds_ = 0;
   std::uint64_t deferred_flushes_ = 0;

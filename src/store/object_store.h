@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "common/types.h"
+#include "device/device.h"
+#include "fs/pagecache.h"
 #include "kv/db.h"
 #include "sim/cpu.h"
 #include "sim/sync.h"
@@ -42,6 +45,18 @@ struct QueueThrottles {
 /// fs::FileStore (objects as files; NVRAM journal, then an apply pass on op
 /// threads) and store::FlashStore (raw-device extents; a small WAL for
 /// sub-block writes, metadata in the LSM KV; applied at commit).
+///
+/// The object namespace is shared simulator bookkeeping, so it lives here
+/// once: the object table, the page cache over the data device, the
+/// implicit-population policy and the lookup path (read / getattr). A
+/// backend supplies its commit path and two lookup costs: the CPU of one
+/// lookup (lookup_cpu()) and the device or KV work of a cold metadata
+/// lookup (read_cold_metadata()).
+///
+/// `assume_populated` simulates an 80%-full cluster: unknown objects exist
+/// implicitly with kPopulatedObjectSize bytes of synthesized data and their
+/// object_info / snapset xattrs, so writes are overwrites that need
+/// metadata, without allocating per-object state up front.
 class ObjectStore {
  public:
   struct ReadResult {
@@ -50,6 +65,9 @@ class ObjectStore {
     std::optional<std::vector<std::uint8_t>> data;  // only if want_data
   };
   using ObjectExport = store::ObjectExport;
+
+  /// Size of an implicitly populated object.
+  static constexpr std::uint64_t kPopulatedObjectSize = 4 * kMiB;
 
   /// Callbacks of a queued transaction (Ceph's on_commit / on_applied
   /// Contexts), implemented once by the owner.
@@ -65,9 +83,18 @@ class ObjectStore {
     virtual sim::CoTask<void> on_applied(const OpRef& op) = 0;
   };
 
-  ObjectStore(sim::Simulation& sim, Hooks& hooks, QueueThrottles throttles,
-              Counters* counters)
-      : sim_(sim), hooks_(hooks), throttles_(throttles), counters_(counters), gate_cv_(sim) {}
+  ObjectStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_dev,
+              std::size_t page_cache_pages, bool assume_populated, Hooks& hooks,
+              QueueThrottles throttles, Counters* counters)
+      : sim_(sim),
+        cpu_(cpu),
+        dev_(data_dev),
+        hooks_(hooks),
+        throttles_(throttles),
+        counters_(counters),
+        cache_(page_cache_pages),
+        assume_populated_(assume_populated),
+        gate_cv_(sim) {}
   virtual ~ObjectStore() = default;
 
   /// Admission (the paper's Fig. 3 step (3), inside the PG critical
@@ -106,35 +133,43 @@ class ObjectStore {
   /// resumes once all have re-applied. Counts osd.journal.*.
   sim::CoTask<void> replay(bool lightweight);
 
-  /// Read [off, off+len) of an object. `want_data=false` skips
+  /// Read [off, off+len) of an object: the lookup CPU, then a device read
+  /// of the pages the page cache lacks. `want_data=false` skips
   /// materialization (benchmarks) but still charges the same I/O.
-  virtual sim::CoTask<ReadResult> read(const fs::ObjectId& oid, std::uint64_t off,
-                                       std::uint64_t len, bool want_data = true) = 0;
-  /// Metadata read (object_info / snapset): cache hit or one device read.
-  virtual sim::CoTask<std::optional<kv::Value>> getattr(const fs::ObjectId& oid,
-                                                        const std::string& name) = 0;
-  /// stat(2)-equivalent: object existence + size.
-  virtual sim::CoTask<std::optional<std::uint64_t>> stat(const fs::ObjectId& oid) = 0;
+  sim::CoTask<ReadResult> read(const fs::ObjectId& oid, std::uint64_t off, std::uint64_t len,
+                               bool want_data = true);
+  /// Metadata read (object_info / snapset): the lookup CPU, then a cache
+  /// hit or the backend's cold metadata read.
+  sim::CoTask<std::optional<kv::Value>> getattr(const fs::ObjectId& oid,
+                                                const std::string& name);
 
   // --- cheap in-memory checks (no simulated cost) ------------------------
-  virtual bool object_in_memory(const fs::ObjectId& oid) const = 0;
-  virtual std::size_t object_count() const = 0;
-  virtual std::uint64_t object_size(const fs::ObjectId& oid) const = 0;
+  bool object_in_memory(const fs::ObjectId& oid) const { return objects_.contains(oid); }
+  /// Logical size of a materialized object; 0 when it is not in memory.
+  std::uint64_t object_size(const fs::ObjectId& oid) const;
 
   // --- recovery support (control plane; I/O charged by the caller) -------
-  virtual std::vector<fs::ObjectId> objects_in_pg(std::uint32_t pg) const = 0;
-  virtual ObjectExport export_object(const fs::ObjectId& oid) const = 0;
+  std::vector<fs::ObjectId> objects_in_pg(std::uint32_t pg) const {
+    return objects_.objects_in_pg(pg);
+  }
+  ObjectExport export_object(const fs::ObjectId& oid) const {
+    return objects_.export_object(oid);
+  }
   /// Drop an object's state (recovery: the importer replaces the whole
   /// object so stale extents the source lacks cannot survive a repair).
-  virtual void remove_object(const fs::ObjectId& oid) = 0;
+  virtual void remove_object(const fs::ObjectId& oid) { objects_.remove(oid); }
   /// Content fingerprint over the object's extents + size (scrub).
-  virtual std::uint64_t object_fingerprint(const fs::ObjectId& oid) const = 0;
+  std::uint64_t object_fingerprint(const fs::ObjectId& oid) const {
+    return objects_.fingerprint(oid);
+  }
   /// FAILURE INJECTION: flip one byte of the object's first extent.
-  virtual bool corrupt_object(const fs::ObjectId& oid) = 0;
+  bool corrupt_object(const fs::ObjectId& oid) { return objects_.corrupt(oid); }
   /// FAILURE INJECTION: corrupt_object() on a seeded-random resident object.
-  virtual std::optional<fs::ObjectId> corrupt_some_object(std::uint64_t seed) = 0;
+  std::optional<fs::ObjectId> corrupt_some_object(std::uint64_t seed) {
+    return objects_.corrupt_some(seed);
+  }
   /// Deep-scrub self-check: stored checksums still match content.
-  virtual bool verify_object(const fs::ObjectId& oid) const = 0;
+  bool verify_object(const fs::ObjectId& oid) const { return objects_.verify(oid); }
 
   /// The store's one write-ahead ring (FileStore's external journal,
   /// FlashStore's WAL); never null. Fault injection stalls, tears and
@@ -144,10 +179,9 @@ class ObjectStore {
   /// the deferred-write ledger). Media-durable state must survive.
   virtual void on_daemon_crash() {}
 
-  /// Implicit-population policy (simulated 80%-full cluster), needed by the
-  /// OSD's metadata path before it touches the store.
-  virtual bool assume_populated() const = 0;
-  virtual std::uint64_t populated_object_size() const = 0;
+  /// Implicit-population policy, needed by the OSD's metadata path before
+  /// it touches the store.
+  bool assume_populated() const { return assume_populated_; }
 
   virtual void close() = 0;
   /// Wait until all buffered/deferred data has reached the device.
@@ -157,21 +191,57 @@ class ObjectStore {
   virtual std::uint64_t dirty_bytes() const { return 0; }
   virtual std::uint64_t writeback_stalls() const { return 0; }
   virtual std::uint64_t syscalls() const { return 0; }
-  virtual std::uint64_t metadata_device_reads() const { return 0; }
-  virtual std::uint64_t applies() const { return 0; }
-  virtual std::uint64_t data_bytes_written() const { return 0; }
+  /// Cold metadata lookups (FileStore inode-page reads, FlashStore onode
+  /// KV gets).
+  std::uint64_t metadata_device_reads() const { return metadata_device_reads_; }
+  std::uint64_t applies() const { return applies_; }
+  std::uint64_t data_bytes_written() const { return data_bytes_written_; }
 
  protected:
+  /// The backend's bookkeeping for one lookup (read / getattr); returns
+  /// the CPU it costs, which the caller consumes.
+  virtual Time lookup_cpu() = 0;
+  /// A metadata lookup missed the page cache: count it under the backend's
+  /// counter and pay for the read (FileStore: an inode page from the data
+  /// device; FlashStore: an onode KV get).
+  virtual sim::CoTask<void> read_cold_metadata(const fs::ObjectId& oid) = 0;
+
+  /// Content install of a write op: extents, page cache, byte counter.
+  void install_write(const fs::TxOp& op);
+  /// Content install of a setattrs op: xattrs and the cached meta page.
+  void install_attrs(const fs::TxOp& op);
+
   /// The read gate: a transaction on `oid` was queued / has applied.
   void note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid]++; }
   void note_apply_done(const fs::ObjectId& oid);
 
   sim::Simulation& sim_;
+  sim::CpuPool& cpu_;
+  dev::Device& dev_;  // the data device
   Hooks& hooks_;
   QueueThrottles throttles_;
   Counters* counters_;
+  std::uint64_t applies_ = 0;
 
  private:
+  using Object = ExtentMap::Object;
+
+  /// Implicitly populated objects' object_info ("_") and snapset bytes.
+  static constexpr std::uint32_t kPopulatedXattrBytes = 250;
+  static constexpr std::uint32_t kPopulatedSnapsetBytes = 31;
+  /// Pseudo page index caching an object's metadata (FileStore's inode /
+  /// dentry / xattr block, FlashStore's onode).
+  static constexpr std::uint64_t kMetaPage = ~std::uint64_t(0);
+
+  /// The object's table entry, created on first touch (with its
+  /// synthesized base content when the cluster is assumed populated).
+  Object& materialize_object(const fs::ObjectId& oid);
+
+  fs::PageCache cache_;
+  ExtentMap objects_;
+  const bool assume_populated_;
+  std::uint64_t metadata_device_reads_ = 0;
+  std::uint64_t data_bytes_written_ = 0;
   std::unordered_map<fs::ObjectId, unsigned, fs::ObjectIdHash> pending_applies_;
   sim::CondVar gate_cv_;
 };

@@ -25,12 +25,13 @@ std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
   switch (cfg.backend) {
     case Backend::kFlash:
       return std::make_unique<FlashStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.flash,
-                                          hooks, throttles, counters);
+                                          hooks, throttles, counters, cfg.assume_populated);
     case Backend::kFile:
       break;
   }
   return std::make_unique<fs::FileStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.file,
-                                         journal_cfg, hooks, throttles, counters);
+                                         journal_cfg, hooks, throttles, counters,
+                                         cfg.assume_populated);
 }
 
 }  // namespace afc::store

@@ -20,6 +20,8 @@ struct StoreConfig {
   Backend backend = Backend::kFile;
   fs::FileStore::Config file;
   FlashStore::Config flash;
+  /// Simulate an 80%-full cluster (see ObjectStore), whichever the backend.
+  bool assume_populated = false;
 };
 
 const char* backend_name(Backend b);

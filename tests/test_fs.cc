@@ -1,42 +1,19 @@
-// Tests for the filestore substrate: transactions, extent-map correctness,
-// xattrs, page cache, journal ring + batching, writeback backpressure, and
-// the community-vs-light apply cost split.
+// Tests for the filestore substrate: transactions, journal ring + batching,
+// writeback backpressure and the community-vs-light apply cost split; and
+// the object content and lookup path both store backends share (extent-map
+// correctness, xattrs, page cache, implicit population).
 
 #include <gtest/gtest.h>
 
-#include "device/nvram.h"
-#include "device/ssd.h"
-#include "fs/filestore.h"
 #include "fs/journal.h"
 #include "store_harness.h"
 
 namespace afc::fs {
 namespace {
 
-struct StoreFixture {
-  sim::Simulation sim;
-  sim::CpuPool cpu{sim, 8};
-  dev::NvramModel nvram{sim, "nvram"};
-  dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
-  kv::Db omap{sim, ssd};
-  store::StoreHarness owner{sim};
-  FileStore store;
-
+struct StoreFixture : store::StoreRig<FileStore> {
   explicit StoreFixture(FileStore::Config cfg = {})
-      : store(sim, cpu, nvram, ssd, omap, cfg, Journal::Config{}, owner, owner.throttles()) {}
-
-  template <class Fn>
-  void run(Fn fn) {
-    bool done = false;
-    sim::spawn_fn([&]() -> sim::CoTask<void> {
-      co_await fn();
-      done = true;
-    });
-    sim.run();
-    ASSERT_TRUE(done);
-  }
-
-  ObjectId oid(const std::string& name, std::uint32_t pg = 1) { return ObjectId{pg, name}; }
+      : StoreRig({store::Backend::kFile, cfg, {}}) {}
 };
 
 TEST(Transaction, EncodedBytesCoverOps) {
@@ -72,8 +49,99 @@ TEST(FileStore, QueuedTransactionJournalsThenApplies) {
   });
 }
 
-TEST(FileStore, WriteThenReadBack) {
+TEST(FileStore, OmapOpsGoThroughKv) {
   StoreFixture f;
+  f.run([&]() -> sim::CoTask<void> {
+    Transaction t;
+    t.omap_setkeys(f.oid("a"), {{"pglog.0001", kv::Value::real("entry1")},
+                                {"pglog.0002", kv::Value::real("entry2")}});
+    co_await f.store.apply_transaction(t, true);
+    auto v = co_await f.kvdb.get("pglog.0001");
+    EXPECT_TRUE(v.has_value());
+    if (v) {
+      EXPECT_EQ(v->data, "entry1");
+    }
+
+    Transaction trim;
+    trim.omap_rmkeyrange(f.oid("a"), "pglog.0000", "pglog.0002");
+    co_await f.store.apply_transaction(trim, true);
+    EXPECT_FALSE((co_await f.kvdb.get("pglog.0001")).has_value());
+    EXPECT_TRUE((co_await f.kvdb.get("pglog.0002")).has_value());
+  });
+}
+
+TEST(FileStore, LightTransactionsCostFewerSyscalls) {
+  StoreFixture heavy, light;
+  auto run_apply = [](StoreFixture& f, bool lightweight) {
+    f.run([&f, lightweight]() -> sim::CoTask<void> {
+      for (int i = 0; i < 50; i++) {
+        Transaction t;
+        const std::string n = std::to_string(i);
+        auto oid = f.oid("obj" + n);
+        t.write(oid, 0, Payload::pattern(4096, std::uint64_t(i)));
+        t.omap_setkeys(oid, {{"k" + n, kv::Value::virt(180)}});
+        t.setattrs(oid, {{"_", kv::Value::virt(250)}});
+        if (!lightweight) t.set_alloc_hint(oid);
+        co_await f.store.apply_transaction(t, lightweight);
+      }
+    });
+  };
+  run_apply(heavy, false);
+  run_apply(light, true);
+  EXPECT_GT(heavy.store.syscalls(), 2 * light.store.syscalls());
+  // Community applies drag the fdatasync/fs-journal overhead to the device.
+  EXPECT_GT(heavy.ssd.bytes_written(), light.ssd.bytes_written());
+}
+
+TEST(FileStore, ColdMetadataCostsDeviceReads) {
+  FileStore::Config cfg;
+  cfg.page_cache_pages = 4;  // effectively no cache
+  StoreFixture f(cfg);
+  f.run([&]() -> sim::CoTask<void> {
+    for (int i = 0; i < 20; i++) {
+      Transaction t;
+      t.write(f.oid("obj" + std::to_string(i)), 0, Payload::pattern(4096, 1));
+      co_await f.store.apply_transaction(t, true);
+    }
+    for (int i = 0; i < 20; i++) {
+      (void)co_await f.store.getattr(f.oid("obj" + std::to_string(i)), "_");
+    }
+    EXPECT_GE(f.store.metadata_device_reads(), 15u);
+  });
+}
+
+TEST(FileStore, WritebackBackpressureStallsWhenDirtyLimitHit) {
+  FileStore::Config cfg;
+  cfg.writeback_limit_bytes = 64 * 1024;
+  StoreFixture f(cfg);
+  f.run([&]() -> sim::CoTask<void> {
+    for (int i = 0; i < 100; i++) {
+      Transaction t;
+      t.write(f.oid("big"), std::uint64_t(i) * 64 * 1024, Payload::pattern(64 * 1024, 1));
+      co_await f.store.apply_transaction(t, true);  // light: buffered path
+    }
+    co_await f.store.drain();
+  });
+  EXPECT_GT(f.store.writeback_stalls(), 0u);
+  EXPECT_EQ(f.store.dirty_bytes(), 0u);  // drained
+}
+
+// ---------------------------------------------------------------------------
+// Object content and lookups (the ObjectStore base), on both backends
+// ---------------------------------------------------------------------------
+
+class StoreContent : public ::testing::TestWithParam<store::Backend> {
+ protected:
+  store::StoreConfig config(bool assume_populated = false) const {
+    store::StoreConfig cfg;
+    cfg.backend = GetParam();
+    cfg.assume_populated = assume_populated;
+    return cfg;
+  }
+};
+
+TEST_P(StoreContent, WriteThenReadBack) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     Transaction t;
     auto data = Payload::pattern(8192, 42);
@@ -86,8 +154,8 @@ TEST(FileStore, WriteThenReadBack) {
   });
 }
 
-TEST(FileStore, OverwriteMiddleOfExtent) {
-  StoreFixture f;
+TEST_P(StoreContent, OverwriteMiddleOfExtent) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     auto base = Payload::pattern(16384, 1);
     auto patch = Payload::pattern(4096, 2);
@@ -105,8 +173,8 @@ TEST(FileStore, OverwriteMiddleOfExtent) {
   });
 }
 
-TEST(FileStore, OverwriteSpanningExtents) {
-  StoreFixture f;
+TEST_P(StoreContent, OverwriteSpanningExtents) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     // Three adjacent 4K extents, then one 8K write covering the middle
     // straddling extents 0/1 and 1/2 boundaries.
@@ -132,8 +200,8 @@ TEST(FileStore, OverwriteSpanningExtents) {
   });
 }
 
-TEST(FileStore, HolesReadAsZeros) {
-  StoreFixture f;
+TEST_P(StoreContent, HolesReadAsZeros) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     Transaction t;
     t.write(f.oid("a"), 8192, Payload::pattern(4096, 5));
@@ -146,8 +214,8 @@ TEST(FileStore, HolesReadAsZeros) {
   });
 }
 
-TEST(FileStore, ReadPastEndClamps) {
-  StoreFixture f;
+TEST_P(StoreContent, ReadPastEndClamps) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     Transaction t;
     t.write(f.oid("a"), 0, Payload::pattern(4096, 5));
@@ -162,8 +230,8 @@ TEST(FileStore, ReadPastEndClamps) {
   });
 }
 
-TEST(FileStore, XattrsRoundTripAndStat) {
-  StoreFixture f;
+TEST_P(StoreContent, XattrsRoundTripAndStat) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     Transaction t;
     t.write(f.oid("a"), 0, Payload::pattern(4096, 1));
@@ -171,58 +239,22 @@ TEST(FileStore, XattrsRoundTripAndStat) {
     co_await f.store.apply_transaction(t, false);
     auto attr = co_await f.store.getattr(f.oid("a"), "_");
     EXPECT_TRUE(attr.has_value());
-    if (attr) EXPECT_EQ(attr->data, "objectinfo");
+    if (attr) {
+      EXPECT_EQ(attr->data, "objectinfo");
+    }
     EXPECT_FALSE((co_await f.store.getattr(f.oid("a"), "nope")).has_value());
-    auto size = co_await f.store.stat(f.oid("a"));
-    EXPECT_TRUE(size.has_value());
-    if (size) EXPECT_EQ(*size, 4096u);
-    EXPECT_FALSE((co_await f.store.stat(f.oid("ghost"))).has_value());
+    EXPECT_TRUE(f.store.object_in_memory(f.oid("a")));
+    EXPECT_EQ(f.store.object_size(f.oid("a")), 4096u);
+    // An object never written: no xattrs, no size, nothing to read.
+    EXPECT_FALSE((co_await f.store.getattr(f.oid("ghost"), "_")).has_value());
+    EXPECT_FALSE((co_await f.store.read(f.oid("ghost"), 0, 4096)).found);
+    EXPECT_FALSE(f.store.object_in_memory(f.oid("ghost")));
+    EXPECT_EQ(f.store.object_size(f.oid("ghost")), 0u);
   });
 }
 
-TEST(FileStore, OmapOpsGoThroughKv) {
-  StoreFixture f;
-  f.run([&]() -> sim::CoTask<void> {
-    Transaction t;
-    t.omap_setkeys(f.oid("a"), {{"pglog.0001", kv::Value::real("entry1")},
-                                {"pglog.0002", kv::Value::real("entry2")}});
-    co_await f.store.apply_transaction(t, true);
-    auto v = co_await f.omap.get("pglog.0001");
-    EXPECT_TRUE(v.has_value());
-    if (v) EXPECT_EQ(v->data, "entry1");
-
-    Transaction trim;
-    trim.omap_rmkeyrange(f.oid("a"), "pglog.0000", "pglog.0002");
-    co_await f.store.apply_transaction(trim, true);
-    EXPECT_FALSE((co_await f.omap.get("pglog.0001")).has_value());
-    EXPECT_TRUE((co_await f.omap.get("pglog.0002")).has_value());
-  });
-}
-
-TEST(FileStore, LightTransactionsCostFewerSyscalls) {
-  StoreFixture heavy, light;
-  auto run_apply = [](StoreFixture& f, bool lightweight) {
-    f.run([&f, lightweight]() -> sim::CoTask<void> {
-      for (int i = 0; i < 50; i++) {
-        Transaction t;
-        auto oid = f.oid("obj" + std::to_string(i));
-        t.write(oid, 0, Payload::pattern(4096, std::uint64_t(i)));
-        t.omap_setkeys(oid, {{"k" + std::to_string(i), kv::Value::virt(180)}});
-        t.setattrs(oid, {{"_", kv::Value::virt(250)}});
-        if (!lightweight) t.set_alloc_hint(oid);
-        co_await f.store.apply_transaction(t, lightweight);
-      }
-    });
-  };
-  run_apply(heavy, false);
-  run_apply(light, true);
-  EXPECT_GT(heavy.store.syscalls(), 2 * light.store.syscalls());
-  // Community applies drag the fdatasync/fs-journal overhead to the device.
-  EXPECT_GT(heavy.ssd.bytes_written(), light.ssd.bytes_written());
-}
-
-TEST(FileStore, MetadataReadsHitPageCacheAfterFirstTouch) {
-  StoreFixture f;
+TEST_P(StoreContent, MetadataReadsHitPageCacheAfterFirstTouch) {
+  store::StoreRig<> f(config());
   f.run([&]() -> sim::CoTask<void> {
     Transaction t;
     t.write(f.oid("a"), 0, Payload::pattern(4096, 1));
@@ -233,68 +265,55 @@ TEST(FileStore, MetadataReadsHitPageCacheAfterFirstTouch) {
     (void)co_await f.store.getattr(f.oid("a"), "_");
     // setattrs warmed the meta page; no device reads needed.
     EXPECT_EQ(f.store.metadata_device_reads(), before);
+    // A cold object pays exactly one metadata read, then hits.
+    (void)co_await f.store.getattr(f.oid("cold"), "_");
+    (void)co_await f.store.getattr(f.oid("cold"), "_");
+    EXPECT_EQ(f.store.metadata_device_reads(), before + 1);
   });
 }
 
-TEST(FileStore, ColdMetadataCostsDeviceReads) {
-  FileStore::Config cfg;
-  cfg.page_cache_pages = 4;  // effectively no cache
-  StoreFixture f(cfg);
+TEST_P(StoreContent, AssumePopulatedSynthesizesObjects) {
+  store::StoreRig<> f(config(/*assume_populated=*/true));
+  const ObjectId oid = f.oid("never.seen");
+  constexpr std::uint64_t kSize = store::ObjectStore::kPopulatedObjectSize;
   f.run([&]() -> sim::CoTask<void> {
-    for (int i = 0; i < 20; i++) {
-      Transaction t;
-      t.write(f.oid("obj" + std::to_string(i)), 0, Payload::pattern(4096, 1));
-      co_await f.store.apply_transaction(t, true);
-    }
-    for (int i = 0; i < 20; i++) {
-      (void)co_await f.store.getattr(f.oid("obj" + std::to_string(i)), "_");
-    }
-    EXPECT_GE(f.store.metadata_device_reads(), 15u);
-  });
-}
-
-TEST(FileStore, AssumePopulatedSynthesizesObjects) {
-  FileStore::Config cfg;
-  cfg.assume_populated = true;
-  cfg.populated_object_size = 4 * kMiB;
-  StoreFixture f(cfg);
-  f.run([&]() -> sim::CoTask<void> {
-    auto size = co_await f.store.stat(f.oid("never.seen"));
-    EXPECT_TRUE(size.has_value());
-    if (size) EXPECT_EQ(*size, 4 * kMiB);
-    auto attr = co_await f.store.getattr(f.oid("never.seen"), "_");
+    // The object exists with kSize bytes and its object_info / snapset
+    // xattrs before anything is written, without taking a table entry.
+    auto attr = co_await f.store.getattr(oid, "_");
     EXPECT_TRUE(attr.has_value());
-    auto r = co_await f.store.read(f.oid("never.seen"), 1 * kMiB, 4096);
+    EXPECT_TRUE((co_await f.store.getattr(oid, "snapset")).has_value());
+    EXPECT_FALSE((co_await f.store.getattr(oid, "nope")).has_value());
+    auto tail = co_await f.store.read(oid, kSize - 100, 4096);
+    EXPECT_TRUE(tail.found);
+    EXPECT_EQ(tail.length, 100u);
+    auto past = co_await f.store.read(oid, kSize, 4096);
+    EXPECT_TRUE(past.found);
+    EXPECT_EQ(past.length, 0u);
+    auto r = co_await f.store.read(oid, 1 * kMiB, 4096);
     EXPECT_TRUE(r.found);
     EXPECT_EQ(r.length, 4096u);
-    // Overwrite then read back: new data wins, remainder keeps synthetic
-    // content deterministically.
+    EXPECT_FALSE(f.store.object_in_memory(oid));
+    // Overwrite then read back: new data wins, the remainder keeps the
+    // synthesized content deterministically.
     Transaction t;
     auto fresh = Payload::pattern(4096, 777);
-    t.write(f.oid("never.seen"), 1 * kMiB, fresh);
+    t.write(oid, 1 * kMiB, fresh);
     co_await f.store.apply_transaction(t, true);
-    auto r2 = co_await f.store.read(f.oid("never.seen"), 1 * kMiB, 4096);
+    EXPECT_EQ(f.store.object_size(oid), kSize);
+    auto r2 = co_await f.store.read(oid, 1 * kMiB, 4096);
     EXPECT_EQ(*r2.data, fresh.materialize());
-    auto r3 = co_await f.store.read(f.oid("never.seen"), 1 * kMiB + 4096, 4096);
-    EXPECT_EQ(*r3.data, (co_await f.store.read(f.oid("never.seen"), 1 * kMiB + 4096, 4096)).data);
+    auto r3 = co_await f.store.read(oid, 1 * kMiB + 4096, 4096);
+    EXPECT_EQ(*r3.data, Payload::pattern(4096, store::ExtentMap::populated_seed(oid),
+                                         1 * kMiB + 4096)
+                            .materialize());
   });
 }
 
-TEST(FileStore, WritebackBackpressureStallsWhenDirtyLimitHit) {
-  FileStore::Config cfg;
-  cfg.writeback_limit_bytes = 64 * 1024;
-  StoreFixture f(cfg);
-  f.run([&]() -> sim::CoTask<void> {
-    for (int i = 0; i < 100; i++) {
-      Transaction t;
-      t.write(f.oid("big"), std::uint64_t(i) * 64 * 1024, Payload::pattern(64 * 1024, 1));
-      co_await f.store.apply_transaction(t, true);  // light: buffered path
-    }
-    co_await f.store.drain();
-  });
-  EXPECT_GT(f.store.writeback_stalls(), 0u);
-  EXPECT_EQ(f.store.dirty_bytes(), 0u);  // drained
-}
+INSTANTIATE_TEST_SUITE_P(Backends, StoreContent,
+                         ::testing::Values(store::Backend::kFile, store::Backend::kFlash),
+                         [](const ::testing::TestParamInfo<store::Backend>& info) {
+                           return std::string(store::backend_name(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Journal

@@ -85,12 +85,14 @@ TEST(MemTable, AgainstReferenceModel) {
   Rng rng(31);
   std::uint64_t seq = 0;
   for (int i = 0; i < 5000; i++) {
-    const std::string key = "k" + std::to_string(rng.uniform_int(0, 300));
+    const std::string id = std::to_string(rng.uniform_int(0, 300));
+    const std::string key = "k" + id;
     if (rng.chance(0.25)) {
       m.del(key, ++seq);
       ref[key] = {false, ""};
     } else {
-      const std::string val = "v" + std::to_string(i);
+      const std::string n = std::to_string(i);
+      const std::string val = "v" + n;
       m.put(key, Value::real(val), ++seq);
       ref[key] = {true, val};
     }
@@ -273,7 +275,9 @@ TEST(Db, SurvivesFlushesAndCompactions) {
     for (const auto& [k, v] : ref) {
       auto got = co_await f.db.get(k);
       EXPECT_TRUE(got.has_value()) << k;
-      if (got) EXPECT_EQ(got->data, v) << k;
+      if (got) {
+        EXPECT_EQ(got->data, v) << k;
+      }
     }
     // Spot-check deleted keys stay deleted through compaction.
     for (int i = 0; i < 400; i++) {

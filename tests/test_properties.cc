@@ -2,7 +2,8 @@
 // reference models, and parameterized sweeps (TEST_P) over configuration
 // space. These are the heavy-artillery invariant checks:
 //
-//  * filestore extent map == flat reference buffer under random writes;
+//  * each store backend's extent map == flat reference buffer under random
+//    unaligned writes;
 //  * LSM Db == std::map under random put/del/get across config corners;
 //  * simulator determinism: identical seeds => identical results;
 //  * payload slicing algebra;
@@ -21,28 +22,34 @@ namespace afc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Filestore extent map vs flat buffer
+// Store extent map vs flat buffer, on both backends
 // ---------------------------------------------------------------------------
 
-class ExtentMapProperty : public ::testing::TestWithParam<std::uint64_t> {};
+struct ExtentMapCase {
+  store::Backend backend;
+  std::uint64_t seed;
+};
+
+// Prints the seed, so the FileStore cases keep their seed-named test names.
+void PrintTo(const ExtentMapCase& c, std::ostream* os) {
+  *os << c.seed;
+  if (c.backend != store::Backend::kFile) *os << " on " << store::backend_name(c.backend);
+}
+
+class ExtentMapProperty : public ::testing::TestWithParam<ExtentMapCase> {};
 
 TEST_P(ExtentMapProperty, RandomWritesMatchReferenceBuffer) {
-  const std::uint64_t seed = GetParam();
-  sim::Simulation sim;
-  sim::CpuPool cpu(sim, 8);
-  dev::SsdModel ssd(sim, "ssd", dev::SsdModel::Config{});
-  kv::Db omap(sim, ssd);
-  dev::NvramModel nvram(sim, "nvram");
-  store::StoreHarness owner(sim);
-  fs::FileStore store(sim, cpu, nvram, ssd, omap, fs::FileStore::Config{},
-                      fs::Journal::Config{}, owner, owner.throttles());
+  const std::uint64_t seed = GetParam().seed;
+  store::StoreConfig cfg;
+  cfg.backend = GetParam().backend;
+  store::StoreRig<> rig(cfg);
+  store::ObjectStore& store = rig.store;
 
   constexpr std::uint64_t kObjectSize = 64 * 1024;
   std::vector<std::uint8_t> reference(kObjectSize, 0);
   const fs::ObjectId oid{1, "prop"};
-  bool done = false;
 
-  sim::spawn_fn([&]() -> sim::CoTask<void> {
+  rig.run([&]() -> sim::CoTask<void> {
     Rng rng(seed);
     for (int i = 0; i < 200; i++) {
       // Random write: arbitrary (unaligned!) offset and length.
@@ -83,13 +90,19 @@ TEST_P(ExtentMapProperty, RandomWritesMatchReferenceBuffer) {
     bool equal = true;
     for (std::uint64_t b = 0; b < size; b++) equal &= (*r.data)[b] == reference[b];
     EXPECT_TRUE(equal);
-    done = true;
   });
-  sim.run();
-  ASSERT_TRUE(done);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ExtentMapProperty, ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+std::vector<ExtentMapCase> extent_map_cases(store::Backend backend) {
+  std::vector<ExtentMapCase> cases;
+  for (std::uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) cases.push_back({backend, seed});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExtentMapProperty,
+                         ::testing::ValuesIn(extent_map_cases(store::Backend::kFile)));
+INSTANTIATE_TEST_SUITE_P(FlashSeeds, ExtentMapProperty,
+                         ::testing::ValuesIn(extent_map_cases(store::Backend::kFlash)));
 
 // ---------------------------------------------------------------------------
 // LSM Db vs std::map across configuration corners
@@ -140,7 +153,9 @@ TEST_P(DbProperty, RandomOpsMatchStdMap) {
           EXPECT_FALSE(got.has_value()) << key << " iter " << i;
         } else {
           EXPECT_TRUE(got.has_value()) << key << " iter " << i;
-          if (got) EXPECT_EQ(got->data, it->second);
+          if (got) {
+            EXPECT_EQ(got->data, it->second);
+          }
         }
       }
     }
@@ -149,7 +164,9 @@ TEST_P(DbProperty, RandomOpsMatchStdMap) {
     for (const auto& [k, v] : ref) {
       auto got = co_await db.get(k);
       EXPECT_TRUE(got.has_value()) << k;
-      if (got) EXPECT_EQ(got->data, v) << k;
+      if (got) {
+        EXPECT_EQ(got->data, v) << k;
+      }
     }
     done = true;
   });
@@ -270,7 +287,9 @@ TEST_P(CrushProperty, BalancedAndHostSeparated) {
       load[osd]++;
       hosts.insert(osd / s.per_host);
     }
-    if (s.hosts >= s.replication) EXPECT_EQ(hosts.size(), s.replication);
+    if (s.hosts >= s.replication) {
+      EXPECT_EQ(hosts.size(), s.replication);
+    }
   }
   const double expected = double(pgs) * s.replication / double(s.hosts * s.per_host);
   for (const auto& [osd, n] : load) EXPECT_NEAR(n, expected, expected * 0.45) << "osd " << osd;

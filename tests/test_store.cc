@@ -4,40 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "device/nvram.h"
-#include "device/ssd.h"
-#include "store/flashstore/flashstore.h"
 #include "store_harness.h"
 
 namespace afc::store {
 namespace {
 
-struct FlashFixture {
-  sim::Simulation sim;
-  sim::CpuPool cpu{sim, 8};
-  dev::NvramModel nvram{sim, "nvram"};
-  dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
-  kv::Db kvdb{sim, ssd};
-  StoreHarness owner{sim};
-  FlashStore store;
-
-  explicit FlashFixture(FlashStore::Config cfg = {})
-      : store(sim, cpu, nvram, ssd, kvdb, cfg, owner, owner.throttles()) {}
-
-  template <class Fn>
-  void run(Fn fn) {
-    bool done = false;
-    sim::spawn_fn([&]() -> sim::CoTask<void> {
-      co_await fn();
-      done = true;
-    });
-    sim.run();
-    ASSERT_TRUE(done);
-  }
-
-  fs::ObjectId oid(const std::string& name, std::uint32_t pg = 1) {
-    return fs::ObjectId{pg, name};
-  }
+struct FlashFixture : StoreRig<FlashStore> {
+  explicit FlashFixture(FlashStore::Config cfg = {}) : StoreRig({Backend::kFlash, {}, cfg}) {}
 };
 
 TEST(FlashStore, AlignedLargeWriteGoesDirectAndReadsBack) {
