@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot gate: configure Release, build, run the unit tests, run the
-# event-core microbenchmark, smoke-test the op tracer (including validating
-# the exported Chrome trace JSON), validate the committed BENCH_*.json perf
+# perfbench determinism self-test, run the event-core microbenchmark,
+# smoke-test the op tracer (including validating the exported Chrome trace
+# JSON), validate the committed BENCH_*.json perf
 # trajectory, run the transport perf-smoke (fig13 ladder + default-off
 # byte-identity), run the QoS and EC smokes (fig14/fig15 gates), run the
 # store-backend perf smoke (fig16 gate: FlashStore >= FileStore), run the
@@ -21,6 +22,13 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo
+echo "=== perfbench self-test (untraced and traced repetitions agree) ==="
+# Every modeled value and sim.events_per_op must match across untraced and
+# traced repetitions of all three benchmark workloads: the cheap guard that
+# host-side container work never reorders simulator events.
+python3 perfbench/run.py --selftest --seed 42
 
 echo
 echo "=== bench/micro_sim (timing wheel vs reference heap) ==="

@@ -3,29 +3,12 @@
 namespace afc::fs {
 
 bool PageCache::lookup(std::uint64_t object_hash, std::uint64_t page) {
-  auto it = map_.find(Key{object_hash, page});
-  if (it == map_.end()) {
-    misses_++;
-    return false;
+  if (pages_.touch(object_hash, page)) {
+    hits_++;
+    return true;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  hits_++;
-  return true;
-}
-
-void PageCache::insert(std::uint64_t object_hash, std::uint64_t page) {
-  const Key key{object_hash, page};
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(key);
-  map_[key] = lru_.begin();
-  while (map_.size() > capacity_ && !lru_.empty()) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-  }
+  misses_++;
+  return false;
 }
 
 std::uint64_t PageCache::missing_pages(std::uint64_t object_hash, std::uint64_t offset,
@@ -35,7 +18,7 @@ std::uint64_t PageCache::missing_pages(std::uint64_t object_hash, std::uint64_t 
   const std::uint64_t last = (offset + len - 1) / kPageSize;
   std::uint64_t missing = 0;
   for (std::uint64_t p = first; p <= last; p++) {
-    if (map_.find(Key{object_hash, p}) == map_.end()) missing++;
+    if (!pages_.contains(object_hash, p)) missing++;
   }
   return missing;
 }

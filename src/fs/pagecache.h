@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+
+#include "common/lru_set.h"
 
 namespace afc::fs {
 
@@ -14,7 +14,7 @@ namespace afc::fs {
 /// better in Fig. 9 (clean) than in Fig. 10 (sustained).
 class PageCache {
  public:
-  explicit PageCache(std::size_t capacity_pages) : capacity_(capacity_pages) {}
+  explicit PageCache(std::size_t capacity_pages) : pages_(capacity_pages) {}
 
   static constexpr std::uint64_t kPageSize = 4096;
 
@@ -22,33 +22,21 @@ class PageCache {
   bool lookup(std::uint64_t object_hash, std::uint64_t page);
 
   /// Insert / refresh a page (write-through or read fill).
-  void insert(std::uint64_t object_hash, std::uint64_t page);
+  void insert(std::uint64_t object_hash, std::uint64_t page) { pages_.insert(object_hash, page); }
 
   /// Lookup helper over a byte range; returns the number of *missing* pages.
+  /// Does not refresh resident pages.
   std::uint64_t missing_pages(std::uint64_t object_hash, std::uint64_t offset,
                               std::uint64_t len) const;
   void insert_range(std::uint64_t object_hash, std::uint64_t offset, std::uint64_t len);
 
-  std::size_t size() const { return map_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return pages_.size(); }
+  std::size_t capacity() const { return pages_.capacity(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
-  struct Key {
-    std::uint64_t obj;
-    std::uint64_t page;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::size_t(k.obj * 0x9e3779b97f4a7c15ull ^ k.page);
-    }
-  };
-
-  std::size_t capacity_;
-  std::list<Key> lru_;
-  std::unordered_map<Key, std::list<Key>::iterator, KeyHash> map_;
+  LruSet pages_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

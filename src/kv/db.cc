@@ -12,19 +12,17 @@ std::uint64_t WriteBatch::payload_bytes() const {
   return total;
 }
 
-Db::Db(sim::Simulation& sim, dev::Device& dev, const Config& cfg, std::uint64_t seed,
-       sim::CpuPool* cpu)
+Db::Db(sim::Simulation& sim, dev::Device& dev, const Config& cfg, sim::CpuPool* cpu)
     : sim_(sim),
       dev_(dev),
       cfg_(cfg),
       cpu_(cpu),
       wal_(sim, dev, cfg.wal_buffer_bytes),
-      mem_(seed),
-      rng_seed_(seed),
       write_lock_(sim),
       work_cv_(sim),
       stall_cv_(sim),
-      idle_cv_(sim) {
+      idle_cv_(sim),
+      block_cache_(std::size_t(cfg.block_cache_bytes / 4096)) {
   levels_.resize(std::size_t(cfg_.max_levels));
   sim::spawn(background_worker());
 }
@@ -92,7 +90,7 @@ sim::CoTask<void> Db::maybe_stall() {
 void Db::maybe_schedule_flush() {
   if (mem_.approximate_bytes() >= cfg_.memtable_bytes && !imm_.has_value()) {
     imm_.emplace(std::move(mem_));
-    mem_ = MemTable(++rng_seed_);
+    mem_ = MemTable();
     flush_requested_ = true;
     work_cv_.notify_all();
   }
@@ -254,22 +252,13 @@ sim::CoTask<void> Db::do_compaction(int level) {
 }
 
 sim::CoTask<bool> Db::read_block(const SsTable& table, std::uint64_t block) {
-  const CacheKey key{table.id(), block};
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (block_cache_.touch(table.id(), block)) {
     cache_hits_++;
     co_return false;
   }
   cache_misses_++;
   co_await dev_.submit(dev::IoType::kRead, block * 4096, 4096);
-  lru_.push_front(key);
-  cache_[key] = lru_.begin();
-  const std::size_t max_entries = std::size_t(cfg_.block_cache_bytes / 4096);
-  while (cache_.size() > max_entries && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
+  block_cache_.insert(table.id(), block);
   co_return true;
 }
 

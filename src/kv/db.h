@@ -1,10 +1,9 @@
 #pragma once
 
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
+#include "common/lru_set.h"
 #include "common/stats.h"
 #include "core/trace.h"
 #include "kv/sstable.h"
@@ -69,8 +68,7 @@ class Db {
     double cpu_multiplier = 1.0;  // allocator tax
   };
 
-  Db(sim::Simulation& sim, dev::Device& dev, const Config& cfg, std::uint64_t seed = 7,
-     sim::CpuPool* cpu = nullptr);
+  Db(sim::Simulation& sim, dev::Device& dev, const Config& cfg, sim::CpuPool* cpu = nullptr);
   Db(sim::Simulation& sim, dev::Device& dev) : Db(sim, dev, Config{}) {}
 
   /// Single-op writes (one WAL record each — the community-Ceph pattern of
@@ -138,7 +136,6 @@ class Db {
   std::vector<std::vector<TablePtr>> levels_;
   std::uint64_t next_table_id_ = 1;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t rng_seed_;
 
   sim::Mutex write_lock_;
   sim::CondVar work_cv_;
@@ -148,19 +145,8 @@ class Db {
   bool closing_ = false;
   bool worker_busy_ = false;
 
-  // Block cache: (table_id, block) -> LRU entry.
-  struct CacheKey {
-    std::uint64_t table;
-    std::uint64_t block;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return std::size_t(k.table * 0x9e3779b97f4a7c15ull ^ k.block);
-    }
-  };
-  std::list<CacheKey> lru_;
-  std::unordered_map<CacheKey, std::list<CacheKey>::iterator, CacheKeyHash> cache_;
+  // Block cache: resident (table_id, block) pairs in LRU order.
+  LruSet block_cache_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
 

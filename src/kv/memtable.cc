@@ -1,134 +1,107 @@
 #include "kv/memtable.h"
 
-#include <cassert>
+#include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace afc::kv {
 
-struct MemTable::SkipNode {
-  Entry entry;
-  int height;
-  SkipNode* next[1];  // flexible tower; allocated with extra space
+namespace {
 
-  static SkipNode* make(Entry e, int height) {
-    const std::size_t sz = sizeof(SkipNode) + sizeof(SkipNode*) * std::size_t(height - 1);
-    auto* raw = ::operator new(sz);
-    auto* n = new (raw) SkipNode{std::move(e), height, {nullptr}};
-    for (int i = 0; i < height; i++) n->next[i] = nullptr;
-    return n;
-  }
-  static void destroy(SkipNode* n) {
-    n->~SkipNode();
-    ::operator delete(n);
-  }
-};
-
-MemTable::MemTable(std::uint64_t seed) : rng_(seed) {
-  head_ = SkipNode::make(Entry{}, kMaxHeight);
+std::uint32_t key_hash(std::string_view key) {
+  return std::uint32_t(std::hash<std::string_view>{}(key));
 }
 
-MemTable::~MemTable() {
-  if (!head_) return;
-  SkipNode* n = head_;
-  while (n) {
-    SkipNode* next = n->next[0];
-    SkipNode::destroy(n);
-    n = next;
+}  // namespace
+
+std::size_t MemTable::probe(std::string_view key, std::uint32_t h) const {
+  std::size_t i = h & mask_;
+  while (slots_[i].entry != kNil && !(slots_[i].hash == h && at(slots_[i].entry).key == key)) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
+Entry& MemTable::find_or_append(std::string_view key, bool& appended) {
+  if ((count_ + 1) * 4 > slots_.size() * 3) grow_index();
+  const std::uint32_t h = key_hash(key);
+  const std::size_t i = probe(key, h);
+  appended = slots_[i].entry == kNil;
+  if (!appended) return at(slots_[i].entry);
+  const auto idx = std::uint32_t(count_++);
+  if ((idx & kChunkMask) == 0) chunks_.push_back(std::make_unique<Entry[]>(kChunkMask + 1));
+  slots_[i] = Slot{idx, h};
+  Entry& e = at(idx);
+  e.key.assign(key);
+  return e;
+}
+
+void MemTable::grow_index() {
+  std::vector<Slot> old(slots_.empty() ? 16 : slots_.size() * 2);
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.entry == kNil) continue;
+    std::size_t i = s.hash & mask_;
+    while (slots_[i].entry != kNil) i = (i + 1) & mask_;
+    slots_[i] = s;
   }
 }
 
-MemTable::MemTable(MemTable&& o) noexcept
-    : head_(o.head_), height_(o.height_), rng_(o.rng_), bytes_(o.bytes_), count_(o.count_) {
-  o.head_ = nullptr;
-  o.count_ = 0;
-  o.bytes_ = 0;
-}
-
-MemTable& MemTable::operator=(MemTable&& o) noexcept {
-  if (this != &o) {
-    this->~MemTable();
-    new (this) MemTable(std::move(o));
-  }
-  return *this;
-}
-
-int MemTable::random_height() {
-  int h = 1;
-  while (h < kMaxHeight && (rng_.next() & 3) == 0) h++;  // p = 1/4
-  return h;
-}
-
-MemTable::SkipNode* MemTable::find_greater_or_equal(std::string_view key,
-                                                    SkipNode** prev) const {
-  SkipNode* x = head_;
-  int level = height_ - 1;
-  for (;;) {
-    SkipNode* next = x->next[level];
-    if (next != nullptr && next->entry.key < key) {
-      x = next;
-    } else {
-      if (prev != nullptr) prev[level] = x;
-      if (level == 0) return next;
-      level--;
-    }
-  }
+void MemTable::write(std::string_view key, Value v, std::uint64_t seq, EntryType type) {
+  bool appended = false;
+  Entry& e = find_or_append(key, appended);
+  if (!appended) bytes_ -= e.encoded_size();
+  e.value = std::move(v);
+  e.seq = seq;
+  e.type = type;
+  bytes_ += e.encoded_size();
 }
 
 void MemTable::put(std::string_view key, Value v, std::uint64_t seq) {
-  SkipNode* prev[kMaxHeight];
-  for (int i = height_; i < kMaxHeight; i++) prev[i] = head_;
-  SkipNode* n = find_greater_or_equal(key, prev);
-  if (n != nullptr && n->entry.key == key) {
-    bytes_ -= n->entry.encoded_size();
-    n->entry.value = std::move(v);
-    n->entry.seq = seq;
-    n->entry.type = EntryType::kPut;
-    bytes_ += n->entry.encoded_size();
-    return;
-  }
-  const int h = random_height();
-  if (h > height_) height_ = h;
-  Entry e{std::string(key), std::move(v), seq, EntryType::kPut};
-  bytes_ += e.encoded_size();
-  count_++;
-  SkipNode* node = SkipNode::make(std::move(e), h);
-  for (int i = 0; i < h; i++) {
-    node->next[i] = prev[i]->next[i];
-    prev[i]->next[i] = node;
-  }
+  write(key, std::move(v), seq, EntryType::kPut);
 }
 
 void MemTable::del(std::string_view key, std::uint64_t seq) {
-  put(key, Value{}, seq);
-  // Rewrite the freshly-updated node as a tombstone.
-  SkipNode* n = find_greater_or_equal(key, nullptr);
-  assert(n != nullptr && n->entry.key == key);
-  n->entry.type = EntryType::kDelete;
-  n->entry.seq = seq;
+  write(key, Value{}, seq, EntryType::kDelete);
 }
 
 const Entry* MemTable::get(std::string_view key) const {
-  SkipNode* n = find_greater_or_equal(key, nullptr);
-  if (n != nullptr && n->entry.key == key) return &n->entry;
-  return nullptr;
+  if (count_ == 0) return nullptr;
+  const std::size_t i = probe(key, key_hash(key));
+  return slots_[i].entry == kNil ? nullptr : &at(slots_[i].entry);
+}
+
+void MemTable::sort_pending() const {
+  const std::size_t merged = sorted_.size();
+  if (merged == count_) return;
+  for (std::size_t i = merged; i < count_; i++) sorted_.push_back(std::uint32_t(i));
+  const auto by_key = [this](std::uint32_t x, std::uint32_t y) { return at(x).key < at(y).key; };
+  std::sort(sorted_.begin() + std::ptrdiff_t(merged), sorted_.end(), by_key);
+  std::inplace_merge(sorted_.begin(), sorted_.begin() + std::ptrdiff_t(merged), sorted_.end(),
+                     by_key);
 }
 
 std::vector<Entry> MemTable::dump() const {
+  sort_pending();
   std::vector<Entry> out;
   out.reserve(count_);
-  for (SkipNode* n = head_->next[0]; n != nullptr; n = n->next[0]) out.push_back(n->entry);
+  for (std::uint32_t i : sorted_) out.push_back(at(i));
   return out;
 }
 
 const Entry* MemTable::seek(std::string_view from) const {
-  SkipNode* n = find_greater_or_equal(from, nullptr);
-  return n ? &n->entry : nullptr;
+  sort_pending();
+  auto it = std::lower_bound(sorted_.begin(), sorted_.end(), from,
+                             [this](std::uint32_t i, std::string_view k) { return at(i).key < k; });
+  return it == sorted_.end() ? nullptr : &at(*it);
 }
 
 const Entry* MemTable::next(const Entry* e) const {
-  // Entry is the first member of SkipNode, so recover the node.
-  auto* node = reinterpret_cast<const SkipNode*>(e);
-  SkipNode* n = node->next[0];
-  return n ? &n->entry : nullptr;
+  sort_pending();
+  auto it = std::upper_bound(sorted_.begin(), sorted_.end(), std::string_view(e->key),
+                             [this](std::string_view k, std::uint32_t i) { return k < at(i).key; });
+  return it == sorted_.end() ? nullptr : &at(*it);
 }
 
 }  // namespace afc::kv

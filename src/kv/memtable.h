@@ -6,8 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace afc::kv {
 
 /// A value that is either real bytes (tested for correctness) or a virtual
@@ -36,18 +34,24 @@ struct Entry {
   std::uint64_t encoded_size() const { return key.size() + value.size() + 16; }
 };
 
-/// Skiplist memtable: sorted by key, newest write wins in place (the DB
-/// layer has no MVCC readers, so keeping only the latest version per key is
-/// equivalent and cheaper). Tombstones are retained for correct merge with
-/// older SSTables.
+/// Memtable: newest write wins in place (the DB layer has no MVCC readers,
+/// so keeping only the latest version per key is equivalent and cheaper).
+/// Tombstones are retained for correct merge with older SSTables.
+///
+/// Entries live in fixed-size chunks in insertion order, so their addresses
+/// never change. An open-addressing hash index over each entry's own key
+/// serves put / get / del with one probe sequence. Key order is built only
+/// when asked for (dump, seek, next): the entries added since the last such
+/// call are sorted and merged into a cached sorted view.
 class MemTable {
  public:
-  explicit MemTable(std::uint64_t seed = 1);
-  ~MemTable();
+  /// `seed` is ignored — the table has no randomness. It stays so callers
+  /// that pass one keep compiling.
+  explicit MemTable(std::uint64_t /*seed*/ = 1) {}
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
-  MemTable(MemTable&&) noexcept;
-  MemTable& operator=(MemTable&&) noexcept;
+  MemTable(MemTable&&) noexcept = default;
+  MemTable& operator=(MemTable&&) noexcept = default;
 
   void put(std::string_view key, Value v, std::uint64_t seq);
   void del(std::string_view key, std::uint64_t seq);
@@ -69,15 +73,29 @@ class MemTable {
   bool empty() const { return count_ == 0; }
 
  private:
-  static constexpr int kMaxHeight = 12;
+  static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+  static constexpr unsigned kChunkBits = 8;  // 256 entries per chunk
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
 
-  struct SkipNode;
-  int random_height();
-  SkipNode* find_greater_or_equal(std::string_view key, SkipNode** prev) const;
+  struct Slot {
+    std::uint32_t entry = kNil;  // kNil: empty
+    std::uint32_t hash = 0;      // home slot is hash & mask_
+  };
 
-  SkipNode* head_;
-  int height_ = 1;
-  Rng rng_;
+  Entry& at(std::uint32_t i) const { return chunks_[i >> kChunkBits][i & kChunkMask]; }
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  std::size_t probe(std::string_view key, std::uint32_t h) const;
+  /// The entry for `key`, appended (empty, unaccounted) if it is new.
+  Entry& find_or_append(std::string_view key, bool& appended);
+  void write(std::string_view key, Value v, std::uint64_t seq, EntryType type);
+  void grow_index();
+  /// Merge the entries appended since the last call into sorted_.
+  void sort_pending() const;
+
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  mutable std::vector<std::uint32_t> sorted_;  // entries [0, sorted_.size()) in key order
   std::uint64_t bytes_ = 0;
   std::size_t count_ = 0;
 };

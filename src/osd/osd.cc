@@ -63,7 +63,7 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
       msgr_(sim, node, *this, "osd." + std::to_string(id)),
       throttles_(sim, throttle_cfg),
       dlog_(sim, node.cpu(), log_with_profile(log_cfg, profile)),
-      omap_(sim, data_dev, kv_with_profile(kv_cfg, profile), 1000 + id, &node.cpu()),
+      omap_(sim, data_dev, kv_with_profile(kv_cfg, profile), &node.cpu()),
       store_(store::make_store(
           sim, node.cpu(), journal_dev, data_dev, omap_, with_profile(store_cfg, profile),
           journal_cfg, *this,

@@ -2,9 +2,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/simulation.h"
+#include "sim/wait_list.h"
 
 namespace afc::sim {
 
@@ -22,7 +22,7 @@ class CpuPool {
   CpuPool(const CpuPool&) = delete;
   CpuPool& operator=(const CpuPool&) = delete;
 
-  class Consume {
+  class Consume : public WaitLink {
    public:
     Consume(CpuPool& p, Time ns) : p_(p), ns_(ns) {}
     bool await_ready() const { return ns_ == 0; }
@@ -31,14 +31,19 @@ class CpuPool {
         p_.free_--;
         p_.run(h, ns_);
       } else {
-        p_.waiters_.push_back(Waiter{h, ns_, p_.sim_.now()});
+        handle_ = h;
+        enqueued_ = p_.sim_.now();
+        p_.waiters_.push_back(this);
       }
     }
     void await_resume() const {}
 
    private:
+    friend class CpuPool;
     CpuPool& p_;
     Time ns_;
+    std::coroutine_handle<> handle_;
+    Time enqueued_ = 0;
   };
 
   /// Occupy one core for `ns`.
@@ -59,11 +64,6 @@ class CpuPool {
 
  private:
   friend class Consume;
-  struct Waiter {
-    std::coroutine_handle<> h;
-    Time ns;
-    Time enqueued;
-  };
 
   void run(std::coroutine_handle<> h, Time ns) {
     sim_.schedule_after(
@@ -71,10 +71,9 @@ class CpuPool {
         [this, h, ns] {
           busy_ns_ += ns;
           if (!waiters_.empty()) {
-            Waiter w = waiters_.front();
-            waiters_.pop_front();
-            queue_wait_ns_ += sim_.now() - w.enqueued;
-            run(w.h, w.ns);
+            const Consume* w = waiters_.pop_front();
+            queue_wait_ns_ += sim_.now() - w->enqueued_;
+            run(w->handle_, w->ns_);
           } else {
             free_++;
           }
@@ -86,7 +85,7 @@ class CpuPool {
   Simulation& sim_;
   unsigned cores_;
   unsigned free_;
-  std::deque<Waiter> waiters_;
+  WaitList<Consume> waiters_;
   Time busy_ns_ = 0;
   Time queue_wait_ns_ = 0;
 };

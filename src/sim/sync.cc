@@ -4,12 +4,11 @@ namespace afc::sim {
 
 void CondVar::notify_one() {
   if (waiters_.empty()) return;
-  WaitNode n = waiters_.front();
-  waiters_.pop_front();
+  Node* n = waiters_.pop_front();
   // A timed waiter's deadline event is dropped off the wheel right here,
   // instead of executing as a tombstone at the deadline.
-  if (n.timed != nullptr) sim_.cancel(n.timed->token_);
-  const auto h = n.h;
+  if (n->deadline != nullptr) sim_.cancel(*n->deadline);
+  const auto h = n->handle;
   sim_.schedule_after(0, [h] { h.resume(); }, "sync.cv_notify");
 }
 
@@ -18,14 +17,10 @@ void CondVar::notify_all() {
 }
 
 void CondVar::TimedWaiter::on_timeout() {
+  // A notify would have cancelled this event, so the waiter is still queued.
   timed_out_ = true;
-  for (auto it = cv_.waiters_.begin(); it != cv_.waiters_.end(); ++it) {
-    if (it->timed == this) {
-      cv_.waiters_.erase(it);
-      break;
-    }
-  }
-  h_.resume();
+  cv_.waiters_.erase(this);
+  handle.resume();
 }
 
 bool Mutex::try_lock() {
@@ -42,8 +37,7 @@ void Mutex::unlock() {
   }
   // FIFO ownership handoff: the lock stays held and the next waiter resumes
   // as the owner on the next event-loop turn.
-  auto h = waiters_.front();
-  waiters_.pop_front();
+  const auto h = waiters_.pop_front()->handle_;
   acquisitions_++;
   sim_.schedule_after(0, [h] { h.resume(); }, "sync.mutex_handoff");
 }
@@ -76,8 +70,7 @@ void Semaphore::set_capacity(std::uint64_t cap) {
 
 void Semaphore::dispatch_waiters() {
   while (!waiters_.empty() && waiters_.front()->n_ <= available_) {
-    Acquire* w = waiters_.front();
-    waiters_.pop_front();
+    Acquire* w = waiters_.pop_front();
     available_ -= w->n_;
     const auto h = w->handle_;
     // Resume through the event queue: `w` lives on the suspended coroutine's

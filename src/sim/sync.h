@@ -2,10 +2,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "sim/wait_list.h"
 
 namespace afc::sim {
 
@@ -20,14 +20,22 @@ enum class TimedOut { kNo, kYes };
 /// needed: callers re-check their predicate in a `while` loop and notify
 /// *after* mutating state, which rules out lost wakeups.
 class CondVar {
+  struct Node : WaitLink {
+    std::coroutine_handle<> handle;
+    TimerToken* deadline = nullptr;  // a timed waiter's timeout event; null for wait()
+  };
+
  public:
   explicit CondVar(Simulation& sim) : sim_(sim) {}
 
-  class Waiter {
+  class Waiter : Node {
    public:
     explicit Waiter(CondVar& cv) : cv_(cv) {}
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { cv_.waiters_.push_back(WaitNode{h, nullptr}); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      cv_.waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
 
    private:
@@ -37,15 +45,16 @@ class CondVar {
   /// Timed wait: resumes on notify (await returns TimedOut::kNo) or after
   /// `timeout` ns (TimedOut::kYes). Whichever side loses drops its pending
   /// state at cancel time — a notify cancels the deadline event off the
-  /// timing wheel (no tombstone executes later), a timeout removes the
-  /// waiter from the notify queue.
-  class TimedWaiter {
+  /// timing wheel (no tombstone executes later), a timeout unlinks the
+  /// waiter from the notify queue in O(1).
+  class TimedWaiter : Node {
    public:
     TimedWaiter(CondVar& cv, Time timeout) : cv_(cv), timeout_(timeout) {}
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      h_ = h;
-      cv_.waiters_.push_back(WaitNode{h, this});
+      handle = h;
+      deadline = &token_;
+      cv_.waiters_.push_back(this);
       token_ = cv_.sim_.schedule_after(timeout_, [w = this] { w->on_timeout(); },
                                        "sync.cv_timeout");
     }
@@ -54,11 +63,9 @@ class CondVar {
     }
 
    private:
-    friend class CondVar;
     void on_timeout();
     CondVar& cv_;
     Time timeout_;
-    std::coroutine_handle<> h_{};
     TimerToken token_;
     bool timed_out_ = false;
   };
@@ -75,14 +82,8 @@ class CondVar {
   std::size_t waiters() const { return waiters_.size(); }
 
  private:
-  friend class Waiter;
-  friend class TimedWaiter;
-  struct WaitNode {
-    std::coroutine_handle<> h;
-    TimedWaiter* timed;  // null for plain wait()
-  };
   Simulation& sim_;
-  std::deque<WaitNode> waiters_;
+  WaitList<Node> waiters_;
 };
 
 /// FIFO mutex for simulated coroutines, with contention statistics: the
@@ -94,7 +95,7 @@ class Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  class Locker {
+  class Locker : public WaitLink {
    public:
     Locker(Mutex& m) : m_(m) {}
     bool await_ready() {
@@ -108,7 +109,8 @@ class Mutex {
     void await_suspend(std::coroutine_handle<> h) {
       t0_ = m_.sim_.now();
       m_.contended_++;
-      m_.waiters_.push_back(h);
+      handle_ = h;
+      m_.waiters_.push_back(this);
     }
     void await_resume() {
       // On the contended path ownership was transferred by unlock();
@@ -117,9 +119,11 @@ class Mutex {
     }
 
    private:
+    friend class Mutex;
     static constexpr Time kNoWait = ~Time(0);
     Mutex& m_;
     Time t0_ = kNoWait;
+    std::coroutine_handle<> handle_;
   };
 
   /// `co_await mutex.lock()`. FIFO handoff: unlock passes ownership to the
@@ -143,7 +147,7 @@ class Mutex {
   friend class Locker;
   Simulation& sim_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitList<Locker> waiters_;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t contended_ = 0;
   Time total_wait_ns_ = 0;
@@ -192,7 +196,7 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  class Acquire {
+  class Acquire : public WaitLink {
    public:
     Acquire(Semaphore& s, std::uint64_t n) : s_(s), n_(n) {}
     bool await_ready() {
@@ -245,7 +249,7 @@ class Semaphore {
   Simulation& sim_;
   std::uint64_t available_;
   std::uint64_t capacity_;
-  std::deque<Acquire*> waiters_;
+  WaitList<Acquire> waiters_;
   std::uint64_t acquires_ = 0;
   std::uint64_t blocked_ = 0;
   Time total_wait_ns_ = 0;

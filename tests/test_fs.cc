@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
 #include "fs/journal.h"
+#include "fs/pagecache.h"
 #include "store_harness.h"
 
 namespace afc::fs {
@@ -314,6 +320,130 @@ INSTANTIATE_TEST_SUITE_P(Backends, StoreContent,
                          [](const ::testing::TestParamInfo<store::Backend>& info) {
                            return std::string(store::backend_name(info.param));
                          });
+
+// ---------------------------------------------------------------------------
+// PageCache
+// ---------------------------------------------------------------------------
+
+// Reference model: a std::list + std::unordered_map LRU with the page
+// cache's semantics (lookup and insert refresh, missing_pages does not).
+class RefPageCache {
+ public:
+  explicit RefPageCache(std::size_t capacity) : capacity_(capacity) {}
+
+  bool lookup(std::uint64_t obj, std::uint64_t page) {
+    auto it = map_.find(Key{obj, page});
+    if (it == map_.end()) {
+      misses_++;
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    hits_++;
+    return true;
+  }
+  void insert(std::uint64_t obj, std::uint64_t page) {
+    const Key key{obj, page};
+    if (auto it = map_.find(key); it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    lru_.push_front(key);
+    map_[key] = lru_.begin();
+    while (map_.size() > capacity_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+  }
+  bool resident(std::uint64_t obj, std::uint64_t page) const {
+    return map_.count(Key{obj, page}) != 0;
+  }
+  std::uint64_t missing_pages(std::uint64_t obj, std::uint64_t offset, std::uint64_t len) const {
+    if (len == 0) return 0;
+    std::uint64_t missing = 0;
+    for (std::uint64_t p = offset / 4096; p <= (offset + len - 1) / 4096; p++) {
+      missing += resident(obj, p) ? 0 : 1;
+    }
+    return missing;
+  }
+  void insert_range(std::uint64_t obj, std::uint64_t offset, std::uint64_t len) {
+    if (len == 0) return;
+    for (std::uint64_t p = offset / 4096; p <= (offset + len - 1) / 4096; p++) insert(obj, p);
+  }
+  std::size_t size() const { return map_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Key {
+    std::uint64_t obj;
+    std::uint64_t page;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::size_t(k.obj * 0x9e3779b97f4a7c15ull ^ k.page);
+    }
+  };
+  std::size_t capacity_;
+  std::list<Key> lru_;
+  std::unordered_map<Key, std::list<Key>::iterator, KeyHash> map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+TEST(PageCache, MatchesReferenceLru) {
+  struct Case {
+    std::size_t capacity;
+    std::uint64_t objects;
+    std::uint64_t pages;  // per object
+    int steps;
+  };
+  // The last case holds ~16K pages, so the index doubles from 16 slots
+  // through 32K, and the ~30K-page key space keeps it evicting.
+  for (const Case& c : {Case{0, 3, 8, 2000}, Case{1, 3, 8, 2000}, Case{7, 4, 8, 4000},
+                        Case{16384, 64, 470, 60000}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << c.capacity);
+    constexpr std::uint64_t kPage = PageCache::kPageSize;
+    PageCache pc(c.capacity);
+    RefPageCache ref(c.capacity);
+    Rng rng(c.capacity + 11);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> probes;
+    for (int i = 0; i < 16; i++) {
+      probes.emplace_back(rng.uniform_int(0, c.objects - 1), rng.uniform_int(0, c.pages - 1));
+    }
+    for (int step = 0; step < c.steps; step++) {
+      const std::uint64_t obj = rng.uniform_int(0, c.objects - 1);
+      const std::uint64_t page = rng.uniform_int(0, c.pages - 1);
+      const std::uint64_t off = page * kPage + rng.uniform_int(0, kPage - 1);
+      const std::uint64_t len = rng.uniform_int(0, 5 * kPage);
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          ASSERT_EQ(pc.lookup(obj, page), ref.lookup(obj, page)) << "step " << step;
+          break;
+        case 1:
+          pc.insert(obj, page);
+          ref.insert(obj, page);
+          break;
+        case 2:
+          pc.insert_range(obj, off, len);
+          ref.insert_range(obj, off, len);
+          break;
+        default:
+          ASSERT_EQ(pc.missing_pages(obj, off, len), ref.missing_pages(obj, off, len))
+              << "step " << step;
+          break;
+      }
+      ASSERT_EQ(pc.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(pc.hits(), ref.hits()) << "step " << step;
+      ASSERT_EQ(pc.misses(), ref.misses()) << "step " << step;
+      for (const auto& [o, p] : probes) {
+        ASSERT_EQ(pc.missing_pages(o, p * kPage, 1), ref.missing_pages(o, p * kPage, 1))
+            << "step " << step << " probe " << o << "/" << p;
+      }
+    }
+    EXPECT_LE(pc.size(), c.capacity);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Journal

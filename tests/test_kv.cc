@@ -1,4 +1,4 @@
-// Tests for the LSM key-value store substrate: memtable skiplist, bloom
+// Tests for the LSM key-value store substrate: the hashed memtable, bloom
 // filters, SSTable lookup, merge semantics, and the full Db against a
 // reference std::map model (property-style), plus flush/compaction/stall
 // behaviour and write-amplification accounting.
@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
+#include "common/rng.h"
 #include "device/ssd.h"
 #include "kv/db.h"
 
@@ -107,6 +109,89 @@ TEST(MemTable, AgainstReferenceModel) {
       EXPECT_EQ(e->type, EntryType::kDelete);
     }
   }
+}
+
+// Puts and dels interleaved with dump / seek / next, so the sorted view is
+// extended and merged many times; every checkpoint compares the whole table
+// with a std::map. Then the table is moved the way Db rotates its memtable
+// (move-construct into the immutable slot, move-assign a fresh one).
+TEST(MemTable, SortedViewMatchesStdMapAcrossMerges) {
+  struct Ref {
+    std::string value;
+    std::uint64_t seq;
+    EntryType type;
+  };
+  using RefMap = std::map<std::string, Ref>;
+  const auto expect_matches = [](const MemTable& m, const RefMap& ref, Rng& rng) {
+    std::uint64_t bytes = 0;
+    for (const auto& [k, r] : ref) bytes += k.size() + r.value.size() + 16;
+    ASSERT_EQ(m.count(), ref.size());
+    ASSERT_EQ(m.approximate_bytes(), bytes);
+    const std::vector<Entry> dumped = m.dump();
+    ASSERT_EQ(dumped.size(), ref.size());
+    auto it = ref.begin();
+    for (const Entry& e : dumped) {
+      ASSERT_EQ(e.key, it->first);
+      ASSERT_EQ(e.value.data, it->second.value);
+      ASSERT_EQ(e.seq, it->second.seq);
+      ASSERT_EQ(e.type, it->second.type);
+      ++it;
+    }
+    for (int probe = 0; probe < 8; probe++) {
+      const std::string id = std::to_string(rng.uniform_int(0, 2100));
+      const std::string from = "k" + id;
+      auto want = ref.lower_bound(from);
+      const Entry* got = m.seek(from);
+      for (int walk = 0; walk < 5; walk++, ++want) {
+        if (want == ref.end()) {
+          ASSERT_EQ(got, nullptr) << from;
+          break;
+        }
+        ASSERT_NE(got, nullptr) << from;
+        ASSERT_EQ(got->key, want->first);
+        ASSERT_EQ(m.get(got->key), got);  // the index and the view share entries
+        got = m.next(got);
+      }
+    }
+  };
+
+  MemTable m;
+  RefMap ref;
+  Rng rng(77);
+  std::uint64_t seq = 0;
+  const auto mutate = [&](MemTable& t, RefMap& r, int ops) {
+    for (int i = 0; i < ops; i++) {
+      const std::string id = std::to_string(rng.uniform_int(0, 2000));
+      const std::string key = "k" + id;
+      if (rng.chance(0.2)) {
+        t.del(key, ++seq);
+        r[key] = Ref{"", seq, EntryType::kDelete};
+      } else {
+        const std::string n = std::to_string(rng.uniform_int(0, 1u << 20));
+        const std::string val = "v" + n;
+        t.put(key, Value::real(val), ++seq);
+        r[key] = Ref{val, seq, EntryType::kPut};
+      }
+    }
+  };
+  for (int round = 0; round < 120; round++) {
+    mutate(m, ref, int(rng.uniform_int(1, 60)));
+    ASSERT_NO_FATAL_FAILURE(expect_matches(m, ref, rng)) << "round " << round;
+  }
+
+  std::optional<MemTable> imm;
+  imm.emplace(std::move(m));
+  m = MemTable();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.approximate_bytes(), 0u);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(*imm, ref, rng));
+  // Both tables keep working after the move: the moved table's sorted view
+  // extends, and the fresh one builds its own.
+  mutate(*imm, ref, 200);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(*imm, ref, rng));
+  RefMap fresh;
+  mutate(m, fresh, 300);
+  ASSERT_NO_FATAL_FAILURE(expect_matches(m, fresh, rng));
 }
 
 // ---------------------------------------------------------------------------

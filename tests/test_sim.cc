@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -763,6 +764,84 @@ TEST(OneShot, WaitForHonorsTimeoutAndSet) {
   sim.run();
   EXPECT_EQ(got_early, TimedOut::kNo);   // set() arrived at t=50
   EXPECT_EQ(got_never, TimedOut::kYes);  // never set; the deadline fired
+}
+
+TEST(CondVar, TimedOutMiddleWaiterKeepsFifoOrder) {
+  Simulation sim;
+  CondVar cv(sim);
+  std::vector<std::pair<int, TimedOut>> woke;
+  auto waiter = [&](int id, Time timeout) -> CoTask<void> {
+    const TimedOut r = co_await cv.wait_for(timeout);
+    woke.emplace_back(id, r);
+  };
+  spawn(waiter(0, 1000));
+  spawn(waiter(1, 50));  // the middle waiter times out and leaves the queue
+  spawn(waiter(2, 1000));
+  EXPECT_EQ(cv.waiters(), 3u);
+  sim.schedule_at(60, [&] { EXPECT_EQ(cv.waiters(), 2u); });
+  sim.schedule_at(100, [&] { cv.notify_one(); });
+  sim.schedule_at(200, [&] { cv.notify_one(); });
+  sim.run();
+  const std::vector<std::pair<int, TimedOut>> expect{
+      {1, TimedOut::kYes}, {0, TimedOut::kNo}, {2, TimedOut::kNo}};
+  EXPECT_EQ(woke, expect);
+  EXPECT_EQ(cv.waiters(), 0u);
+  EXPECT_EQ(sim.now(), 200u);  // both surviving deadlines were cancelled
+}
+
+TEST(WaitList, WaiterCountsTrackSuspendAndResume) {
+  Simulation sim;
+  Mutex mu(sim);
+  Semaphore sem(sim, 1);
+  CpuPool cpu(sim, 1);
+  std::vector<std::string> done;
+  const auto tag = [](char kind, int id) { return std::string(1, kind) + char('0' + id); };
+  auto locker = [&](int id) -> CoTask<void> {
+    co_await mu.lock();
+    co_await delay(sim, 10);
+    mu.unlock();
+    done.push_back(tag('m', id));
+  };
+  auto taker = [&](int id) -> CoTask<void> {
+    co_await sem.acquire();
+    co_await delay(sim, 10);
+    sem.release();
+    done.push_back(tag('s', id));
+  };
+  auto job = [&](int id) -> CoTask<void> {
+    co_await cpu.consume(10);
+    done.push_back(tag('c', id));
+  };
+  for (int i = 0; i < 3; i++) {
+    spawn(locker(i));
+    spawn(taker(i));
+    spawn(job(i));
+  }
+  // One holder each, two queued behind it.
+  EXPECT_EQ(mu.waiters(), 2u);
+  EXPECT_EQ(sem.waiters(), 2u);
+  EXPECT_EQ(cpu.queued(), 2u);
+  // At t=10 each first holder hands over: one waiter leaves each queue.
+  sim.run_until(10);
+  EXPECT_EQ(mu.waiters(), 1u);
+  EXPECT_EQ(sem.waiters(), 1u);
+  EXPECT_EQ(cpu.queued(), 1u);
+  sim.run_until(20);
+  EXPECT_EQ(mu.waiters(), 0u);
+  EXPECT_EQ(sem.waiters(), 0u);
+  EXPECT_EQ(cpu.queued(), 0u);
+  sim.run();
+  EXPECT_FALSE(mu.is_locked());
+  EXPECT_EQ(sem.available(), 1u);
+  EXPECT_EQ(mu.contended_acquisitions(), 2u);
+  EXPECT_EQ(sem.blocked_acquires(), 2u);
+  EXPECT_EQ(cpu.total_queue_wait_ns(), 10u + 20u);
+  // Each resource served its waiters in arrival order.
+  std::vector<std::string> m, s, c;
+  for (const auto& d : done) (d[0] == 'm' ? m : d[0] == 's' ? s : c).push_back(d);
+  EXPECT_EQ(m, (std::vector<std::string>{"m0", "m1", "m2"}));
+  EXPECT_EQ(s, (std::vector<std::string>{"s0", "s1", "s2"}));
+  EXPECT_EQ(c, (std::vector<std::string>{"c0", "c1", "c2"}));
 }
 
 }  // namespace
