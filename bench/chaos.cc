@@ -319,6 +319,9 @@ struct MembershipDigest {
   std::uint64_t client_map_updates = 0;
   std::uint64_t rep_unresolved = 0;   // degraded-ack gating: silent peer -> fail
   std::uint64_t verify_failures = 0;
+  bool scrub_done = false;  // deep scrub after the drain
+  std::uint64_t scrub_inconsistent = 0;
+  std::uint64_t scrub_missing = 0;
 
   bool operator==(const MembershipDigest&) const = default;
 };
@@ -374,6 +377,17 @@ MembershipDigest run_membership(std::uint64_t seed, const fault::FaultPlan& plan
     m.fenced_replies += cluster.vm(v).fenced_replies();
     m.client_map_updates += cluster.vm(v).map_updates();
   }
+
+  // Deep scrub after the drain, taken after the digest so it cannot perturb
+  // it. The heartbeat timers never stop, so step in bounded windows.
+  sim::spawn_fn([&cluster, &m]() -> sim::CoTask<void> {
+    const core::ClusterSim::ScrubReport rep = co_await cluster.deep_scrub(/*repair=*/false);
+    m.scrub_inconsistent = rep.inconsistent;
+    m.scrub_missing = rep.missing;
+    m.scrub_done = true;
+  });
+  auto& sim = cluster.simulation();
+  for (int i = 0; i < 100 && !m.scrub_done; i++) sim.run_until(sim.now() + 100 * kMillisecond);
 
   cluster.close_all();
   cluster.simulation().run();
@@ -582,7 +596,9 @@ int main(int argc, char** argv) {
     expect(h1 == h2, "membership healthy: same seed must reproduce identical digests");
 
     // (b) crash + restart: detection within grace + 2 heartbeat intervals,
-    // never before the grace expires, and the boot beacon marks it up again.
+    // never before the grace expires, the boot beacon marks it up again, and
+    // a deep scrub after the drain finds no inconsistent or missing replica
+    // (scrub converges: the returning OSD was backfilled).
     std::printf("\n[membership crash/restart] osd.1 down 300ms..550ms\n");
     fault::FaultPlan crash_plan;
     crash_plan.crash_restart(300 * kMillisecond, 1, 250 * kMillisecond);
@@ -610,6 +626,10 @@ int main(int argc, char** argv) {
            "membership crash: boot beacon must mark osd.1 up again");
     expect(c1.false_downs == 0, "membership crash: the mark-down was real");
     expect(c1.map_deltas >= 2, "membership crash: down and up must both publish");
+    std::printf("  scrub after drain: inconsistent=%llu missing=%llu\n",
+                (unsigned long long)c1.scrub_inconsistent, (unsigned long long)c1.scrub_missing);
+    expect(c1.scrub_done && c1.scrub_inconsistent == 0 && c1.scrub_missing == 0,
+           "membership crash: scrub after the drain must find every replica consistent");
     expect(c1 == c2, "membership crash: same seed must reproduce identical digests");
 
     // (c) split brain: osd.0 loses its peers and the monitor but keeps its

@@ -37,7 +37,7 @@
 #include "fs/journal.h"
 #include "kv/db.h"
 #include "net/messenger.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 #include "osd/osd.h"
 #include "osd/qos.h"
 #include "rt/arena.h"

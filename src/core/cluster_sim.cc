@@ -9,7 +9,7 @@
 #include "ec/codec.h"
 #include "ec/layout.h"
 #include "net/profile.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 
 namespace afc::core {
 
@@ -367,53 +367,15 @@ fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
   return *injector_;
 }
 
-sim::CoTask<std::uint64_t> ClusterSim::rebalance(
-    const std::vector<std::vector<std::uint32_t>>& old_acting) {
+sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::MapChange& change) {
+  std::vector<osd::Osd*> osds;
+  osds.reserve(osds_.size());
+  for (auto& o : osds_) osds.push_back(o.get());
   std::uint64_t migrated = 0;
-  if (cmap_.erasure()) {
-    // EC recovery is positional: ec_remap pins surviving shards to their
-    // slots, so only the changed positions lost a shard — rebuild each by
-    // decode-from-peers instead of copying a whole replica.
-    std::vector<osd::Osd*> raw;
-    raw.reserve(osds_.size());
-    for (auto& o : osds_) raw.push_back(o.get());
-    for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-      const auto& acting = cmap_.acting(pg);
-      if (acting == old_acting[pg]) continue;
-      for (std::uint32_t member : acting) {
-        if (member == cluster::ClusterMap::kNoOsd) continue;
-        osds_[member]->set_pg_acting(pg, acting);
-      }
-      for (unsigned pos = 0; pos < acting.size(); pos++) {
-        const std::uint32_t member = acting[pos];
-        if (member == cluster::ClusterMap::kNoOsd) continue;
-        const bool changed =
-            pos >= old_acting[pg].size() || old_acting[pg][pos] != member;
-        if (!changed) continue;
-        migrated +=
-            co_await osd::ec_rebuild_position(sim_, cmap_, raw, pg, pos, *osds_[member]);
-      }
-    }
-    co_return migrated;
-  }
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting == old_acting[pg]) continue;
-    // Pick a surviving member of the old set as the backfill source.
-    osd::Osd* source = nullptr;
-    for (std::uint32_t member : old_acting[pg]) {
-      if (cmap_.crush().osds()[member].up) {
-        source = osds_[member].get();
-        break;
-      }
-    }
-    for (std::uint32_t member : acting) {
-      osds_[member]->set_pg_acting(pg, acting);
-      const bool newcomer = std::find(old_acting[pg].begin(), old_acting[pg].end(), member) ==
-                            old_acting[pg].end();
-      if (newcomer && source != nullptr) {
-        migrated += co_await source->push_pg(pg, *osds_[member]);
-      }
+  for (const osd::PgRemap& r : change.remaps()) {
+    osd::install_remap(osds, r);
+    for (unsigned pos : r.targets) {
+      migrated += co_await osd::recover_target(sim_, cmap_, osds, r, pos);
     }
     // Survivors that are no longer in the acting set keep stale data; a real
     // cluster trims it lazily, which we skip.
@@ -422,16 +384,14 @@ sim::CoTask<std::uint64_t> ClusterSim::rebalance(
 }
 
 sim::CoTask<std::uint64_t> ClusterSim::decommission_osd(std::uint32_t osd_id) {
-  std::vector<std::vector<std::uint32_t>> old_acting(cfg_.pg_num);
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) old_acting[pg] = cmap_.acting(pg);
+  const osd::MapChange change(cmap_);
   cmap_.crush().set_up(osd_id, false);
   cmap_.bump_epoch();
-  co_return co_await rebalance(old_acting);
+  co_return co_await rebalance(change);
 }
 
 sim::CoTask<std::uint64_t> ClusterSim::add_node() {
-  std::vector<std::vector<std::uint32_t>> old_acting(cfg_.pg_num);
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) old_acting[pg] = cmap_.acting(pg);
+  const osd::MapChange change(cmap_);
 
   const unsigned node_index = unsigned(osd_nodes_.size());
   osd_nodes_.push_back(std::make_unique<net::Node>(
@@ -473,7 +433,7 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
     }
   }
   cmap_.bump_epoch();
-  co_return co_await rebalance(old_acting);
+  co_return co_await rebalance(change);
 }
 
 sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub(bool repair) {
@@ -548,12 +508,6 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
   const unsigned k = cmap_.ec_k();
   const unsigned m = cmap_.ec_m();
   ec::Codec codec(k, m);
-  const auto extent_at = [](const fs::FileStore::ObjectExport& exp,
-                            std::uint64_t off) -> const Payload* {
-    for (const auto& [eoff, pay] : exp.extents)
-      if (eoff == off) return &pay;
-    return nullptr;
-  };
   for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
     const auto& acting = cmap_.acting(pg);
     if (acting.size() < std::size_t(k) + m) continue;
@@ -593,7 +547,7 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
       }
       if (!bad.empty() && repair) {
         std::vector<unsigned> src_pos;
-        std::vector<fs::FileStore::ObjectExport> src_exp;
+        std::vector<store::ObjectExport> src_exp;
         std::vector<std::pair<std::string, kv::Value>> xattrs;
         for (unsigned p = 0; p < k + m && src_pos.size() < k; p++) {
           const std::uint32_t member = acting[p];
@@ -605,32 +559,11 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
           src_exp.push_back(std::move(exp));
         }
         if (src_pos.size() >= k) {
-          std::map<std::uint64_t, std::uint64_t> extents;
-          for (const auto& e : src_exp)
-            for (const auto& [off, pay] : e.extents)
-              extents[off] = std::max(extents[off], pay.size());
           for (unsigned p : bad) {
             const std::uint32_t member = acting[p];
             if (member == cluster::ClusterMap::kNoOsd) continue;
-            fs::FileStore::ObjectExport out;
-            for (const auto& [off, len] : extents) {
-              std::vector<unsigned> present;
-              std::vector<std::vector<std::uint8_t>> chunks;
-              for (std::size_t s = 0; s < src_pos.size(); s++) {
-                const Payload* pay = extent_at(src_exp[s], off);
-                if (pay == nullptr || present.size() >= k) continue;
-                auto bytes = pay->materialize();
-                bytes.resize(len, 0);
-                present.push_back(src_pos[s]);
-                chunks.push_back(std::move(bytes));
-              }
-              if (present.size() < k) continue;  // torn tail: phase 2's problem
-              auto chunk = codec.reconstruct_shard(p, present, chunks);
-              if (!chunk.has_value()) continue;
-              out.size = std::max(out.size, off + chunk->size());
-              out.extents.emplace_back(off, Payload::bytes(std::move(*chunk)));
-            }
-            if (out.extents.empty()) continue;
+            store::ObjectExport out = osd::decode_shard(codec, p, src_pos, src_exp);
+            if (out.extents.empty()) continue;  // torn tail only: phase 2's problem
             out.xattrs = xattrs;
             co_await osds_[member]->recover_object(ec::shard_oid(base_oid, p), std::move(out));
             report.repaired++;
@@ -647,7 +580,7 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
       // the parity equation; only a cross-shard recompute can see that.
       // Checkable only when every position currently holds a clean shard
       // (possibly thanks to phase-1 repair a moment ago).
-      std::vector<fs::FileStore::ObjectExport> all(k + m);
+      std::vector<store::ObjectExport> all(k + m);
       bool complete = true;
       for (unsigned p = 0; p < k + m; p++) {
         const std::uint32_t member = acting[p];
@@ -671,11 +604,11 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
       // consistent pre-or-post-write mix, and a re-scrub finds nothing.
       bool dirty = false;
       std::vector<bool> needs(k + m, false);
-      std::vector<fs::FileStore::ObjectExport> fixed(k + m);
+      std::vector<store::ObjectExport> fixed(k + m);
       for (const auto& [off, len] : offsets) {
         std::vector<std::vector<std::uint8_t>> data;
         for (unsigned j = 0; j < k; j++) {
-          const Payload* pay = extent_at(all[j], off);
+          const Payload* pay = all[j].extent_at(off);
           auto bytes = pay != nullptr ? pay->materialize() : std::vector<std::uint8_t>();
           bytes.resize(len, 0);
           data.push_back(std::move(bytes));
@@ -683,7 +616,7 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
         auto parity = codec.encode(data);
         for (unsigned p = 0; p < k + m; p++) {
           const std::vector<std::uint8_t>& want = p < k ? data[p] : parity[p - k];
-          const Payload* stored = extent_at(all[p], off);
+          const Payload* stored = all[p].extent_at(off);
           const bool same =
               stored != nullptr && stored->size() == len && stored->materialize() == want;
           if (!same) {

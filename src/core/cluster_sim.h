@@ -239,9 +239,9 @@ class ClusterSim {
   void report_observability();
 
  private:
-  /// Recompute acting sets against `old_acting` and backfill newcomers.
-  sim::CoTask<std::uint64_t> rebalance(
-      const std::vector<std::vector<std::uint32_t>>& old_acting);
+  /// Apply the recovery rule (osd/recovery.h) to every PG `change`
+  /// re-placed, one target at a time.
+  sim::CoTask<std::uint64_t> rebalance(const osd::MapChange& change);
   /// EC pools: per-shard CRC + stripe parity-consistency scrub, repairing by
   /// reconstruction (replicated pools use the fingerprint-vote scrub).
   sim::CoTask<ScrubReport> deep_scrub_ec(bool repair);

@@ -7,7 +7,7 @@
 #include "common/stage_names.h"
 #include "core/trace.h"
 #include "ec/layout.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 
 namespace afc::fault {
 
@@ -211,13 +211,12 @@ void FaultInjector::do_crash(std::uint32_t osd) {
     return;
   }
   if (!cmap_.crush().osds()[osd].up) return;  // already down
-  std::vector<std::vector<std::uint32_t>> old_acting(cmap_.pool().pg_num);
-  for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++) old_acting[pg] = cmap_.acting(pg);
+  const osd::MapChange change(cmap_);
   osds_[osd]->messenger().set_blackhole(true);
   osds_[osd]->on_crash();
   cmap_.crush().set_up(osd, false);
   cmap_.bump_epoch();
-  retarget_pgs(old_acting);
+  retarget_pgs(change);
 }
 
 void FaultInjector::do_restart(std::uint32_t osd) {
@@ -247,71 +246,23 @@ void FaultInjector::do_restart(std::uint32_t osd) {
     // backfill then covers strictly less.
     co_await osds_[osd]->on_restart();
     if (cmap_.crush().osds()[osd].up) co_return;  // raced with another restart
-    std::vector<std::vector<std::uint32_t>> old_acting(cmap_.pool().pg_num);
-    for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++)
-      old_acting[pg] = cmap_.acting(pg);
+    const osd::MapChange change(cmap_);
     osds_[osd]->messenger().set_blackhole(false);
     cmap_.crush().set_up(osd, true);
     cmap_.bump_epoch();
-    retarget_pgs(old_acting);
+    retarget_pgs(change);
   });
 }
 
-void FaultInjector::retarget_pgs(const std::vector<std::vector<std::uint32_t>>& old_acting) {
-  if (cmap_.erasure()) {
-    retarget_pgs_ec(old_acting);
-    return;
-  }
-  for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting == old_acting[pg]) continue;
-    osd::Osd* source = nullptr;
-    for (std::uint32_t member : old_acting[pg]) {
-      if (cmap_.crush().osds()[member].up) {
-        source = osds_[member];
-        break;
-      }
-    }
-    for (std::uint32_t member : acting) {
-      osds_[member]->set_pg_acting(pg, {acting.begin(), acting.end()});
-      const bool newcomer =
-          std::find(old_acting[pg].begin(), old_acting[pg].end(), member) ==
-          old_acting[pg].end();
-      if (newcomer && source != nullptr && source != osds_[member]) {
-        // Asynchronous backfill: the data path keeps running while the PG
-        // re-replicates (Ceph recovers in the background too).
-        counters_.add("fault.backfills");
-        osd::Osd* src = source;
-        osd::Osd* dst = osds_[member];
-        const std::uint32_t pgid = pg;
-        sim::spawn_fn([src, dst, pgid]() -> sim::CoTask<void> {
-          co_await src->push_pg(pgid, *dst);
-        });
-      }
-    }
-  }
-}
-
-void FaultInjector::retarget_pgs_ec(const std::vector<std::vector<std::uint32_t>>& old_acting) {
-  for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting == old_acting[pg]) continue;
-    for (std::uint32_t member : acting) {
-      if (member == cluster::ClusterMap::kNoOsd) continue;
-      osds_[member]->set_pg_acting(pg, {acting.begin(), acting.end()});
-    }
-    // ec_remap pins survivors to their slots, so exactly the changed
-    // positions need their shard decoded back from k surviving peers.
-    for (unsigned pos = 0; pos < acting.size(); pos++) {
-      const std::uint32_t member = acting[pos];
-      if (member == cluster::ClusterMap::kNoOsd) continue;
-      const bool changed =
-          pos >= old_acting[pg].size() || old_acting[pg][pos] != member;
-      if (!changed) continue;
-      counters_.add("fault.ec_rebuilds");
-      const std::uint32_t pgid = pg;
-      sim::spawn_fn([this, pgid, pos, member]() -> sim::CoTask<void> {
-        co_await osd::ec_rebuild_position(sim_, cmap_, osds_, pgid, pos, *osds_[member]);
+void FaultInjector::retarget_pgs(const osd::MapChange& change) {
+  for (const osd::PgRemap& r : change.remaps()) {
+    osd::install_remap(osds_, r);
+    // Asynchronous recovery: the data path keeps running while the PG
+    // re-replicates (Ceph recovers in the background too).
+    for (unsigned pos : r.targets) {
+      counters_.add(r.decode ? "fault.ec_rebuilds" : "fault.backfills");
+      sim::spawn_fn([this, r, pos]() -> sim::CoTask<void> {
+        co_await osd::recover_target(sim_, cmap_, osds_, r, pos);
       });
     }
   }

@@ -7,7 +7,7 @@
 #include "device/ssd.h"
 #include "fault/plan.h"
 #include "net/messenger.h"
-#include "osd/osd.h"
+#include "osd/recovery.h"
 #include "sim/simulation.h"
 
 namespace afc::fault {
@@ -23,10 +23,10 @@ namespace afc::fault {
 ///
 /// Crash semantics: the OSD's messenger is blackholed (sends and deliveries
 /// vanish, no CPU is charged for the dead daemon), the OSD is marked down
-/// in CRUSH and the epoch bumps, so clients and peers re-target. Surviving
-/// members of every re-homed PG get their new acting set pushed, and PGs
-/// are re-replicated to newcomers from a surviving member (asynchronous
-/// backfill). Restart reverses the blackhole + down-mark and backfills the
+/// in CRUSH and the epoch bumps, so clients and peers re-target. Every
+/// re-homed PG then goes through the recovery rule of osd/recovery.h:
+/// members get the new acting set, targets recover asynchronously. Restart
+/// reverses the blackhole + down-mark, and the same rule backfills the
 /// returned OSD, which may have missed writes while dead.
 class FaultInjector {
  public:
@@ -67,12 +67,10 @@ class FaultInjector {
   /// Apply `f` to both directions of every connection matching (osd, peer);
   /// peer == kAllPeers matches every link touching `osd`.
   void set_link_fault(std::uint32_t osd, std::uint32_t peer, const net::Connection::Fault& f);
-  /// Recompute acting sets after a CRUSH up/down flip, push them to the
-  /// surviving/new members, and backfill newcomers asynchronously.
-  void retarget_pgs(const std::vector<std::vector<std::uint32_t>>& old_acting);
-  /// EC pools: positional recovery — every changed shard position is rebuilt
-  /// by decode-from-peers (osd::ec_rebuild_position) instead of copied.
-  void retarget_pgs_ec(const std::vector<std::vector<std::uint32_t>>& old_acting);
+  /// After a CRUSH up/down flip, apply the recovery rule (osd/recovery.h)
+  /// to every PG it re-placed: install the new acting sets and recover the
+  /// targets asynchronously.
+  void retarget_pgs(const osd::MapChange& change);
   void trace_event(std::size_t idx);
 
   sim::Simulation& sim_;

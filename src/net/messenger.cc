@@ -155,7 +155,9 @@ sim::CoTask<void> Connection::sender_loop() {
     if (rx_target_ != nullptr) {
       rx_target_->push(rx_shard_, this, std::move(*f));
     } else {
-      co_await rx_.push(std::move(*f));
+      // Unbounded: try_push only fails after close(), so a frame still on
+      // the wire when the connection closes vanishes, as on the sharded path.
+      rx_.try_push(std::move(*f));
     }
     frame_done();
   }

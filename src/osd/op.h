@@ -186,22 +186,40 @@ struct OpCtx {
   unsigned commits_planned = 0;  // commits_needed at submit (degraded-ack accounting)
   unsigned min_commits = 0;      // durable replicas required before an ack
   unsigned rep_retries = 0;      // repop resend rounds so far
-  std::vector<std::uint32_t> waiting_peers;    // replicas not yet committed
+  /// A remote position's sub-op: the peer holding position `pos`.
+  struct SubOp {
+    std::uint32_t peer = 0;
+    unsigned pos = 0;
+  };
+  std::vector<SubOp> waiting_peers;            // sub-ops not yet committed
   std::vector<std::uint32_t> peers_committed;  // replicas credited (ack dedup)
   sim::TimerToken rep_timer;  // replication watchdog (cancelled at ack)
   bool rep_timer_armed = false;
   bool failed = false;  // resolved with ok=false after bounded retries
 
-  // --- EC stripe state (empty for replicated ops) -----------------------
-  /// One entry per remote shard sub-op, so watchdog resends can rebuild the
-  /// exact shard payload instead of the client's full-stripe payload.
-  struct EcShard {
-    std::uint32_t peer = 0;
+  // --- the write's per-position shard plan --------------------------------
+  /// One position's share of a write: the object, offset and bytes its
+  /// holder journals.
+  struct Shard {
     fs::ObjectId oid;
-    std::uint64_t offset = 0;  // shard-space
+    std::uint64_t offset = 0;  // shard-space for an EC shard
     Payload data;
   };
-  std::vector<EcShard> ec_shards;
+  struct ShardRef {
+    const fs::ObjectId& oid;
+    std::uint64_t offset;
+    const Payload& data;
+  };
+  /// EC writes: the shard object, shard-space offset and stripe chunk of
+  /// every position. Empty for a replicated write, whose every position
+  /// journals the client's own (oid, offset, data).
+  std::vector<Shard> stripe;
+  /// Position `pos`'s share: the one rule the local transaction, every
+  /// sub-op and every watchdog resend are built from.
+  ShardRef shard(unsigned pos) const {
+    if (stripe.empty()) return {msg->oid, msg->offset, msg->data};
+    return {stripe[pos].oid, stripe[pos].offset, stripe[pos].data};
+  }
 
   void stamp(Stage s, Time now) { ts[s] = now; }
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "ec/layout.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 
 namespace afc::osd {
 
@@ -273,11 +273,10 @@ sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
     // resend round carry the fresh epoch.
     counters_.add("osd.fenced_rep_replies");
     if (known_epoch_ >= msg->map_epoch) {
-      if (!op->acked && !op->failed &&
-          std::find(op->waiting_peers.begin(), op->waiting_peers.end(),
-                    msg->from_osd) != op->waiting_peers.end()) {
-        send_rep_op(*op, msg->from_osd);
-      }
+      const auto sub = std::find_if(
+          op->waiting_peers.begin(), op->waiting_peers.end(),
+          [&](const OpCtx::SubOp& w) { return w.peer == msg->from_osd; });
+      if (!op->acked && !op->failed && sub != op->waiting_peers.end()) send_rep_op(*op, *sub);
     } else {
       request_map();
     }
@@ -291,7 +290,8 @@ sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
     co_return;
   }
   op->peers_committed.push_back(msg->from_osd);
-  std::erase(op->waiting_peers, msg->from_osd);
+  std::erase_if(op->waiting_peers,
+                [&](const OpCtx::SubOp& w) { return w.peer == msg->from_osd; });
   if (profile_.fast_ack) {
     // AFCeph: replica commit handled right here, no PG-queue round trip.
     co_await charge_cpu(cfg_.repreply_cpu, false);
@@ -325,9 +325,24 @@ sim::CoTask<void> Osd::worker_loop(unsigned shard) {
   }
 }
 
+void Osd::reject_unheld(WorkItem& item) {
+  // An admitted client op holds its message throttles, ledger entry and
+  // ordered-ack slot: resolve it as failed instead of dropping it. Other
+  // items for an unheld PG (sub-ops ahead of the PG's install) are dropped.
+  if (item.kind != WorkItem::kClientOp) return;
+  if (item.op->msg->is_write) {
+    fail_op(item.op);
+  } else {
+    send_read_reply(item.op, false, 0, std::nullopt);
+  }
+}
+
 sim::CoTask<void> Osd::run_item_community(WorkItem item) {
   Pg* pg = find_pg(item.pg);
-  if (pg == nullptr) co_return;
+  if (pg == nullptr) {
+    reject_unheld(item);
+    co_return;
+  }
   const Time lock_t0 = sim_.now();
   // The worker blocks here while any other thread (another worker, the
   // finisher, an ack) holds this PG's lock — the head-of-line blocking of
@@ -340,7 +355,10 @@ sim::CoTask<void> Osd::run_item_community(WorkItem item) {
 
 sim::CoTask<void> Osd::run_item_pending_queue(WorkItem item) {
   Pg* pg = find_pg(item.pg);
-  if (pg == nullptr) co_return;
+  if (pg == nullptr) {
+    reject_unheld(item);
+    co_return;
+  }
   if (pg->busy) {
     // Park the op; this worker stays free for other PGs. Per-PG order is
     // preserved because the pending queue is drained FIFO by the owner.
@@ -417,10 +435,6 @@ sim::CoTask<ObjectMeta> Osd::ensure_object_meta(const fs::ObjectId& oid) {
 // ---------------------------------------------------------------------------
 
 sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
-  if (cmap_.erasure()) {
-    co_await process_client_write_ec(item);
-    co_return;
-  }
   OpRef op = item.op;
   ClientIoMsg& msg = *op->msg;
   Pg& pg = *find_pg(item.pg);
@@ -428,10 +442,24 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   co_await dlog_.log(cfg_.log_entries_dispatch);
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.prepare_cpu, true);
+  if (codec_ != nullptr) {
+    co_await charge_cpu(cfg_.ec_encode_cpu, false);  // k+m GF(256) MAC sweep
+    op->stripe = encode_stripe(msg);
+  }
+
+  const std::vector<std::uint32_t>& acting = pg.acting();
+  const auto self = std::find(acting.begin(), acting.end(), id_);
+  if (self == acting.end()) {
+    // A stale-map client reached an OSD that holds no position.
+    fail_op(op);
+    co_return;
+  }
 
   const std::uint64_t version = pg.next_version();
-  fs::Transaction txn = build_write_txn(pg, msg.oid, msg.offset, msg.data, version,
-                                        /*primary=*/true);
+  op->version = version;
+  const OpCtx::ShardRef local = op->shard(unsigned(self - acting.begin()));
+  fs::Transaction txn =
+      build_write_txn(pg, local.oid, local.offset, local.data, version, /*primary=*/true);
 
   // Every write refreshes the in-memory object context (community Ceph does
   // this too); the community/AFCeph difference is the cache's capacity and
@@ -439,24 +467,53 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   meta_cache_.insert(msg.oid,
                      ObjectMeta{true, std::max(meta.size, msg.offset + msg.data.size()), version});
 
-  // Splay replication: subops to every replica, ack when all journals
-  // (local + replicas) have committed.
-  op->version = version;
-  op->commits_needed = unsigned(pg.acting().size());
-  for (std::uint32_t peer : pg.acting()) {
-    if (peer == id_) continue;
-    if (peers_.find(peer) == peers_.end()) {
-      op->commits_needed--;  // peer unreachable (e.g. degraded test setups)
-      continue;
-    }
-    send_rep_op(*op, peer);
-    op->waiting_peers.push_back(peer);
+  // Fan out: one sub-op per remote position, ack when every journal (local
+  // and remote) has committed.
+  op->commits_needed = 1;
+  for (unsigned p = 0; p < unsigned(acting.size()); p++) {
+    const std::uint32_t peer = acting[p];
+    if (peer == id_ || peer == cluster::ClusterMap::kNoOsd) continue;
+    if (peers_.find(peer) == peers_.end()) continue;  // unreachable (degraded test setups)
+    op->commits_needed++;
+    send_rep_op(*op, {peer, p});
+    op->waiting_peers.push_back({peer, p});
   }
   op->commits_planned = op->commits_needed;
-  op->min_commits = std::min(cmap_.min_size(), op->commits_needed);
+  // Replicated: min_size, clamped to the members there are. EC: the
+  // unclamped k+1 floor — a stripe with fewer durable shards must fail, not
+  // ack degraded, since one further loss would destroy acked data.
+  op->min_commits = op->stripe.empty() ? std::min(cmap_.ack_floor(), op->commits_needed)
+                                       : cmap_.ack_floor();
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
   co_await submit_txn(item, std::move(txn));
+}
+
+std::vector<OpCtx::Shard> Osd::encode_stripe(const ClientIoMsg& msg) const {
+  // Data shards keep the O(1) virtual representation when the stripe
+  // divides evenly (the hot 4K path); parity is always computed on real
+  // bytes so scrub can recheck the stripe equation against stored content.
+  const unsigned k = codec_->k();
+  const std::uint64_t clen = ec::chunk_len(msg.data.size(), k);
+  const std::uint64_t soff = ec::shard_offset(msg.offset, k);
+  const bool exact = msg.data.size() % k == 0;
+  std::vector<OpCtx::Shard> stripe;
+  stripe.reserve(k + codec_->m());
+  std::vector<std::vector<std::uint8_t>> chunks(k);
+  for (unsigned j = 0; j < k; j++) {
+    Payload sl = msg.data.slice(
+        std::uint64_t(j) * clen,
+        std::min<std::uint64_t>(clen, msg.data.size() - std::uint64_t(j) * clen));
+    chunks[j] = sl.materialize();
+    chunks[j].resize(clen, 0);
+    stripe.push_back({ec::shard_oid(msg.oid, j), soff,
+                      exact && sl.is_virtual() ? sl : Payload::bytes(chunks[j])});
+  }
+  for (auto& par : codec_->encode(chunks)) {
+    const unsigned p = unsigned(stripe.size());
+    stripe.push_back({ec::shard_oid(msg.oid, p), soff, Payload::bytes(std::move(par))});
+  }
+  return stripe;
 }
 
 fs::Transaction Osd::build_write_txn(Pg& pg, const fs::ObjectId& oid, std::uint64_t off,
@@ -630,30 +687,18 @@ void Osd::handle_commit_recorded(OpRef& op) {
 // Replication recovery (inert while OsdConfig::rep_timeout == 0)
 // ---------------------------------------------------------------------------
 
-void Osd::send_rep_op(OpCtx& op, std::uint32_t peer) {
-  auto it = peers_.find(peer);
+void Osd::send_rep_op(OpCtx& op, OpCtx::SubOp sub) {
+  auto it = peers_.find(sub.peer);
   if (it == peers_.end()) return;
-  ClientIoMsg& msg = *op.msg;
+  const OpCtx::ShardRef shard = op.shard(sub.pos);
   auto rep = std::make_shared<RepOpMsg>();
-  rep->op_id = msg.op_id;
-  rep->pg = msg.pg;
+  rep->op_id = op.msg->op_id;
+  rep->pg = op.msg->pg;
   rep->version = op.version;
   rep->epoch = known_epoch_;  // watchdog resends restamp with the fresh map
-  if (!op.ec_shards.empty()) {
-    // EC stripe: the sub-op carries only this peer's shard (oid, shard-space
-    // offset, chunk payload) — the replica path itself is EC-oblivious. The
-    // shard table also serves watchdog resends.
-    const auto sh = std::find_if(op.ec_shards.begin(), op.ec_shards.end(),
-                                 [peer](const OpCtx::EcShard& s) { return s.peer == peer; });
-    if (sh == op.ec_shards.end()) return;
-    rep->oid = sh->oid;
-    rep->offset = sh->offset;
-    rep->data = sh->data;
-  } else {
-    rep->oid = msg.oid;
-    rep->offset = msg.offset;
-    rep->data = msg.data;
-  }
+  rep->oid = shard.oid;
+  rep->offset = shard.offset;
+  rep->data = shard.data;
   net::Message wire;
   wire.type = kRepOp;
   wire.size = rep->data.size() + cfg_.repop_header_bytes;
@@ -687,7 +732,7 @@ void Osd::on_rep_timeout(std::uint64_t op_id) {
     if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
       tr->instant(op->span, tr->stage_id(stage::kOsdRepRetry), sim_.now());
     }
-    for (std::uint32_t peer : op->waiting_peers) send_rep_op(*op, peer);
+    for (const OpCtx::SubOp& sub : op->waiting_peers) send_rep_op(*op, sub);
     arm_rep_timer(op);
     return;
   }
@@ -701,8 +746,8 @@ void Osd::on_rep_timeout(std::uint64_t op_id) {
     // here becomes acked-then-lost. Fail the op instead; the client retries
     // against whatever primary the healed map names.
     unsigned down = 0;
-    for (std::uint32_t peer : op->waiting_peers) {
-      if (peer < known_down_.size() && known_down_[peer]) down++;
+    for (const OpCtx::SubOp& sub : op->waiting_peers) {
+      if (sub.peer < known_down_.size() && known_down_[sub.peer]) down++;
     }
     if (down < op->waiting_peers.size()) {
       counters_.add("osd.rep_unresolved_failures");
@@ -839,92 +884,8 @@ sim::CoTask<void> Osd::process_client_read(WorkItem& item) {
 }
 
 // ---------------------------------------------------------------------------
-// Erasure-coded pool paths (never reached for replicated pools)
+// Erasure-coded read path (never reached for replicated pools)
 // ---------------------------------------------------------------------------
-
-bool Osd::osd_up(std::uint32_t osd_id) const {
-  for (const auto& e : cmap_.crush().osds())
-    if (e.id == osd_id) return e.up;
-  return false;
-}
-
-sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
-  OpRef op = item.op;
-  ClientIoMsg& msg = *op->msg;
-  Pg& pg = *find_pg(item.pg);
-  const unsigned k = cmap_.ec_k();
-
-  co_await dlog_.log(cfg_.log_entries_dispatch);
-  ObjectMeta meta = co_await ensure_object_meta(msg.oid);
-  co_await charge_cpu(cfg_.prepare_cpu, true);
-  co_await charge_cpu(cfg_.ec_encode_cpu, false);  // k+m GF(256) MAC sweep
-
-  // Copy: retargets during the co_awaits below may swap the PG's set.
-  const std::vector<std::uint32_t> acting = pg.acting();
-  unsigned self_pos = unsigned(acting.size());
-  for (unsigned p = 0; p < unsigned(acting.size()); p++)
-    if (acting[p] == id_) {
-      self_pos = p;
-      break;
-    }
-  if (self_pos == unsigned(acting.size())) {
-    // A stale-map client reached an OSD that holds no shard position.
-    fail_op(op);
-    co_return;
-  }
-
-  // Chunk the stripe. Data shards keep the O(1) virtual representation when
-  // the stripe divides evenly (the hot 4K path); parity is always computed
-  // on real bytes so scrub can recheck the stripe equation against stored
-  // content later.
-  const std::uint64_t clen = ec::chunk_len(msg.data.size(), k);
-  const std::uint64_t soff = ec::shard_offset(msg.offset, k);
-  std::vector<Payload> shards;
-  shards.reserve(acting.size());
-  {
-    std::vector<std::vector<std::uint8_t>> chunks(k);
-    const bool exact = msg.data.size() % k == 0;
-    for (unsigned j = 0; j < k; j++) {
-      Payload sl = msg.data.slice(
-          std::uint64_t(j) * clen,
-          std::min<std::uint64_t>(clen, msg.data.size() - std::uint64_t(j) * clen));
-      chunks[j] = sl.materialize();
-      chunks[j].resize(clen, 0);
-      shards.push_back(exact && sl.is_virtual() ? sl : Payload::bytes(chunks[j]));
-    }
-    for (auto& par : codec_->encode(chunks)) shards.push_back(Payload::bytes(std::move(par)));
-  }
-
-  const std::uint64_t version = pg.next_version();
-  op->version = version;
-  fs::Transaction txn = build_write_txn(pg, ec::shard_oid(msg.oid, self_pos), soff,
-                                        shards[self_pos], version, /*primary=*/true);
-  meta_cache_.insert(msg.oid,
-                     ObjectMeta{true, std::max(meta.size, msg.offset + msg.data.size()), version});
-
-  // One sub-op per remote shard position; the replica path is EC-oblivious.
-  op->commits_needed = 0;
-  for (unsigned p = 0; p < unsigned(acting.size()); p++) {
-    const std::uint32_t peer = acting[p];
-    if (peer == cluster::ClusterMap::kNoOsd) continue;  // unfillable position
-    if (peer == id_) {
-      op->commits_needed++;
-      continue;
-    }
-    if (peers_.find(peer) == peers_.end()) continue;
-    op->ec_shards.push_back(OpCtx::EcShard{peer, ec::shard_oid(msg.oid, p), soff, shards[p]});
-    op->commits_needed++;
-    send_rep_op(*op, peer);
-    op->waiting_peers.push_back(peer);
-  }
-  op->commits_planned = op->commits_needed;
-  // Unclamped ack floor: a stripe with fewer than k+1 durable shards must
-  // fail, not ack degraded — one further loss would destroy acked data.
-  op->min_commits = cmap_.ack_floor();
-  if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
-  op->stamp(kStSubmitted, sim_.now());
-  co_await submit_txn(item, std::move(txn));
-}
 
 sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {
   OpRef op = item.op;
@@ -974,7 +935,7 @@ sim::CoTask<void> Osd::ec_read_gather(OpRef op) {
     }
     // A CRUSH-down holder is skipped immediately; only a *silently*
     // unreachable one (partition: up but blackholed) costs ec_read_timeout.
-    if (peers_.find(holder) == peers_.end() || !osd_up(holder)) {
+    if (peers_.find(holder) == peers_.end() || !cmap_.crush().is_up(holder)) {
       g.bad.insert(p);
       return;
     }
@@ -1407,57 +1368,26 @@ void Osd::apply_map_delta(const MapDeltaMsg& delta) {
     if (o < n) known_laggy_[o] = true;
 
   // Re-derive this OSD's PGs under the new map (ascending pgid: spawn order
-  // is part of the determinism contract). The primary of each changed PG
-  // drives recovery toward members that just (re)joined the acting set —
-  // the detected-mode counterpart of the injector's oracle retarget.
-  std::vector<std::uint32_t> pgids;
-  pgids.reserve(pgs_.size());
-  for (const auto& [pgid, pg] : pgs_) pgids.push_back(pgid);
-  std::sort(pgids.begin(), pgids.end());
-  for (std::uint32_t pgid : pgids) {
-    Pg& pg = *pgs_[pgid];
-    const std::vector<std::uint32_t> now_acting = cmap_.acting(pgid);
-    const std::vector<std::uint32_t> old_acting = pg.acting();
-    if (now_acting == old_acting) continue;
-    pg.set_acting(now_acting);
-    if (cluster_osds_.empty()) continue;
-    std::uint32_t prim = cluster::ClusterMap::kNoOsd;
-    for (std::uint32_t m : now_acting) {
-      if (m != cluster::ClusterMap::kNoOsd) {
-        prim = m;
-        break;
-      }
+  // is part of the determinism contract): hold every PG this OSD is now a
+  // member of, and drive the recovery rule (osd/recovery.h) for each moved
+  // PG whose source it is — the detected-mode counterpart of the oracle
+  // injector's retarget.
+  for (std::uint32_t pgid = 0; pgid < cmap_.pool().pg_num; pgid++) {
+    const std::vector<std::uint32_t>& now = cmap_.acting(pgid);
+    Pg* pg = find_pg(pgid);
+    if (pg == nullptr) {
+      if (std::find(now.begin(), now.end(), id_) != now.end()) create_pg(pgid, now);
+      continue;
     }
-    if (prim != id_) continue;
-    if (cmap_.erasure()) {
-      for (unsigned pos = 0; pos < unsigned(now_acting.size()); pos++) {
-        const std::uint32_t member = now_acting[pos];
-        if (member == cluster::ClusterMap::kNoOsd || member == id_) continue;
-        const bool changed =
-            pos >= old_acting.size() || old_acting[pos] != member;
-        if (!changed) continue;
-        counters_.add("osd.map_rebuilds");
-        sim::spawn_fn([this, pgid, pos, member]() -> sim::CoTask<void> {
-          co_await ec_rebuild_position(sim_, cmap_, cluster_osds_, pgid, pos,
-                                       *cluster_osds_[member]);
-        });
-      }
-    } else {
-      for (std::uint32_t member : now_acting) {
-        if (member == id_) continue;
-        if (std::find(old_acting.begin(), old_acting.end(), member) !=
-            old_acting.end()) {
-          continue;
-        }
-        // A brand-new member may not hold the PG yet: install it (acting
-        // set included) before the backfill pushes objects at it.
-        cluster_osds_[member]->set_pg_acting(pgid, now_acting);
-        counters_.add("osd.map_backfills");
-        Osd* dst = cluster_osds_[member];
-        sim::spawn_fn([this, pgid, dst]() -> sim::CoTask<void> {
-          co_await push_pg(pgid, *dst);
-        });
-      }
+    if (pg->acting() == now) continue;
+    const PgRemap r = plan_remap(cmap_, pgid, pg->acting());
+    pg->set_acting(now);
+    if (r.source != id_) continue;
+    for (unsigned pos : r.targets) {
+      counters_.add(r.decode ? "osd.map_rebuilds" : "osd.map_backfills");
+      sim::spawn_fn([this, r, pos]() -> sim::CoTask<void> {
+        co_await recover_target(sim_, cmap_, cluster_osds_, r, pos);
+      });
     }
   }
   if (hb_ != nullptr) hb_->refresh_peers();

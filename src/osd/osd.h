@@ -156,8 +156,8 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// Record this OSD's connection to the monitor (reports, beacons, map
   /// requests travel over it; deltas arrive on the mon's own connection).
   void set_mon_conn(net::Connection* conn) { mon_conn_ = conn; }
-  /// Hand the OSD the cluster roster (`osds[i]` has id i) so a primary can
-  /// drive backfill / EC rebuild when a monitor delta reshapes its PGs.
+  /// Hand the OSD the cluster roster (`osds[i]` has id i) so it can drive
+  /// recovery for the PGs it is the source of when a monitor delta moves them.
   void set_cluster_osds(std::vector<Osd*> osds) { cluster_osds_ = std::move(osds); }
   /// Construct and start the heartbeat agent (no-op under kOracle).
   void start_membership(std::uint64_t seed);
@@ -165,8 +165,8 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// (the detected-mode replacement for the injector's oracle mark-up).
   void announce_boot();
   /// A monitor map delta arrived: adopt the epoch and membership state,
-  /// re-derive this OSD's PG acting sets, and — as primary — backfill or
-  /// EC-rebuild members that just (re)joined an acting set.
+  /// re-derive this OSD's PG acting sets (creating the PGs it just joined),
+  /// and recover the targets of every moved PG it is the source of.
   void apply_map_delta(const MapDeltaMsg& delta);
   std::uint64_t known_epoch() const { return known_epoch_; }
   /// Connection to a peer OSD, or nullptr (heartbeat agent send path).
@@ -231,9 +231,13 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
 
   // --- OP_WQ ------------------------------------------------------------
   sim::CoTask<void> worker_loop(unsigned shard);
+  /// Resolve a client op for a PG this OSD does not hold as failed.
+  void reject_unheld(WorkItem& item);
   sim::CoTask<void> run_item_community(WorkItem item);
   sim::CoTask<void> run_item_pending_queue(WorkItem item);
   sim::CoTask<void> process_item(WorkItem& item);  // inside PG critical section
+  /// The one client write: shared prelude, the scheme's shard plan, the
+  /// not-in-the-acting-set check, then one sub-op per remote position.
   sim::CoTask<void> process_client_write(WorkItem& item);
   sim::CoTask<void> process_client_read(WorkItem& item);
   sim::CoTask<void> process_replica_op(WorkItem& item);
@@ -241,7 +245,9 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   sim::CoTask<void> process_ack_locked(WorkItem& item);        // community
 
   // --- erasure coding (every member inert unless the pool is erasure) ----
-  sim::CoTask<void> process_client_write_ec(WorkItem& item);
+  /// The EC shard plan of a client write: k data + m parity chunks, each
+  /// with its shard object and shard-space offset, indexed by position.
+  std::vector<OpCtx::Shard> encode_stripe(const ClientIoMsg& msg) const;
   sim::CoTask<void> process_client_read_ec(WorkItem& item);
   /// Detached shard-gather for one striped read: the PG critical section is
   /// released first, so a partitioned shard holder's ec_read_timeout never
@@ -256,13 +262,12 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// wire size come from `msg`.
   void send_io_reply(net::Connection* conn, const ClientIoMsg& msg,
                      std::shared_ptr<IoReplyMsg> reply, trace::Span span);
-  bool osd_up(std::uint32_t osd_id) const;
 
   // --- metadata ---------------------------------------------------------
   sim::CoTask<ObjectMeta> ensure_object_meta(const fs::ObjectId& oid);
 
   // --- replication recovery ---------------------------------------------
-  void send_rep_op(OpCtx& op, std::uint32_t peer);
+  void send_rep_op(OpCtx& op, OpCtx::SubOp sub);
   void arm_rep_timer(OpRef& op);
   void disarm_rep_timer(OpCtx& op);
   /// Replication watchdog fired for `op_id`: resend subops to peers still
@@ -377,7 +382,7 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   std::uint64_t requested_epoch_ = 0;  // map-request dedup per stuck epoch
   std::vector<bool> known_down_;   // from the last applied delta
   std::vector<bool> known_laggy_;
-  std::vector<Osd*> cluster_osds_;  // roster for delta-driven backfill
+  std::vector<Osd*> cluster_osds_;  // roster for delta-driven recovery
 
   Histogram stage_hist_[kStageCount];
   Histogram write_total_;

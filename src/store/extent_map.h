@@ -17,6 +17,14 @@ struct ObjectExport {
   std::vector<std::pair<std::uint64_t, Payload>> extents;
   std::vector<std::pair<std::string, kv::Value>> xattrs;
   std::uint64_t size = 0;
+
+  /// The extent starting exactly at `off`, or nullptr (the shards of one EC
+  /// stripe line up: every shard writes the same shard-space offsets).
+  const Payload* extent_at(std::uint64_t off) const {
+    for (const auto& [eoff, pay] : extents)
+      if (eoff == off) return &pay;
+    return nullptr;
+  }
 };
 
 /// Host-side object content shared by every ObjectStore backend: a table of
