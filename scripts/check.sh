@@ -9,13 +9,28 @@
 # membership smoke (fig17 gate: crash detected within the heartbeat bound,
 # zero false downs) plus its oracle byte-identity check, run the chaos
 # fault-injection soak (all legs, including the FlashStore store and
-# detected-membership legs), re-run that soak under ASan+UBSan, then run
+# detected-membership legs), re-run that soak under ASan+UBSan (every
+# chaos invocation under a wall-clock limit), then run
 # the rt/ concurrency stress harness natively and under ThreadSanitizer.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
+
+# run_leg <name> <seconds> <command...>: run one bench/chaos invocation
+# under a wall-clock limit, so a hang fails the gate with the leg's name
+# instead of wedging it. Each limit is about 3x the invocation's measured
+# wall time on a 4-core x86 machine.
+run_leg() {
+  local name=$1 limit=$2 rc=0
+  shift 2
+  timeout -k 10 "$limit" "$@" || rc=$?
+  if [ "$rc" -eq 124 ]; then
+    echo "FAIL: chaos leg '$name' exceeded its ${limit}s limit (hung?)" >&2
+  fi
+  return "$rc"
+}
 
 # -Werror: the Release build is warning-free and must stay so.
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
@@ -134,7 +149,7 @@ echo "fig01/fig03 byte-identical with AFC_MEMBERSHIP=oracle"
 
 echo
 echo "=== bench/chaos (fault injection + recovery invariants) ==="
-"$BUILD_DIR/bench/chaos"
+run_leg all 90 "$BUILD_DIR/bench/chaos"
 
 echo
 echo "=== bench/chaos under ASan+UBSan ==="
@@ -149,27 +164,27 @@ cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos
 # with a focused label before the full soak runs.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$ASAN_BUILD_DIR/bench/chaos" --leg=corruption
+  run_leg asan-corruption 25 "$ASAN_BUILD_DIR/bench/chaos" --leg=corruption
 # The EC leg next, same rationale: GF(256) encode/decode, shard gather and
 # parity scrub index into matrix/chunk buffers — exactly the code a bounds
 # bug would hide in.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$ASAN_BUILD_DIR/bench/chaos" --leg=ec
+  run_leg asan-ec 90 "$ASAN_BUILD_DIR/bench/chaos" --leg=ec
 # The store leg: FlashStore's WAL replay, deferred-ledger bookkeeping and
 # extent COW run under the same torn/flip stack — raw record bytes again.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$ASAN_BUILD_DIR/bench/chaos" --leg=store
+  run_leg asan-store 30 "$ASAN_BUILD_DIR/bench/chaos" --leg=store
 # The membership leg: heartbeat state, monitor report lists and the fencing
 # paths churn under crashes, partitions and gray failures — lifetime bugs
 # (timer tokens, connection teardown) surface here first.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$ASAN_BUILD_DIR/bench/chaos" --leg=membership
+  run_leg asan-membership 60 "$ASAN_BUILD_DIR/bench/chaos" --leg=membership
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$ASAN_BUILD_DIR/bench/chaos"
+  run_leg asan-all 300 "$ASAN_BUILD_DIR/bench/chaos"
 echo "sanitized chaos soak OK"
 
 echo

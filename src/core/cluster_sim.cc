@@ -3,11 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 
-#include "common/stage_names.h"
-#include "ec/codec.h"
-#include "ec/layout.h"
 #include "net/profile.h"
 #include "osd/recovery.h"
 
@@ -28,7 +24,10 @@ std::string trace_out_path() {
   const char* v = std::getenv("AFC_SIM_TRACE_OUT");
   std::string path = (v != nullptr && v[0] != '\0') ? v : "afc_trace.json";
   static int exports = 0;
-  if (++exports > 1) path += "." + std::to_string(exports);
+  if (++exports > 1) {
+    path += '.';
+    path += std::to_string(exports);
+  }
   return path;
 }
 
@@ -107,32 +106,14 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
 
   // --- nodes, devices, OSDs --------------------------------------------
   const unsigned total_osds = cfg_.osd_nodes * cfg_.osds_per_node;
-  for (unsigned n = 0; n < cfg_.osd_nodes; n++) {
-    osd_nodes_.push_back(std::make_unique<net::Node>(
-        sim_, "node." + std::to_string(n), net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
-    nvrams_.push_back(
-        std::make_unique<dev::NvramModel>(sim_, "nvram." + std::to_string(n), cfg_.nvram));
-  }
+  for (unsigned n = 0; n < cfg_.osd_nodes; n++) add_server();
   for (unsigned c = 0; c < cfg_.client_nodes; c++) {
     client_nodes_.push_back(
         std::make_unique<net::Node>(sim_, "client." + std::to_string(c),
                                     net::Node::Config{cfg_.client_node_cores, 1250 * kMiB}));
   }
 
-  for (unsigned i = 0; i < total_osds; i++) {
-    const unsigned node = i / cfg_.osds_per_node;
-    cmap_.crush().add_osd(i, node);
-    // Paper §4.1: "OSD 1~4 uses 3,3,2,2 SSDs respectively", RAID-0.
-    dev::SsdModel::Config ssd_cfg = cfg_.ssd;
-    ssd_cfg.drives = (i % cfg_.osds_per_node) < 2 ? 3 : 2;
-    ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(i), ssd_cfg));
-    osds_.push_back(std::make_unique<osd::Osd>(
-        sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[i], cmap_, i, cfg_.osd, cfg_.profile,
-        store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log, cfg_.journal));
-    if (auto* tr = trace::Collector::active()) {
-      tr->name_track(trace::osd_track(i), "osd." + std::to_string(i));
-    }
-  }
+  for (unsigned i = 0; i < total_osds; i++) add_osd(i / cfg_.osds_per_node);
 
   // --- PG instantiation --------------------------------------------------
   for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
@@ -177,10 +158,7 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
 
   // --- membership plane (kDetected only; kOracle builds none of this) ----
   if (cfg_.membership.detected()) {
-    std::vector<osd::Osd*> roster;
-    roster.reserve(osds_.size());
-    for (auto& o : osds_) roster.push_back(o.get());
-    for (auto& o : osds_) o->set_cluster_osds(roster);
+    for (auto& o : osds_) o->set_cluster_osds(roster());
 
     mon_node_ = std::make_unique<net::Node>(sim_, "mon",
                                             net::Node::Config{4, 1250 * kMiB});
@@ -222,6 +200,27 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
       osds_[i]->start_membership(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     }
   }
+}
+
+void ClusterSim::add_server() {
+  const std::string n = std::to_string(osd_nodes_.size());
+  osd_nodes_.push_back(std::make_unique<net::Node>(
+      sim_, "node." + n, net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
+  nvrams_.push_back(std::make_unique<dev::NvramModel>(sim_, "nvram." + n, cfg_.nvram));
+}
+
+void ClusterSim::add_osd(unsigned node) {
+  const auto id = std::uint32_t(osds_.size());
+  const std::string name = std::to_string(id);
+  cmap_.crush().add_osd(id, node);
+  // Paper §4.1: "OSD 1~4 uses 3,3,2,2 SSDs respectively", RAID-0.
+  dev::SsdModel::Config ssd_cfg = cfg_.ssd;
+  ssd_cfg.drives = (id % cfg_.osds_per_node) < 2 ? 3 : 2;
+  ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + name, ssd_cfg));
+  osds_.push_back(std::make_unique<osd::Osd>(
+      sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[id], cmap_, id, cfg_.osd, cfg_.profile,
+      store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log, cfg_.journal));
+  if (auto* tr = trace::Collector::active()) tr->name_track(trace::osd_track(id), "osd." + name);
 }
 
 ClusterSim::~ClusterSim() {
@@ -348,18 +347,14 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
 
 fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
   if (injector_ == nullptr) {
-    std::vector<osd::Osd*> osds;
     std::vector<dev::SsdModel*> ssds;
     std::vector<net::Messenger*> endpoints;
-    for (auto& o : osds_) {
-      osds.push_back(o.get());
-      endpoints.push_back(&o->messenger());
-    }
+    for (auto& o : osds_) endpoints.push_back(&o->messenger());
     for (auto& s : ssds_) ssds.push_back(s.get());
     for (auto& vm : vms_) endpoints.push_back(&vm->messenger());
     if (mon_msgr_ != nullptr) endpoints.push_back(mon_msgr_.get());
     injector_ = std::make_unique<fault::FaultInjector>(
-        sim_, cmap_, std::move(osds), std::move(ssds), std::move(endpoints), cfg_.seed);
+        sim_, cmap_, roster(), std::move(ssds), std::move(endpoints), cfg_.seed);
     injector_->set_detected(cfg_.membership.detected());
     injector_->set_monitor(mon_msgr_.get());
   }
@@ -367,10 +362,15 @@ fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
   return *injector_;
 }
 
-sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::MapChange& change) {
+std::vector<osd::Osd*> ClusterSim::roster() const {
   std::vector<osd::Osd*> osds;
   osds.reserve(osds_.size());
-  for (auto& o : osds_) osds.push_back(o.get());
+  for (const auto& o : osds_) osds.push_back(o.get());
+  return osds;
+}
+
+sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::MapChange& change) {
+  const std::vector<osd::Osd*> osds = roster();
   std::uint64_t migrated = 0;
   for (const osd::PgRemap& r : change.remaps()) {
     osd::install_remap(osds, r);
@@ -394,31 +394,14 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
   const osd::MapChange change(cmap_);
 
   const unsigned node_index = unsigned(osd_nodes_.size());
-  osd_nodes_.push_back(std::make_unique<net::Node>(
-      sim_, "node." + std::to_string(node_index),
-      net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
-  nvrams_.push_back(std::make_unique<dev::NvramModel>(
-      sim_, "nvram." + std::to_string(node_index), cfg_.nvram));
+  add_server();
 
   const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
   const net::Connection::Config client_net =
       net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
 
   const std::size_t first_new = osds_.size();
-  for (unsigned k = 0; k < cfg_.osds_per_node; k++) {
-    const std::uint32_t id = std::uint32_t(osds_.size());
-    cmap_.crush().add_osd(id, node_index);
-    dev::SsdModel::Config ssd_cfg = cfg_.ssd;
-    ssd_cfg.sustained = cfg_.sustained;
-    ssd_cfg.drives = k < 2 ? 3 : 2;
-    ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(id), ssd_cfg));
-    osds_.push_back(std::make_unique<osd::Osd>(
-        sim_, *osd_nodes_[node_index], *nvrams_[node_index], *ssds_[id], cmap_, id, cfg_.osd,
-        cfg_.profile, store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log, cfg_.journal));
-    if (auto* tr = trace::Collector::active()) {
-      tr->name_track(trace::osd_track(id), "osd." + std::to_string(id));
-    }
-  }
+  for (unsigned k = 0; k < cfg_.osds_per_node; k++) add_osd(node_index);
   // Wire the new OSDs to everyone (existing OSDs and all VMs).
   for (std::size_t n = first_new; n < osds_.size(); n++) {
     for (std::size_t o = 0; o < osds_.size(); o++) {
@@ -436,222 +419,9 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
   co_return co_await rebalance(change);
 }
 
-sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub(bool repair) {
-  if (cmap_.erasure()) co_return co_await deep_scrub_ec(repair);
-  ScrubReport report;
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting.empty()) continue;
-    osd::Osd& primary = *osds_[acting[0]];
-    // Union of object names across the acting set (a replica could hold an
-    // object the primary somehow lost).
-    std::set<fs::ObjectId> names;
-    bool any = false;
-    for (auto member : acting) {
-      for (auto& oid : osds_[member]->store().objects_in_pg(pg)) {
-        names.insert(std::move(oid));
-        any = true;
-      }
-    }
-    if (!any) continue;
-    report.pgs_scrubbed++;
-    for (const auto& oid : names) {
-      report.objects_scrubbed++;
-      // Pick the authoritative copy: the first acting member whose replica
-      // still passes its write-time extent checksums. The primary is not
-      // automatically trusted — its media can rot like anyone else's
-      // (Ceph's repair likewise selects by deep-scrub digest, not rank).
-      osd::Osd* auth = &primary;
-      for (auto member : acting) {
-        auto& store = osds_[member]->store();
-        if (store.object_in_memory(oid) && store.verify_object(oid)) {
-          auth = osds_[member].get();
-          break;
-        }
-      }
-      const std::uint64_t want = auth->store().object_fingerprint(oid);
-      // Deep scrub reads every replica's bytes (charged), self-checks its
-      // checksums, and compares fingerprints against the authoritative copy.
-      std::vector<std::uint32_t> bad_members;
-      for (auto member : acting) {
-        auto& store = osds_[member]->store();
-        if (!store.object_in_memory(oid)) {
-          report.missing++;
-          bad_members.push_back(member);
-          continue;
-        }
-        co_await store.read(oid, 0, store.object_size(oid), /*want_data=*/false);
-        if (!store.verify_object(oid) || store.object_fingerprint(oid) != want) {
-          report.inconsistent++;
-          bad_members.push_back(member);
-        }
-      }
-      if (!bad_members.empty() && repair) {
-        for (auto member : bad_members) {
-          if (osds_[member].get() == auth) continue;
-          co_await osds_[member]->recover_object(oid, auth->store().export_object(oid));
-          report.repaired++;
-          osds_[member]->counters().add("osd.scrub_objects_repaired");
-          if (auto* tr = trace::Collector::active()) {
-            tr->instant(trace::Span{fs::ObjectIdHash{}(oid) | 1, trace::kFaultTrack},
-                        tr->stage_id(stage::kScrubRepair), sim_.now());
-          }
-        }
-      }
-    }
-  }
-  co_return report;
-}
-
-sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
-  ScrubReport report;
-  const unsigned k = cmap_.ec_k();
-  const unsigned m = cmap_.ec_m();
-  ec::Codec codec(k, m);
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting.size() < std::size_t(k) + m) continue;
-    // Stripe census: union of base names over every position's shard store.
-    std::set<std::string> bases;
-    for (unsigned p = 0; p < k + m; p++) {
-      const std::uint32_t member = acting[p];
-      if (member == cluster::ClusterMap::kNoOsd) continue;
-      for (const auto& oid : osds_[member]->store().objects_in_pg(pg))
-        if (auto sn = ec::parse_shard(oid.name); sn.has_value() && sn->shard == p)
-          bases.insert(sn->base);
-    }
-    if (bases.empty()) continue;
-    report.pgs_scrubbed++;
-    for (const auto& base : bases) {
-      report.objects_scrubbed++;
-      const fs::ObjectId base_oid{pg, base};
-      // Phase 1: each shard self-checks its write-time extent CRCs (bytes
-      // read charged, as in a replicated deep scrub). A failing or missing
-      // shard is repaired by decoding from any k clean peers.
-      std::vector<unsigned> bad;
-      for (unsigned p = 0; p < k + m; p++) {
-        const std::uint32_t member = acting[p];
-        if (member == cluster::ClusterMap::kNoOsd) continue;  // hole: no store to check
-        const fs::ObjectId soid = ec::shard_oid(base_oid, p);
-        auto& store = osds_[member]->store();
-        if (!store.object_in_memory(soid)) {
-          report.missing++;
-          bad.push_back(p);
-          continue;
-        }
-        co_await store.read(soid, 0, store.object_size(soid), /*want_data=*/false);
-        if (!store.verify_object(soid)) {
-          report.inconsistent++;
-          bad.push_back(p);
-        }
-      }
-      if (!bad.empty() && repair) {
-        std::vector<unsigned> src_pos;
-        std::vector<store::ObjectExport> src_exp;
-        std::vector<std::pair<std::string, kv::Value>> xattrs;
-        for (unsigned p = 0; p < k + m && src_pos.size() < k; p++) {
-          const std::uint32_t member = acting[p];
-          if (member == cluster::ClusterMap::kNoOsd) continue;
-          if (std::find(bad.begin(), bad.end(), p) != bad.end()) continue;
-          auto exp = osds_[member]->store().export_object(ec::shard_oid(base_oid, p));
-          if (xattrs.empty()) xattrs = exp.xattrs;
-          src_pos.push_back(p);
-          src_exp.push_back(std::move(exp));
-        }
-        if (src_pos.size() >= k) {
-          for (unsigned p : bad) {
-            const std::uint32_t member = acting[p];
-            if (member == cluster::ClusterMap::kNoOsd) continue;
-            store::ObjectExport out = osd::decode_shard(codec, p, src_pos, src_exp);
-            if (out.extents.empty()) continue;  // torn tail only: phase 2's problem
-            out.xattrs = xattrs;
-            co_await osds_[member]->recover_object(ec::shard_oid(base_oid, p), std::move(out));
-            report.repaired++;
-            osds_[member]->counters().add("osd.scrub_objects_repaired");
-            if (auto* tr = trace::Collector::active()) {
-              tr->instant(trace::Span{fs::ObjectIdHash{}(base_oid) | 1, trace::kFaultTrack},
-                          tr->stage_id(stage::kScrubRepair), sim_.now());
-            }
-          }
-        }
-      }
-      // Phase 2: stripe parity consistency. A torn stripe write (crash
-      // mid-fanout) leaves shards that each pass their own CRC yet violate
-      // the parity equation; only a cross-shard recompute can see that.
-      // Checkable only when every position currently holds a clean shard
-      // (possibly thanks to phase-1 repair a moment ago).
-      std::vector<store::ObjectExport> all(k + m);
-      bool complete = true;
-      for (unsigned p = 0; p < k + m; p++) {
-        const std::uint32_t member = acting[p];
-        const fs::ObjectId soid = ec::shard_oid(base_oid, p);
-        if (member == cluster::ClusterMap::kNoOsd ||
-            !osds_[member]->store().object_in_memory(soid) ||
-            !osds_[member]->store().verify_object(soid)) {
-          complete = false;
-          break;
-        }
-        all[p] = osds_[member]->store().export_object(soid);
-      }
-      if (!complete) continue;
-      std::map<std::uint64_t, std::uint64_t> offsets;
-      for (unsigned p = 0; p < k + m; p++)
-        for (const auto& [off, pay] : all[p].extents)
-          offsets[off] = std::max(offsets[off], pay.size());
-      // Authoritative convergence rule for an inconsistent (never-acked)
-      // stripe: the data shards' stored bytes win, absent data extents count
-      // as zeros, parity is recomputed. Reads after repair return a single
-      // consistent pre-or-post-write mix, and a re-scrub finds nothing.
-      bool dirty = false;
-      std::vector<bool> needs(k + m, false);
-      std::vector<store::ObjectExport> fixed(k + m);
-      for (const auto& [off, len] : offsets) {
-        std::vector<std::vector<std::uint8_t>> data;
-        for (unsigned j = 0; j < k; j++) {
-          const Payload* pay = all[j].extent_at(off);
-          auto bytes = pay != nullptr ? pay->materialize() : std::vector<std::uint8_t>();
-          bytes.resize(len, 0);
-          data.push_back(std::move(bytes));
-        }
-        auto parity = codec.encode(data);
-        for (unsigned p = 0; p < k + m; p++) {
-          const std::vector<std::uint8_t>& want = p < k ? data[p] : parity[p - k];
-          const Payload* stored = all[p].extent_at(off);
-          const bool same =
-              stored != nullptr && stored->size() == len && stored->materialize() == want;
-          if (!same) {
-            dirty = true;
-            needs[p] = true;
-          }
-          fixed[p].size = std::max(fixed[p].size, off + len);
-          fixed[p].extents.emplace_back(off, Payload::bytes(want));
-        }
-      }
-      if (!dirty) continue;
-      report.inconsistent++;
-      const std::uint32_t primary = cmap_.primary(pg);
-      osds_[primary]->counters().add("osd.ec_parity_mismatch");
-      if (auto* tr = trace::Collector::active()) {
-        tr->instant(trace::Span{fs::ObjectIdHash{}(base_oid) | 1, trace::kFaultTrack},
-                    tr->stage_id(stage::kEcParityMismatch), sim_.now());
-      }
-      if (!repair) continue;
-      for (unsigned p = 0; p < k + m; p++) {
-        if (!needs[p]) continue;
-        const std::uint32_t member = acting[p];
-        fixed[p].xattrs = all[p].xattrs.empty() ? all[0].xattrs : all[p].xattrs;
-        co_await osds_[member]->recover_object(ec::shard_oid(base_oid, p),
-                                               std::move(fixed[p]));
-        report.repaired++;
-        osds_[member]->counters().add("osd.scrub_objects_repaired");
-        if (auto* tr = trace::Collector::active()) {
-          tr->instant(trace::Span{fs::ObjectIdHash{}(base_oid) | 1, trace::kFaultTrack},
-                      tr->stage_id(stage::kScrubRepair), sim_.now());
-        }
-      }
-    }
-  }
-  co_return report;
+sim::CoTask<osd::ScrubReport> ClusterSim::deep_scrub(bool repair) {
+  const std::vector<osd::Osd*> osds = roster();
+  co_return co_await osd::deep_scrub(sim_, cmap_, osds, repair);
 }
 
 void ClusterSim::close_all() {

@@ -12,6 +12,7 @@
 #include "fault/injector.h"
 #include "mon/monitor.h"
 #include "osd/osd.h"
+#include "osd/scrub.h"
 
 namespace afc::core {
 
@@ -214,16 +215,10 @@ class ClusterSim {
   /// expansion, live). Returns the number of objects migrated.
   sim::CoTask<std::uint64_t> add_node();
 
-  /// Scrub: cross-check every object's content fingerprint across its
-  /// acting set (Ceph's deep scrub); optionally repair inconsistent or
-  /// missing replicas from the primary's copy. Quiesce traffic first.
-  struct ScrubReport {
-    std::uint64_t pgs_scrubbed = 0;
-    std::uint64_t objects_scrubbed = 0;
-    std::uint64_t inconsistent = 0;
-    std::uint64_t missing = 0;
-    std::uint64_t repaired = 0;
-  };
+  /// Deep scrub every PG (osd/scrub.h); with `repair`, rebuild every
+  /// missing or inconsistent copy from clean copies only. Quiesce traffic
+  /// first.
+  using ScrubReport = osd::ScrubReport;
   sim::CoTask<ScrubReport> deep_scrub(bool repair);
 
   /// Close all OSD queues (worker coroutines drain and exit).
@@ -242,9 +237,12 @@ class ClusterSim {
   /// Apply the recovery rule (osd/recovery.h) to every PG `change`
   /// re-placed, one target at a time.
   sim::CoTask<std::uint64_t> rebalance(const osd::MapChange& change);
-  /// EC pools: per-shard CRC + stripe parity-consistency scrub, repairing by
-  /// reconstruction (replicated pools use the fingerprint-vote scrub).
-  sim::CoTask<ScrubReport> deep_scrub_ec(bool repair);
+  /// Every OSD, indexed by id (the osd/recovery.h and osd/scrub.h convention).
+  std::vector<osd::Osd*> roster() const;
+  /// A new OSD server: its node and its NVRAM journal device.
+  void add_server();
+  /// The next OSD id on server `node`: CRUSH entry, SSD array and daemon.
+  void add_osd(unsigned node);
 
   ClusterConfig cfg_;
   /// Derived from cfg_ once by the constructor; add_node() reuses them.

@@ -87,8 +87,7 @@ void FaultInjector::apply(std::size_t idx) {
       if (e.media == 1) {
         hit = osds_[e.osd]->journal().corrupt_record(s);
       } else {
-        hit = e.media == 2 ? corrupt_parity_shard(e.osd, s)
-                           : corrupt_scrubbed_object(e.osd, s);
+        hit = corrupt_audited_copy(e.osd, s, /*parity=*/e.media == 2);
       }
       if (!hit) counters_.add("fault.bit_flip_noop");
       break;
@@ -122,48 +121,33 @@ void FaultInjector::clear(std::size_t idx) {
   }
 }
 
-bool FaultInjector::corrupt_scrubbed_object(std::uint32_t osd, std::uint64_t seed) {
-  // Flip a byte in a replica the scrub will actually audit: an object of a
-  // PG this OSD currently serves. Stale copies left behind by old backfills
-  // are resident too, but no acting set references them, so corrupting one
-  // would be invisible to every detector the model has.
+bool FaultInjector::corrupt_audited_copy(std::uint32_t osd, std::uint64_t seed, bool parity) {
+  // Flip a byte in a copy the scrub will actually audit: an object of a PG
+  // this OSD currently serves (with `parity`, a shard the acting set maps
+  // to this OSD at a parity position). Stale copies left behind by old
+  // backfills are resident too, but no acting set references them, so
+  // corrupting one would be invisible to every detector the model has.
+  if (parity && !cmap_.erasure()) return false;
   std::vector<fs::ObjectId> oids;
   for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++) {
     const auto& acting = cmap_.acting(pg);
-    if (std::find(acting.begin(), acting.end(), osd) == acting.end()) continue;
-    auto in_pg = osds_[osd]->store().objects_in_pg(pg);
-    oids.insert(oids.end(), in_pg.begin(), in_pg.end());
+    if (!parity && std::find(acting.begin(), acting.end(), osd) == acting.end()) continue;
+    for (auto& oid : osds_[osd]->store().objects_in_pg(pg)) {
+      if (parity) {
+        const auto sn = ec::parse_shard(oid.name);
+        if (!sn.has_value() || sn->shard < cmap_.ec_k() || sn->shard >= acting.size() ||
+            acting[sn->shard] != osd) {
+          continue;
+        }
+      }
+      oids.push_back(std::move(oid));
+    }
   }
   if (oids.empty()) return false;
   std::sort(oids.begin(), oids.end());  // seeded pick independent of hash order
   Rng rng(seed ^ 0xB17F11Dull);
   // Linear probe from a seeded start: corrupt_object() refuses objects with
   // no resident extent data.
-  const std::size_t start = rng.uniform_int(0, oids.size() - 1);
-  for (std::size_t k = 0; k < oids.size(); k++) {
-    if (osds_[osd]->store().corrupt_object(oids[(start + k) % oids.size()])) return true;
-  }
-  return false;
-}
-
-bool FaultInjector::corrupt_parity_shard(std::uint32_t osd, std::uint64_t seed) {
-  if (!cmap_.erasure()) return false;
-  const unsigned k = cmap_.ec_k();
-  // Same audit-visibility rule as corrupt_scrubbed_object, narrowed to
-  // parity: only shards the acting set maps to this OSD at a parity
-  // position count.
-  std::vector<fs::ObjectId> oids;
-  for (std::uint32_t pg = 0; pg < cmap_.pool().pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    for (const auto& oid : osds_[osd]->store().objects_in_pg(pg)) {
-      auto sn = ec::parse_shard(oid.name);
-      if (!sn.has_value() || sn->shard < k) continue;
-      if (sn->shard < acting.size() && acting[sn->shard] == osd) oids.push_back(oid);
-    }
-  }
-  if (oids.empty()) return false;
-  std::sort(oids.begin(), oids.end());
-  Rng rng(seed ^ 0xB17F11Dull);
   const std::size_t start = rng.uniform_int(0, oids.size() - 1);
   for (std::size_t i = 0; i < oids.size(); i++) {
     if (osds_[osd]->store().corrupt_object(oids[(start + i) % oids.size()])) return true;

@@ -58,12 +58,10 @@ class FaultInjector {
   void do_crash(std::uint32_t osd);
   void do_restart(std::uint32_t osd);
   /// kBitFlip on data media: flip one byte of a seeded-random object in a
-  /// PG the OSD is currently acting for (so a scrub can find the damage).
-  bool corrupt_scrubbed_object(std::uint32_t osd, std::uint64_t seed);
-  /// kBitFlip with media=2: flip one byte of a parity shard (index >= k)
-  /// that `osd` currently holds in an EC acting set. Returns false (no-op)
-  /// on replicated pools or when no parity shard is resident.
-  bool corrupt_parity_shard(std::uint32_t osd, std::uint64_t seed);
+  /// PG the OSD is currently acting for (so a scrub can find the damage);
+  /// with `parity` (media=2), of an EC parity shard (index >= k) it holds
+  /// at its acting-set position. Returns false when nothing qualifies.
+  bool corrupt_audited_copy(std::uint32_t osd, std::uint64_t seed, bool parity);
   /// Apply `f` to both directions of every connection matching (osd, peer);
   /// peer == kAllPeers matches every link touching `osd`.
   void set_link_fault(std::uint32_t osd, std::uint32_t peer, const net::Connection::Fault& f);

@@ -957,18 +957,12 @@ sim::CoTask<void> Osd::ec_read_gather(OpRef op) {
 
   // Serve one locally-held shard position (the primary usually holds one).
   auto fetch_local = [&](unsigned p) -> sim::CoTask<void> {
-    const fs::ObjectId soid = ec::shard_oid(msg.oid, p);
-    co_await store_->wait_object_readable(soid);
-    bool ok = store_->object_in_memory(soid) && store_->verify_object(soid);
-    if (ok) {
-      auto rr = co_await store_->read(soid, soff, clen, msg.want_data);
-      if (rr.found) {
-        g.good[p] = GatherChunk{rr.length, std::move(rr.data)};
-      } else {
-        ok = false;
-      }
+    auto rr = co_await read_clean_shard(ec::shard_oid(msg.oid, p), soff, clen, msg.want_data);
+    if (rr.found) {
+      g.good[p] = GatherChunk{rr.length, std::move(rr.data)};
+    } else {
+      g.bad.insert(p);
     }
-    if (!ok) g.bad.insert(p);
     g.waiting.erase(p);
   };
 
@@ -1062,17 +1056,10 @@ sim::CoTask<void> Osd::serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
   auto reply = std::make_shared<ShardReadReplyMsg>();
   reply->rid = msg->rid;
   if (auto sn = ec::parse_shard(msg->oid.name)) reply->shard = sn->shard;
-  co_await store_->wait_object_readable(msg->oid);
-  // Per-shard CRC gate: a bit-flipped shard reports itself bad here, which
-  // is what turns silent corruption into a reconstructing read.
-  if (store_->object_in_memory(msg->oid) && store_->verify_object(msg->oid)) {
-    auto rr = co_await store_->read(msg->oid, msg->offset, msg->len, msg->want_data);
-    reply->ok = rr.found;
-    reply->data_len = rr.length;
-    reply->data = std::move(rr.data);
-  } else {
-    reply->ok = false;
-  }
+  auto rr = co_await read_clean_shard(msg->oid, msg->offset, msg->len, msg->want_data);
+  reply->ok = rr.found;
+  reply->data_len = rr.length;
+  reply->data = std::move(rr.data);
   if (auto* tr = trace::Collector::active()) {
     trace::Span sp{msg->rid, trace::osd_track(id_)};
     tr->complete(sp, tr->stage_id(stage::kEcShardRead), t0, sim_.now());
@@ -1082,6 +1069,13 @@ sim::CoTask<void> Osd::serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
   wire.size = reply->data_len + cfg_.reply_msg_bytes;
   wire.body = std::move(reply);
   if (conn != nullptr) conn->send(std::move(wire));
+}
+
+sim::CoTask<store::ObjectStore::ReadResult> Osd::read_clean_shard(
+    const fs::ObjectId& oid, std::uint64_t off, std::uint64_t len, bool want_data) {
+  co_await store_->wait_object_readable(oid);
+  if (!store_->holds_clean(oid)) co_return store::ObjectStore::ReadResult{};
+  co_return co_await store_->read(oid, off, len, want_data);
 }
 
 void Osd::handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg) {
@@ -1212,6 +1206,7 @@ sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
     // mid-copy is wiped by the snapshot install while the source keeps it,
     // so one pass can leave the replica stale under live traffic.
     unsigned attempts = 0;
+    bool same = false;
     while (attempts < 4) {
       // The export must reflect every write this source has admitted for
       // the object: under backlog the filestore lags the journal by
@@ -1220,26 +1215,20 @@ sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
       // already; the snapshot install erases them, and the source's late
       // apply then diverges the copies for good).
       co_await store_->wait_object_readable(oid);
-      if (target.store().object_in_memory(oid) &&
-          target.store().object_fingerprint(oid) == store_->object_fingerprint(oid)) {
-        break;
-      }
-      auto data = store_->export_object(oid);
-      std::uint64_t bytes = 0;
-      for (const auto& [off, payload] : data.extents) bytes += payload.size();
-      // Source read, wire transfer, then installation at the target.
-      if (bytes > 0) {
-        co_await store_->read(oid, 0, data.size, /*want_data=*/false);
-        co_await node_.nic_transmit(bytes + 512);
-        co_await sim::delay(sim_, 60 * kMicrosecond, "osd.push_hop");
-      }
+      // An unclean source copy is left for scrub, which repairs it from a
+      // clean one (ObjectStore::holds_clean).
+      if (!store_->holds_clean(oid)) break;
+      same = target.store().object_in_memory(oid) &&
+             target.store().object_fingerprint(oid) == store_->object_fingerprint(oid);
+      if (same) break;
+      auto data = co_await push_export(oid);
       co_await target.recover_object(oid, std::move(data));
       attempts++;
     }
-    if (attempts == 0) {
-      counters_.add("osd.backfill_skipped");
-    } else {
+    if (attempts > 0) {
       pushed++;
+    } else if (same) {
+      counters_.add("osd.backfill_skipped");
     }
   }
   // Sync the version stream so the target can continue the PG log.
@@ -1247,6 +1236,18 @@ sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
     if (Pg* dst_pg = target.find_pg(pgid)) dst_pg->observe_version(src_pg->version());
   }
   co_return pushed;
+}
+
+sim::CoTask<store::ObjectExport> Osd::push_export(const fs::ObjectId& oid) {
+  store::ObjectExport data = store_->export_object(oid);
+  std::uint64_t bytes = 0;
+  for (const auto& [off, payload] : data.extents) bytes += payload.size();
+  if (bytes > 0) {
+    co_await store_->read(oid, 0, data.size, /*want_data=*/false);
+    co_await node_.nic_transmit(bytes + 512);
+    co_await sim::delay(sim_, 60 * kMicrosecond, "osd.push_hop");
+  }
+  co_return data;
 }
 
 sim::CoTask<void> Osd::recover_object(const fs::ObjectId& oid,

@@ -136,6 +136,9 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// Re-replicate one PG's objects to `target` (backfill): charges source
   /// reads, network transfer, and target writes.
   sim::CoTask<std::uint64_t> push_pg(std::uint32_t pgid, Osd& target);
+  /// Export one object for recovery at another OSD, charged as a source
+  /// read, the wire transfer and one recovery hop.
+  sim::CoTask<store::ObjectExport> push_export(const fs::ObjectId& oid);
   /// Install one recovered object (charged as a light apply).
   sim::CoTask<void> recover_object(const fs::ObjectId& oid, store::ObjectExport data);
   /// The daemon died (fault injection): its RAM — the op ledger and the
@@ -255,6 +258,10 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   sim::CoTask<void> ec_read_gather(OpRef op);
   sim::CoTask<void> serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
                                      net::Connection* conn);
+  /// Read a local shard once its queued writes have applied; an unclean
+  /// one reads as not found, which turns corruption into a decoding read.
+  sim::CoTask<store::ObjectStore::ReadResult> read_clean_shard(
+      const fs::ObjectId& oid, std::uint64_t off, std::uint64_t len, bool want_data);
   void handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg);
   void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                        std::optional<std::vector<std::uint8_t>> data);

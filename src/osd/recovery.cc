@@ -12,13 +12,6 @@ namespace {
 
 constexpr std::uint32_t kNoOsd = cluster::ClusterMap::kNoOsd;
 
-/// Holder of position `p` in `acting`, or nullptr for a hole.
-Osd* holder(const std::vector<Osd*>& osds, const std::vector<std::uint32_t>& acting,
-            unsigned p) {
-  const std::uint32_t id = acting[p];
-  return id == kNoOsd || id >= osds.size() ? nullptr : osds[id];
-}
-
 /// Rebuild every shard object of `pgid` at position `pos` onto `target` by
 /// decode-from-peers (see recover_target). Returns shard objects rebuilt.
 sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
@@ -34,43 +27,23 @@ sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
 
   // Every stripe that has a shard on any surviving position needs its `pos`
   // shard present at the target.
-  std::set<std::string> bases;
-  for (unsigned p = 0; p < k + m; p++) {
-    Osd* h = p == pos ? nullptr : holder(osds, acting, p);
-    if (h == nullptr) continue;
-    for (const auto& oid : h->store().objects_in_pg(pgid))
-      if (auto sn = ec::parse_shard(oid.name); sn.has_value() && sn->shard == p)
-        bases.insert(sn->base);
-  }
+  const std::set<std::string> bases = pg_census(cmap, osds, pgid, acting, pos);
 
   std::uint64_t rebuilt = 0;
   for (const auto& base : bases) {
     const fs::ObjectId base_oid{pgid, base};
     const fs::ObjectId toid = ec::shard_oid(base_oid, pos);
 
-    // Export up to k clean source shards, charged like a backfill read:
-    // source device read, wire transfer, one recovery hop.
+    // Export up to k clean source shards, charged like a backfill read.
     std::vector<unsigned> present;
     std::vector<store::ObjectExport> exports;
-    std::vector<std::pair<std::string, kv::Value>> xattrs;
     for (unsigned p = 0; p < k + m && present.size() < k; p++) {
-      Osd* src = p == pos ? nullptr : holder(osds, acting, p);
+      Osd* src = p == pos ? nullptr : position_holder(osds, acting, p);
       if (src == nullptr) continue;
       const fs::ObjectId soid = ec::shard_oid(base_oid, p);
       co_await src->store().wait_object_readable(soid);
-      if (!src->store().object_in_memory(soid)) continue;
-      // Never rebuild from a chunk that fails its own CRC — that would
-      // launder latent corruption into freshly "recovered" data.
-      if (!src->store().verify_object(soid)) continue;
-      auto exp = src->store().export_object(soid);
-      std::uint64_t bytes = 0;
-      for (const auto& [off, pay] : exp.extents) bytes += pay.size();
-      if (bytes > 0) {
-        co_await src->store().read(soid, 0, exp.size, /*want_data=*/false);
-        co_await src->node().nic_transmit(bytes + 512);
-        co_await sim::delay(sim, 60 * kMicrosecond, "osd.push_hop");
-      }
-      if (xattrs.empty()) xattrs = exp.xattrs;
+      if (!src->store().holds_clean(soid)) continue;
+      auto exp = co_await src->push_export(soid);
       present.push_back(p);
       exports.push_back(std::move(exp));
     }
@@ -78,7 +51,6 @@ sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
 
     store::ObjectExport out = decode_shard(codec, pos, present, exports);
     if (out.extents.empty()) continue;
-    out.xattrs = xattrs;
 
     // Delta rebuild: journal replay (restart) may already have restored the
     // shard — compare *content*, not fingerprints, because a live-written
@@ -106,7 +78,7 @@ sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
 
   // Continue the PG's version stream at the rebuilt member.
   for (unsigned p = 0; p < k + m; p++) {
-    Osd* src = p == pos ? nullptr : holder(osds, acting, p);
+    Osd* src = p == pos ? nullptr : position_holder(osds, acting, p);
     if (src == nullptr) continue;
     if (Pg* src_pg = src->find_pg(pgid)) {
       if (Pg* dst_pg = target.find_pg(pgid)) dst_pg->observe_version(src_pg->version());
@@ -117,6 +89,34 @@ sim::CoTask<std::uint64_t> ec_rebuild_position(sim::Simulation& sim,
 }
 
 }  // namespace
+
+Osd* position_holder(const std::vector<Osd*>& osds, const std::vector<std::uint32_t>& acting,
+                     unsigned p) {
+  const std::uint32_t id = acting[p];
+  return id == kNoOsd || id >= osds.size() ? nullptr : osds[id];
+}
+
+fs::ObjectId position_oid(const cluster::ClusterMap& cmap, const fs::ObjectId& base, unsigned p) {
+  return cmap.erasure() ? ec::shard_oid(base, p) : base;
+}
+
+std::set<std::string> pg_census(const cluster::ClusterMap& cmap, const std::vector<Osd*>& osds,
+                                std::uint32_t pg, const std::vector<std::uint32_t>& acting,
+                                unsigned skip) {
+  std::set<std::string> names;
+  for (unsigned p = 0; p < acting.size(); p++) {
+    Osd* h = p == skip ? nullptr : position_holder(osds, acting, p);
+    if (h == nullptr) continue;
+    for (auto& oid : h->store().objects_in_pg(pg)) {
+      if (!cmap.erasure()) {
+        names.insert(std::move(oid.name));
+      } else if (auto sn = ec::parse_shard(oid.name); sn.has_value() && sn->shard == p) {
+        names.insert(std::move(sn->base));
+      }
+    }
+  }
+  return names;
+}
 
 PgRemap plan_remap(const cluster::ClusterMap& cmap, std::uint32_t pg,
                    const std::vector<std::uint32_t>& old) {
@@ -194,6 +194,12 @@ store::ObjectExport decode_shard(const ec::Codec& codec, unsigned pos,
     if (!chunk.has_value()) continue;
     out.size = std::max(out.size, off + chunk->size());
     out.extents.emplace_back(off, Payload::bytes(std::move(*chunk)));
+  }
+  for (const auto& e : exports) {
+    if (!e.xattrs.empty()) {
+      out.xattrs = e.xattrs;
+      break;
+    }
   }
   return out;
 }

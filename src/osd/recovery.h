@@ -1,5 +1,7 @@
 #pragma once
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/map.h"
@@ -61,11 +63,23 @@ sim::CoTask<std::uint64_t> recover_target(sim::Simulation& sim, cluster::Cluster
                                           const std::vector<Osd*>& osds, const PgRemap& r,
                                           unsigned pos);
 
+/// Holder of position `p` in `acting`, or nullptr for a hole.
+Osd* position_holder(const std::vector<Osd*>& osds, const std::vector<std::uint32_t>& acting,
+                     unsigned p);
+/// Position `p`'s copy of the logical object `base`: the object itself
+/// (replicated) or its shard object ec::shard_oid(base, p) (EC).
+fs::ObjectId position_oid(const cluster::ClusterMap& cmap, const fs::ObjectId& base, unsigned p);
+/// The logical objects of `pg` whose copy some position of `acting` other
+/// than `skip` holds, by name, ascending.
+std::set<std::string> pg_census(const cluster::ClusterMap& cmap, const std::vector<Osd*>& osds,
+                                std::uint32_t pg, const std::vector<std::uint32_t>& acting,
+                                unsigned skip = ~0u);
+
 /// Decode shard position `pos` of one stripe from source shards
 /// (`exports[i]` holds position `present[i]`), extent by extent over the
 /// union of the sources' extents, each from the first k sources holding
 /// it. An extent fewer than k sources hold (a torn stripe tail) is left out;
-/// the result carries no xattrs.
+/// the xattrs are the first source's that has any.
 store::ObjectExport decode_shard(const ec::Codec& codec, unsigned pos,
                                  const std::vector<unsigned>& present,
                                  const std::vector<store::ObjectExport>& exports);

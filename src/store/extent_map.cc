@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/rng.h"
-
 namespace afc::store {
 
 ExtentMap::Object* ExtentMap::find(const fs::ObjectId& oid) {
@@ -101,20 +99,6 @@ bool ExtentMap::corrupt(const fs::ObjectId& oid) {
   // like media rot under a checksum written at write time.
   ext.data = Payload::bytes(std::move(bytes));
   return true;
-}
-
-std::optional<fs::ObjectId> ExtentMap::corrupt_some(std::uint64_t seed) {
-  std::vector<fs::ObjectId> oids;
-  oids.reserve(objects_.size());
-  for (const auto& [oid, obj] : objects_) {
-    if (!obj.extents.empty()) oids.push_back(oid);
-  }
-  if (oids.empty()) return std::nullopt;
-  std::sort(oids.begin(), oids.end());  // seeded pick independent of hash order
-  Rng rng(seed ^ 0xB17F11Dull);
-  fs::ObjectId victim = oids[rng.uniform_int(0, oids.size() - 1)];
-  if (!corrupt(victim)) return std::nullopt;
-  return victim;
 }
 
 bool ExtentMap::verify(const fs::ObjectId& oid) const {

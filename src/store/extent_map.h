@@ -79,8 +79,6 @@ class ExtentMap {
   /// extent, as latent media corruption would. Returns false if the object
   /// has no data.
   bool corrupt(const fs::ObjectId& oid);
-  /// FAILURE INJECTION: corrupt() on a seeded-random resident object.
-  std::optional<fs::ObjectId> corrupt_some(std::uint64_t seed);
   /// Deep-scrub self-check: every extent's content still matches the
   /// checksum recorded when it was written. True for absent objects.
   bool verify(const fs::ObjectId& oid) const;

@@ -164,12 +164,13 @@ class ObjectStore {
   }
   /// FAILURE INJECTION: flip one byte of the object's first extent.
   bool corrupt_object(const fs::ObjectId& oid) { return objects_.corrupt(oid); }
-  /// FAILURE INJECTION: corrupt_object() on a seeded-random resident object.
-  std::optional<fs::ObjectId> corrupt_some_object(std::uint64_t seed) {
-    return objects_.corrupt_some(seed);
-  }
   /// Deep-scrub self-check: stored checksums still match content.
   bool verify_object(const fs::ObjectId& oid) const { return objects_.verify(oid); }
+  /// The clean-copy rule: only a copy that is here and passes its own CRC
+  /// may be read, copied or decoded from (docs/FAULTS.md).
+  bool holds_clean(const fs::ObjectId& oid) const {
+    return object_in_memory(oid) && verify_object(oid);
+  }
 
   /// The store's one write-ahead ring (FileStore's external journal,
   /// FlashStore's WAL); never null. Fault injection stalls, tears and

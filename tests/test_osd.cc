@@ -413,6 +413,35 @@ TEST(OsdRecovery, DecommissionRereplicatesAndDataSurvives) {
   });
 }
 
+TEST(OsdRecovery, BackfillSkipsACopyThatFailsItsCrc) {
+  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
+  drive(cluster, [&]() -> sim::CoTask<void> {
+    auto& vm = cluster.vm(0);
+    for (int i = 0; i < 32; i++) {
+      co_await vm.write_once(std::uint64_t(i) * 4 * kMiB,
+                             Payload::pattern(4096, 70 + std::uint64_t(i)));
+    }
+    co_await sim::delay(cluster.simulation(), 2 * kSecond);
+
+    // Rot the backfill source's copy of object 0, then take its peer away:
+    // the replacement member must not receive the rotten bytes dressed in
+    // fresh checksums.
+    const auto m = vm.image().map(0);
+    const auto pg = cluster.map().pg_of(m.object_name);
+    const fs::ObjectId oid{pg, m.object_name};
+    const std::vector<std::uint32_t> before = cluster.map().acting(pg);
+    const std::uint64_t written = cluster.osd(before[0]).store().object_fingerprint(oid);
+    EXPECT_TRUE(cluster.osd(before[0]).store().corrupt_object(oid));
+    co_await cluster.decommission_osd(before[1]);
+
+    for (auto member : cluster.map().acting(pg)) {
+      const auto& store = cluster.osd(member).store();
+      if (!store.object_in_memory(oid) || !store.verify_object(oid)) continue;
+      EXPECT_EQ(store.object_fingerprint(oid), written) << "laundered copy on osd " << member;
+    }
+  });
+}
+
 TEST(OsdRecovery, AddNodeRebalancesPgs) {
   core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
   drive(cluster, [&]() -> sim::CoTask<void> {
@@ -524,80 +553,160 @@ TEST(OsdMechanism, ZipfSkewConcentratesLoad) {
 }
 
 TEST(OsdScrub, CleanClusterScrubsClean) {
-  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
-  drive(cluster, [&]() -> sim::CoTask<void> {
-    auto& vm = cluster.vm(0);
-    for (int i = 0; i < 32; i++) {
-      co_await vm.write_once(std::uint64_t(i) * 4 * kMiB, Payload::pattern(4096, std::uint64_t(i)));
-    }
-    co_await sim::delay(cluster.simulation(), 2 * kSecond);
-    auto report = co_await cluster.deep_scrub(/*repair=*/false);
-    EXPECT_GE(report.objects_scrubbed, 32u);
-    EXPECT_EQ(report.inconsistent, 0u);
-    EXPECT_EQ(report.missing, 0u);
-  });
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      auto& vm = cluster.vm(0);
+      for (int i = 0; i < 32; i++) {
+        co_await vm.write_once(std::uint64_t(i) * 4 * kMiB,
+                               Payload::pattern(4096, std::uint64_t(i)));
+      }
+      co_await sim::delay(cluster.simulation(), 2 * kSecond);
+      auto report = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_GE(report.objects_scrubbed, 32u) << store::backend_name(backend);
+      EXPECT_EQ(report.inconsistent, 0u) << store::backend_name(backend);
+      EXPECT_EQ(report.missing, 0u) << store::backend_name(backend);
+    });
+  }
 }
 
 TEST(OsdScrub, DetectsAndRepairsCorruptReplica) {
-  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
-  drive(cluster, [&]() -> sim::CoTask<void> {
-    auto& vm = cluster.vm(0);
-    for (int i = 0; i < 16; i++) {
-      co_await vm.write_once(std::uint64_t(i) * 4 * kMiB, Payload::pattern(4096, 40 + std::uint64_t(i)));
-    }
-    co_await sim::delay(cluster.simulation(), 2 * kSecond);
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      auto& vm = cluster.vm(0);
+      for (int i = 0; i < 16; i++) {
+        co_await vm.write_once(std::uint64_t(i) * 4 * kMiB,
+                               Payload::pattern(4096, 40 + std::uint64_t(i)));
+      }
+      co_await sim::delay(cluster.simulation(), 2 * kSecond);
 
-    // Inject latent corruption into one object's REPLICA (non-primary) copy.
-    const auto m = vm.image().map(0);
-    const auto pg = cluster.map().pg_of(m.object_name);
-    const auto& acting = cluster.map().acting(pg);
-    const fs::ObjectId oid{pg, m.object_name};
-    EXPECT_TRUE(cluster.osd(acting[1]).store().corrupt_object(oid));
+      // Inject latent corruption into one object's REPLICA (non-primary) copy.
+      const auto m = vm.image().map(0);
+      const auto pg = cluster.map().pg_of(m.object_name);
+      const auto& acting = cluster.map().acting(pg);
+      const fs::ObjectId oid{pg, m.object_name};
+      EXPECT_TRUE(cluster.osd(acting[1]).store().corrupt_object(oid));
 
-    auto detect = co_await cluster.deep_scrub(/*repair=*/false);
-    EXPECT_EQ(detect.inconsistent, 1u);
+      auto detect = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(detect.inconsistent, 1u) << store::backend_name(backend);
 
-    auto repair = co_await cluster.deep_scrub(/*repair=*/true);
-    EXPECT_EQ(repair.inconsistent, 1u);
-    EXPECT_GE(repair.repaired, 1u);
+      auto repair = co_await cluster.deep_scrub(/*repair=*/true);
+      EXPECT_EQ(repair.inconsistent, 1u) << store::backend_name(backend);
+      EXPECT_GE(repair.repaired, 1u) << store::backend_name(backend);
 
-    auto verify = co_await cluster.deep_scrub(/*repair=*/false);
-    EXPECT_EQ(verify.inconsistent, 0u);
+      auto verify = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(verify.inconsistent, 0u) << store::backend_name(backend);
 
-    // The replica's bytes now match the primary's (and the client pattern).
-    auto r = co_await vm.read_once(0, 4096);
-    EXPECT_TRUE(Payload::bytes(std::move(r.data)).content_equals(Payload::pattern(4096, 40)));
-  });
+      // The replica's bytes now match the primary's (and the client pattern).
+      auto r = co_await vm.read_once(0, 4096);
+      EXPECT_TRUE(Payload::bytes(std::move(r.data)).content_equals(Payload::pattern(4096, 40)))
+          << store::backend_name(backend);
+    });
+  }
 }
 
 TEST(OsdScrub, DetectsMissingReplica) {
-  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
-  drive(cluster, [&]() -> sim::CoTask<void> {
-    auto& vm = cluster.vm(0);
-    co_await vm.write_once(0, Payload::pattern(4096, 5));
-    co_await sim::delay(cluster.simulation(), 2 * kSecond);
-    // Corrupting a never-written object is impossible...
-    EXPECT_FALSE(cluster.osd(0).store().corrupt_object(fs::ObjectId{0, "nope"}));
-    // ...but scrub flags primary/replica divergence if a write only reached
-    // one side. Simulate by writing directly into the primary's store.
-    const auto m = vm.image().map(8 * kMiB);
-    const auto pg = cluster.map().pg_of(m.object_name);
-    const auto& acting = cluster.map().acting(pg);
-    fs::Transaction t;
-    t.write(fs::ObjectId{pg, m.object_name}, 0, Payload::pattern(4096, 77));
-    bool applied = false;
-    sim::spawn_fn([&cluster, &acting, &t, &applied]() -> sim::CoTask<void> {
-      co_await cluster.osd(acting[0]).store().apply_transaction(t, true);
-      applied = true;
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      auto& vm = cluster.vm(0);
+      co_await vm.write_once(0, Payload::pattern(4096, 5));
+      co_await sim::delay(cluster.simulation(), 2 * kSecond);
+      // Corrupting a never-written object is impossible...
+      EXPECT_FALSE(cluster.osd(0).store().corrupt_object(fs::ObjectId{0, "nope"}));
+      // ...but scrub flags primary/replica divergence if a write only reached
+      // one side. Simulate by writing directly into the primary's store.
+      const auto m = vm.image().map(8 * kMiB);
+      const auto pg = cluster.map().pg_of(m.object_name);
+      const auto& acting = cluster.map().acting(pg);
+      fs::Transaction t;
+      t.write(fs::ObjectId{pg, m.object_name}, 0, Payload::pattern(4096, 77));
+      bool applied = false;
+      sim::spawn_fn([&cluster, &acting, &t, &applied]() -> sim::CoTask<void> {
+        co_await cluster.osd(acting[0]).store().apply_transaction(t, true);
+        applied = true;
+      });
+      co_await sim::delay(cluster.simulation(), 1 * kSecond);
+      EXPECT_TRUE(applied) << store::backend_name(backend);
+      auto report = co_await cluster.deep_scrub(/*repair=*/true);
+      EXPECT_GE(report.missing, 1u) << store::backend_name(backend);
+      EXPECT_GE(report.repaired, 1u) << store::backend_name(backend);
+      auto verify = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(verify.missing, 0u) << store::backend_name(backend);
     });
-    co_await sim::delay(cluster.simulation(), 1 * kSecond);
-    EXPECT_TRUE(applied);
-    auto report = co_await cluster.deep_scrub(/*repair=*/true);
-    EXPECT_GE(report.missing, 1u);
-    EXPECT_GE(report.repaired, 1u);
-    auto verify = co_await cluster.deep_scrub(/*repair=*/false);
-    EXPECT_EQ(verify.missing, 0u);
-  });
+  }
+}
+
+TEST(OsdScrub, RepairsADivergentCleanReplica) {
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      auto& vm = cluster.vm(0);
+      co_await vm.write_once(0, Payload::pattern(4096, 5));
+      co_await sim::delay(cluster.simulation(), 2 * kSecond);
+      // The replica takes a write the primary never saw: both copies pass
+      // their CRCs, only the cross-copy fingerprint check can tell.
+      const auto m = vm.image().map(0);
+      const auto pg = cluster.map().pg_of(m.object_name);
+      const auto& acting = cluster.map().acting(pg);
+      const fs::ObjectId oid{pg, m.object_name};
+      fs::Transaction t;
+      t.write(oid, 0, Payload::pattern(4096, 77));
+      co_await cluster.osd(acting[1]).store().apply_transaction(t, true);
+
+      auto detect = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(detect.inconsistent, 1u) << store::backend_name(backend);
+      auto repair = co_await cluster.deep_scrub(/*repair=*/true);
+      EXPECT_EQ(repair.repaired, 1u) << store::backend_name(backend);
+      auto verify = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(verify.inconsistent, 0u) << store::backend_name(backend);
+      EXPECT_EQ(cluster.osd(acting[1]).store().object_fingerprint(oid),
+                cluster.osd(acting[0]).store().object_fingerprint(oid))
+          << store::backend_name(backend);
+    });
+  }
+}
+
+TEST(OsdScrub, RepairNeedsACleanCopy) {
+  for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    auto cfg = tiny_cluster(core::Profile::afceph());
+    cfg.store_backend = backend;
+    core::ClusterSim cluster(cfg);
+    drive(cluster, [&]() -> sim::CoTask<void> {
+      auto& vm = cluster.vm(0);
+      for (int i = 0; i < 16; i++) {
+        co_await vm.write_once(std::uint64_t(i) * 4 * kMiB,
+                               Payload::pattern(4096, 40 + std::uint64_t(i)));
+      }
+      co_await sim::delay(cluster.simulation(), 2 * kSecond);
+
+      // Every copy of one object rots: no member holds a clean source.
+      const auto m = vm.image().map(0);
+      const auto pg = cluster.map().pg_of(m.object_name);
+      const fs::ObjectId oid{pg, m.object_name};
+      for (auto member : cluster.map().acting(pg)) {
+        EXPECT_TRUE(cluster.osd(member).store().corrupt_object(oid));
+      }
+
+      // Repair must not copy one corrupt copy over the others.
+      auto first = co_await cluster.deep_scrub(/*repair=*/true);
+      auto second = co_await cluster.deep_scrub(/*repair=*/true);
+      EXPECT_EQ(first.repaired, 0u) << store::backend_name(backend);
+      EXPECT_EQ(second.repaired, 0u) << store::backend_name(backend);
+      auto verify = co_await cluster.deep_scrub(/*repair=*/false);
+      EXPECT_EQ(verify.inconsistent, cluster.map().acting(pg).size())
+          << store::backend_name(backend);
+    });
+  }
 }
 
 TEST(OsdMechanism, WorkloadRunnerProducesConsistentStats) {
