@@ -62,9 +62,10 @@ struct Point {
   double detect_ms = -1.0;        // crash -> mark-down latency; -1 = none
 };
 
-/// One detected-mode run. Heartbeat/beacon timers re-arm forever, so the
-/// drain is a fixed window (run_until), then close_all() cancels the
-/// periodic plane and the residue runs dry.
+/// One detected-mode run. The drain is a fixed 2 s window (run_until), a
+/// measurement choice: hb_sent counts the heartbeats of the whole window,
+/// traffic and tail alike. Then close_all() cancels the periodic plane and
+/// the residue runs dry.
 Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time crash_at,
                 std::uint32_t crash_osd) {
   core::ClusterConfig cfg = membership_config(seed);

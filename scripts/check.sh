@@ -8,10 +8,11 @@
 # store-backend perf smoke (fig16 gate: FlashStore >= FileStore), run the
 # membership smoke (fig17 gate: crash detected within the heartbeat bound,
 # zero false downs) plus its oracle byte-identity check, run the chaos
-# fault-injection soak (all legs, including the FlashStore store and
-# detected-membership legs), re-run that soak under ASan+UBSan (every
-# chaos invocation under a wall-clock limit), then run
-# the rt/ concurrency stress harness natively and under ThreadSanitizer.
+# fault-injection soak (every leg on every {file, flash} store x
+# {oracle, detected} membership cell), re-run that soak under ASan+UBSan
+# (focused cells first, then the whole matrix; every chaos invocation
+# under a wall-clock limit), then run the rt/ concurrency stress harness
+# natively and under ThreadSanitizer.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -148,8 +149,8 @@ cmp "$BUILD_DIR/fig03_default.txt" "$BUILD_DIR/fig03_oracle.txt"
 echo "fig01/fig03 byte-identical with AFC_MEMBERSHIP=oracle"
 
 echo
-echo "=== bench/chaos (fault injection + recovery invariants) ==="
-run_leg all 90 "$BUILD_DIR/bench/chaos"
+echo "=== bench/chaos (fault injection + recovery invariants, 22 mode cells) ==="
+run_leg all 250 "$BUILD_DIR/bench/chaos"
 
 echo
 echo "=== bench/chaos under ASan+UBSan ==="
@@ -159,32 +160,36 @@ echo "=== bench/chaos under ASan+UBSan ==="
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFC_SANITIZE=ON
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos
-# The corruption leg first, on its own: torn-write replay, CRC verification
+# The corruption cell first, on its own: torn-write replay, CRC verification
 # and scrub repair walk raw record bytes, so a memory bug there should fail
 # with a focused label before the full soak runs.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_leg asan-corruption 25 "$ASAN_BUILD_DIR/bench/chaos" --leg=corruption
+  run_leg asan-corruption 25 "$ASAN_BUILD_DIR/bench/chaos" \
+    --leg=corruption --store=file --membership=oracle
 # The EC leg next, same rationale: GF(256) encode/decode, shard gather and
 # parity scrub index into matrix/chunk buffers — exactly the code a bounds
 # bug would hide in.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_leg asan-ec 90 "$ASAN_BUILD_DIR/bench/chaos" --leg=ec
-# The store leg: FlashStore's WAL replay, deferred-ledger bookkeeping and
-# extent COW run under the same torn/flip stack — raw record bytes again.
+  run_leg asan-ec 90 "$ASAN_BUILD_DIR/bench/chaos" --leg=ec --store=file --membership=oracle
+# The corruption leg's flash cell: FlashStore's WAL replay, deferred-ledger
+# bookkeeping and extent COW run under the same torn/flip stack — raw
+# record bytes again.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_leg asan-store 30 "$ASAN_BUILD_DIR/bench/chaos" --leg=store
+  run_leg asan-store 30 "$ASAN_BUILD_DIR/bench/chaos" \
+    --leg=corruption --store=flash --membership=oracle
 # The membership leg: heartbeat state, monitor report lists and the fencing
 # paths churn under crashes, partitions and gray failures — lifetime bugs
 # (timer tokens, connection teardown) surface here first.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_leg asan-membership 60 "$ASAN_BUILD_DIR/bench/chaos" --leg=membership
+  run_leg asan-membership 60 "$ASAN_BUILD_DIR/bench/chaos" --leg=membership --store=file
+# Then the whole matrix: every leg on every cell.
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  run_leg asan-all 300 "$ASAN_BUILD_DIR/bench/chaos"
+  run_leg asan-all 1200 "$ASAN_BUILD_DIR/bench/chaos"
 echo "sanitized chaos soak OK"
 
 echo

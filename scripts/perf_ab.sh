@@ -3,10 +3,10 @@
 #
 # Builds <base-ref> in a git worktree under build/perf_ab and the working
 # tree beside it (both Release), then runs the identity set on each side:
-# fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16 and chaos (every
-# leg), with all AFC_* and FIG16_* variables cleared. Each bench's stdout is
-# compared with cmp and both sides' wall seconds are printed. Exits non-zero
-# when any stdout differs or any bench fails.
+# fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16 and chaos (the
+# whole mode matrix), with all AFC_* and FIG16_* variables cleared. Each
+# bench's stdout is compared with cmp and both sides' wall seconds are
+# printed. Exits non-zero when any stdout differs or any bench fails.
 #
 # Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
 set -euo pipefail

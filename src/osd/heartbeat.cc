@@ -121,10 +121,12 @@ void HeartbeatAgent::tick() {
 void HeartbeatAgent::schedule_next() {
   // Seeded ±10% jitter: the fleet never pings in lockstep, and the stream
   // is this agent's own, so detected-mode runs replay deterministically.
+  // A daemon event: the tick re-arms forever, but it must not keep
+  // Simulation::run() from returning once the cluster's real work is done.
   const double jitter = 0.9 + 0.2 * rng_.uniform();
   armed_ = true;
-  tick_timer_ = sim_.schedule_after(Time(double(cfg_.hb_interval) * jitter),
-                                    [this] { tick(); }, "osd.hb_tick");
+  tick_timer_ = sim_.schedule_daemon_after(Time(double(cfg_.hb_interval) * jitter),
+                                           [this] { tick(); }, "osd.hb_tick");
 }
 
 }  // namespace afc::osd

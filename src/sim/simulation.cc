@@ -67,6 +67,7 @@ TimerToken Simulation::schedule_at(Time t, EventFn fn, const char* site) {
   e.seq = seq_++;
   e.next = kNil;
   e.cancelled = false;
+  e.daemon = false;
   live_++;
   place(idx);
   if (profiling_) {
@@ -77,12 +78,20 @@ TimerToken Simulation::schedule_at(Time t, EventFn fn, const char* site) {
   return TimerToken(idx, e.seq);
 }
 
+TimerToken Simulation::schedule_daemon_after(Time delay, EventFn fn, const char* site) {
+  const TimerToken token = schedule_at(now_ + delay, fn, site);
+  pool_[token.idx_].daemon = true;
+  daemon_live_++;
+  return token;
+}
+
 bool Simulation::cancel(TimerToken token) {
   if (token.idx_ >= pool_.size() || token.seq_ == 0) return false;
   Event& e = pool_[token.idx_];
   if (e.seq != token.seq_ || e.cancelled) return false;
   e.cancelled = true;  // tombstone; the node is recycled when the wheel
   live_--;             // next walks its slot
+  daemon_live_ -= e.daemon;
   if (profiling_) prof_cancelled_++;
   return true;
 }
@@ -212,6 +221,7 @@ void Simulation::execute_one(Time tick) {
   // Copy the callback out before freeing: the slab may grow (and the slot
   // be reused) while the event body schedules new work.
   EventFn fn = pool_[idx].fn;
+  daemon_live_ -= pool_[idx].daemon;
   free_node(idx);
   now_ = cur_ = tick;
   live_--;
@@ -228,7 +238,7 @@ bool Simulation::step() {
 
 void Simulation::run() {
   Time tick;
-  while (find_next(&tick, ~Time(0))) execute_one(tick);
+  while (live_ > daemon_live_ && find_next(&tick, ~Time(0))) execute_one(tick);
 }
 
 bool Simulation::run_until(Time t) {

@@ -91,13 +91,22 @@ class Simulation {
     return schedule_at(now_ + delay, std::move(fn), site);
   }
 
+  /// Schedule a *daemon* event `delay` ns from now: a periodic background
+  /// timer (a heartbeat tick) that does not keep run() alive. It executes
+  /// like any other event while ordinary work remains, and under run_until
+  /// and step(); the events it schedules are ordinary. Like a daemon thread,
+  /// it never holds the process open on its own.
+  TimerToken schedule_daemon_after(Time delay, EventFn fn, const char* site = nullptr);
+
   /// Drop a pending event. Returns true if the event was still queued (it
   /// will never run); false if it already ran, was already cancelled, or the
   /// token is stale/default. O(1): the slot is tombstoned and recycled when
   /// the wheel next touches it.
   bool cancel(TimerToken token);
 
-  /// Run until the event queue is empty.
+  /// Run until no ordinary event is pending: the queue is empty, or only
+  /// daemon events remain (they stay queued). now() is then the time of the
+  /// last event executed.
   void run();
 
   /// Run events with timestamp <= `t`. Afterwards now() == max(now, t) in
@@ -112,6 +121,8 @@ class Simulation {
   bool empty() const { return live_ == 0; }
   std::size_t pending_events() const { return live_; }
   std::uint64_t executed_events() const { return executed_; }
+  /// Pending daemon events (counted in pending_events() too).
+  std::size_t pending_daemon_events() const { return daemon_live_; }
 
   // --- event-loop profiler (opt-in; ~zero cost when disabled) ------------
 
@@ -139,7 +150,9 @@ class Simulation {
     std::uint64_t seq = 0;  // 0 = slot free (live seqs start at 1)
     std::uint32_t next = kNil;
     bool cancelled = false;
+    bool daemon = false;  // does not keep run() alive; fits the padding
   };
+  static_assert(sizeof(Event) == sizeof(EventFn) + 32, "Event grew past its padding");
   struct Slot {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
@@ -175,6 +188,7 @@ class Simulation {
   std::uint64_t seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet executed or cancelled
+  std::size_t daemon_live_ = 0;  // the daemon events among live_
 
   // Profiler state (all updates gated on profiling_).
   bool profiling_ = false;

@@ -134,15 +134,14 @@ core::ClusterConfig detected_chaos_config(std::uint64_t seed) {
   return cfg;
 }
 
-/// Deep scrub on a detected-mode cluster: its heartbeat timers never stop,
-/// so the simulation is stepped in bounded windows until the scrub ends.
+/// Deep scrub on a detected-mode cluster. The heartbeat ticks are daemon
+/// events, so run() returns once the scrub's own work is done.
 core::ClusterSim::ScrubReport scrub_now(core::ClusterSim& cluster) {
   std::optional<core::ClusterSim::ScrubReport> out;
   sim::spawn_fn([&cluster, &out]() -> sim::CoTask<void> {
     out = co_await cluster.deep_scrub(/*repair=*/false);
   });
-  auto& sim = cluster.simulation();
-  for (int i = 0; i < 100 && !out.has_value(); i++) sim.run_until(sim.now() + 100 * kMillisecond);
+  cluster.simulation().run();
   EXPECT_TRUE(out.has_value()) << "scrub did not finish";
   return out.value_or(core::ClusterSim::ScrubReport{});
 }
@@ -162,7 +161,7 @@ TEST(DetectedRecovery, RestartBackfillsAReturningPrimary) {
   for (std::size_t v = 0; v < cluster.vm_count(); v++) {
     cluster.vm(v).start(spec, stats.window_end, &stats);
   }
-  cluster.simulation().run_until(stats.window_end + 2 * kSecond);  // drain
+  cluster.simulation().run();  // the workload, then the drain
 
   // osd.1 comes back as primary of some PGs; the first up member of their
   // old (degraded) set is the source and backfills it.

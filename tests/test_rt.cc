@@ -384,6 +384,10 @@ TEST(Throttle, CapsConcurrency) {
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
   std::vector<std::thread> threads;
+  // Hold every unit while the workers start, so at least one of them must
+  // block however slowly the threads come up (under TSan they can start
+  // one at a time and never meet otherwise).
+  ASSERT_TRUE(t.acquire(4));
   for (int i = 0; i < 16; i++) {
     threads.emplace_back([&] {
       ASSERT_TRUE(t.acquire());
@@ -396,6 +400,8 @@ TEST(Throttle, CapsConcurrency) {
       t.release();
     });
   }
+  while (t.blocked_acquires() == 0) std::this_thread::yield();
+  t.release(4);
   for (auto& th : threads) th.join();
   EXPECT_LE(max_inside.load(), 4);
   EXPECT_GT(t.blocked_acquires(), 0u);

@@ -492,6 +492,128 @@ TEST(Simulation, StepExecutesExactlyOne) {
   EXPECT_EQ(sim.executed_events(), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Daemon events: periodic background timers that do not keep run() alive
+
+/// A self-re-arming periodic timer, as a daemon or as an ordinary event.
+/// Each firing appends (id, now) to `log`. It stops after 1000 log entries,
+/// so a run() that waits on daemons fails its test instead of hanging it.
+struct Ticker {
+  Simulation* sim;
+  Time period;
+  bool daemon;
+  int id;
+  std::vector<std::pair<int, Time>>* log;
+  TimerToken token;
+
+  void arm() {
+    token = daemon ? sim->schedule_daemon_after(period, [this] { fire(); })
+                   : sim->schedule_after(period, [this] { fire(); });
+  }
+  void fire() {
+    log->emplace_back(id, sim->now());
+    if (log->size() < 1000) arm();
+  }
+};
+
+TEST(DaemonEvents, RunReturnsWhenOnlyDaemonsRemain) {
+  Simulation sim;
+  std::vector<std::pair<int, Time>> log;
+  Ticker hb{&sim, 7, true, 0, &log, {}};
+  hb.arm();
+  sim.schedule_after(10, [&] { log.emplace_back(1, sim.now()); });
+  sim.schedule_after(25, [&] { log.emplace_back(2, sim.now()); });
+  sim.run();
+  EXPECT_EQ(sim.now(), 25u);  // the last ordinary event, not a later tick
+  EXPECT_EQ(log, (std::vector<std::pair<int, Time>>{{0, 7}, {1, 10}, {0, 14}, {0, 21}, {2, 25}}));
+  EXPECT_EQ(sim.pending_events(), 1u);  // the tick at 28 stays queued
+  EXPECT_EQ(sim.pending_daemon_events(), 1u);
+  sim.run();  // nothing ordinary left: returns at once
+  EXPECT_EQ(sim.now(), 25u);
+  EXPECT_EQ(log.size(), 5u);
+}
+
+TEST(DaemonEvents, OrdinaryEventFromDaemonKeepsRunGoing) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_daemon_after(10, [&] {
+    order.push_back(1);
+    sim.schedule_after(40, [&] {
+      order.push_back(3);
+      sim.schedule_after(5, [&] { order.push_back(4); });
+    });
+  });
+  sim.schedule_after(20, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 55u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.pending_daemon_events(), 0u);
+}
+
+TEST(DaemonEvents, CancelKeepsTheDaemonCount) {
+  Simulation sim;
+  int fired = 0;
+  const TimerToken d1 = sim.schedule_daemon_after(10, [&] { fired++; });
+  const TimerToken d2 = sim.schedule_daemon_after(20, [&] { fired++; });
+  const TimerToken o = sim.schedule_after(30, [&] { fired++; });
+  EXPECT_EQ(sim.pending_daemon_events(), 2u);
+  EXPECT_TRUE(sim.cancel(d1));
+  EXPECT_FALSE(sim.cancel(d1));  // a second cancel must not count twice
+  EXPECT_EQ(sim.pending_daemon_events(), 1u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.cancel(o));  // cancelling an ordinary event leaves it alone
+  EXPECT_EQ(sim.pending_daemon_events(), 1u);
+  sim.run();  // only d2 is left: a daemon, so nothing runs
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_TRUE(sim.step());  // step() runs daemons like any event
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.cancel(d2));  // already executed
+  EXPECT_EQ(sim.pending_daemon_events(), 0u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(DaemonEvents, RunUntilExecutesDaemonsToItsHorizon) {
+  Simulation sim;
+  std::vector<std::pair<int, Time>> log;
+  Ticker hb{&sim, 10, true, 0, &log, {}};
+  hb.arm();
+  EXPECT_TRUE(sim.run_until(55));  // the tick at 60 is still queued
+  EXPECT_EQ(log, (std::vector<std::pair<int, Time>>{{0, 10}, {0, 20}, {0, 30}, {0, 40}, {0, 50}}));
+  EXPECT_EQ(sim.now(), 55u);
+  EXPECT_TRUE(sim.cancel(hb.token));
+  EXPECT_EQ(sim.pending_daemon_events(), 0u);
+  EXPECT_FALSE(sim.run_until(100));
+}
+
+/// One mixed schedule: two periodic tickers (the first a daemon when
+/// `daemon`), and ordinary one-shots, some at the tickers' own timestamps so
+/// FIFO tie-breaks are exercised. Returns the execution log to `horizon`.
+std::vector<std::pair<int, Time>> mixed_schedule(bool daemon, Time horizon) {
+  Simulation sim;
+  std::vector<std::pair<int, Time>> log;
+  Ticker a{&sim, 6, daemon, 0, &log, {}};
+  Ticker b{&sim, 9, false, 1, &log, {}};
+  a.arm();
+  b.arm();
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 200; i++) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const Time t = Time((x >> 33) % 600);
+    sim.schedule_at(t - t % 3, [&log, &sim, i] { log.emplace_back(100 + i, sim.now()); });
+  }
+  sim.run_until(horizon);
+  return log;
+}
+
+TEST(DaemonEvents, FlagDoesNotChangeEventOrder) {
+  const auto plain = mixed_schedule(false, 1000);
+  const auto daemon = mixed_schedule(true, 1000);
+  ASSERT_GT(plain.size(), 200u);
+  EXPECT_EQ(plain, daemon);
+}
+
 TEST(CpuPool, QueueWaitAccounted) {
   Simulation sim;
   CpuPool cpu(sim, 1);
