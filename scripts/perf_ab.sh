@@ -5,8 +5,10 @@
 # tree beside it (both Release), then runs the identity set on each side:
 # fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16 and chaos (the
 # whole mode matrix), with all AFC_* and FIG16_* variables cleared. Each
-# bench's stdout is compared with cmp and both sides' wall seconds are
-# printed. Exits non-zero when any stdout differs or any bench fails.
+# bench's stdout is compared with cmp, and both sides' wall seconds and
+# peak RSS (MiB, the bench process's ru_maxrss read through python3's
+# resource module) are printed. Exits non-zero when any stdout differs or
+# any bench fails.
 #
 # Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
 set -euo pipefail
@@ -43,26 +45,32 @@ for v in $(compgen -e); do
   case "$v" in AFC_* | FIG16_*) unset "$v" ;; esac
 done
 
-run() {  # <side> <bench>; prints wall seconds, returns the bench's status
-  local t0 t1 rc=0
-  t0=$(date +%s%N)
-  "$out/$1/bench/$2" > "$out/$1/$2.out" || rc=$?
-  t1=$(date +%s%N)
-  awk -v ns="$((t1 - t0))" 'BEGIN { printf "%.1f", ns / 1e9 }'
-  return "$rc"
+run() {  # <side> <bench>; prints "wall_s peak_rss_mib", returns the bench's status
+  python3 - "$out/$1/bench/$2" "$out/$1/$2.out" << 'EOF'
+import resource, subprocess, sys, time
+t0 = time.monotonic()
+with open(sys.argv[2], "wb") as out:
+    rc = subprocess.call([sys.argv[1]], stdout=out)
+wall_s = time.monotonic() - t0
+rss_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # ru_maxrss is KiB
+print(f"{wall_s:.1f} {rss_mib:.0f}")
+sys.exit(rc)
+EOF
 }
 
 status=0
-printf '%-26s %9s %9s  %s\n' bench base_s head_s stdout
+printf '%-26s %9s %9s %9s %9s  %s\n' bench base_s head_s base_MiB head_MiB stdout
 for b in "${benches[@]}"; do
-  base_s=$(run base "$b") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
-  head_s=$(run head "$b") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
+  base_r=$(run base "$b") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
+  head_r=$(run head "$b") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
+  read -r base_s base_mib <<< "$base_r"
+  read -r head_s head_mib <<< "$head_r"
   if cmp -s "$out/base/$b.out" "$out/head/$b.out"; then
     verdict=identical
   else
     verdict=DIFFERS
     status=1
   fi
-  printf '%-26s %9s %9s  %s\n' "$b" "$base_s" "$head_s" "$verdict"
+  printf '%-26s %9s %9s %9s %9s  %s\n' "$b" "$base_s" "$head_s" "$base_mib" "$head_mib" "$verdict"
 done
 exit "$status"

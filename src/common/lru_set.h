@@ -2,159 +2,47 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "common/lru_map.h"
 
 namespace afc {
 
 /// Bounded LRU set of (u64, u64) keys — the page cache's (object, page) and
-/// the KV block cache's (table, block). Flat and allocation-free once warm:
-/// one node vector holds the keys with uint32_t recency links and a free
-/// list, and an open-addressing index (linear probing, power-of-two size,
-/// backward-shift delete) maps a key to its node. The index doubles at 3/4
-/// load and is never sized to the capacity up front, so a large cache that
-/// stays mostly empty costs only what it holds.
+/// the KV block cache's (table, block). An LruMap with an empty value, so a
+/// resident key costs 24 bytes of node plus its index slot.
 class LruSet {
  public:
-  explicit LruSet(std::size_t capacity) : capacity_(capacity) {}
+  explicit LruSet(std::size_t capacity) : map_(capacity) {}
 
   /// True if the key is resident; a hit becomes the most recently used.
-  bool touch(std::uint64_t a, std::uint64_t b) {
-    const std::uint32_t n = find(a, b);
-    if (n == kNil) return false;
-    move_to_front(n);
-    return true;
-  }
+  bool touch(std::uint64_t a, std::uint64_t b) { return map_.touch(Key{a, b}) != nullptr; }
 
   /// Residency test that leaves the recency order alone.
-  bool contains(std::uint64_t a, std::uint64_t b) const { return find(a, b) != kNil; }
+  bool contains(std::uint64_t a, std::uint64_t b) const { return map_.contains(Key{a, b}); }
 
   /// Make the key resident and most recently used. When the set is full the
   /// least recently used key is evicted first; with capacity 0 nothing stays.
-  void insert(std::uint64_t a, std::uint64_t b) {
-    if (touch(a, b) || capacity_ == 0) return;
-    if (size_ >= capacity_) evict(tail_);
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::uint32_t n = alloc_node(a, b);
-    link_front(n);
-    place(Slot{n, hash(a, b)});
-    size_++;
-  }
+  void insert(std::uint64_t a, std::uint64_t b) { map_.insert(Key{a, b}, None{}); }
 
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return map_.size(); }
+  std::size_t capacity() const { return map_.capacity(); }
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t(0);
-
-  struct Node {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::uint32_t prev;  // towards the most recently used; kNil at head_
-    std::uint32_t next;  // towards the least recently used; free-list link when free
+  struct Key {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    bool operator==(const Key&) const = default;
   };
-  struct Slot {
-    std::uint32_t node = kNil;  // kNil: empty
-    std::uint32_t hash = 0;     // home slot is hash & mask_
+  struct KeyHash {
+    std::uint32_t operator()(const Key& k) const {
+      std::uint64_t h = (k.a * 0x9e3779b97f4a7c15ull) ^ k.b;
+      h = (h ^ (h >> 31)) * 0xbf58476d1ce4e5b9ull;
+      return std::uint32_t(h ^ (h >> 29));
+    }
   };
+  struct None {};
 
-  static std::uint32_t hash(std::uint64_t a, std::uint64_t b) {
-    std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^ b;
-    h = (h ^ (h >> 31)) * 0xbf58476d1ce4e5b9ull;
-    return std::uint32_t(h ^ (h >> 29));
-  }
-
-  std::uint32_t find(std::uint64_t a, std::uint64_t b) const {
-    if (size_ == 0) return kNil;
-    const std::uint32_t h = hash(a, b);
-    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.node == kNil) return kNil;
-      if (s.hash == h && nodes_[s.node].a == a && nodes_[s.node].b == b) return s.node;
-    }
-  }
-
-  void place(Slot s) {
-    std::size_t i = s.hash & mask_;
-    while (slots_[i].node != kNil) i = (i + 1) & mask_;
-    slots_[i] = s;
-  }
-
-  void grow() {
-    std::vector<Slot> old(slots_.empty() ? 16 : slots_.size() * 2);
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.node != kNil) place(s);
-    }
-  }
-
-  /// Drop node `n` from the index, the recency list and the set.
-  void evict(std::uint32_t n) {
-    std::size_t i = hash(nodes_[n].a, nodes_[n].b) & mask_;
-    while (slots_[i].node != n) i = (i + 1) & mask_;
-    // Backward-shift delete: pull later members of the probe run into the
-    // hole unless their home slot lies cyclically in (hole, j].
-    for (std::size_t j = (i + 1) & mask_; slots_[j].node != kNil; j = (j + 1) & mask_) {
-      const std::size_t home = slots_[j].hash & mask_;
-      if (((j - home) & mask_) >= ((j - i) & mask_)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i] = Slot{};
-    unlink(n);
-    nodes_[n].next = free_;
-    free_ = n;
-    size_--;
-  }
-
-  std::uint32_t alloc_node(std::uint64_t a, std::uint64_t b) {
-    if (free_ == kNil) {
-      nodes_.push_back(Node{a, b, kNil, kNil});
-      return std::uint32_t(nodes_.size() - 1);
-    }
-    const std::uint32_t n = free_;
-    free_ = nodes_[n].next;
-    nodes_[n] = Node{a, b, kNil, kNil};
-    return n;
-  }
-
-  void link_front(std::uint32_t n) {
-    nodes_[n].prev = kNil;
-    nodes_[n].next = head_;
-    if (head_ != kNil) nodes_[head_].prev = n;
-    head_ = n;
-    if (tail_ == kNil) tail_ = n;
-  }
-
-  void unlink(std::uint32_t n) {
-    const Node& x = nodes_[n];
-    if (x.prev != kNil) {
-      nodes_[x.prev].next = x.next;
-    } else {
-      head_ = x.next;
-    }
-    if (x.next != kNil) {
-      nodes_[x.next].prev = x.prev;
-    } else {
-      tail_ = x.prev;
-    }
-  }
-
-  void move_to_front(std::uint32_t n) {
-    if (n == head_) return;
-    unlink(n);
-    link_front(n);
-  }
-
-  std::size_t capacity_;
-  std::size_t size_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::uint32_t free_ = kNil;
+  LruMap<Key, None, KeyHash> map_;
 };
 
 }  // namespace afc

@@ -31,7 +31,7 @@ Payload Payload::pattern(std::uint64_t len, std::uint64_t seed, std::uint64_t st
 Payload Payload::bytes(std::vector<std::uint8_t> data) {
   Payload p;
   p.len_ = data.size();
-  p.bytes_ = std::move(data);
+  p.bytes_ = new Bytes{1, std::move(data)};
   return p;
 }
 
@@ -40,7 +40,7 @@ std::uint64_t Payload::fingerprint() const {
     return mix64(seed_ ^ mix64(off_ ^ mix64(len_ ^ 0x5bd1e9955bd1e995ull)));
   }
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint8_t b : *bytes_) {
+  for (std::uint8_t b : bytes_->data) {
     h ^= b;
     h *= 0x100000001b3ull;
   }
@@ -48,7 +48,7 @@ std::uint64_t Payload::fingerprint() const {
 }
 
 std::vector<std::uint8_t> Payload::materialize() const {
-  if (!is_virtual()) return *bytes_;
+  if (!is_virtual()) return bytes_->data;
   std::vector<std::uint8_t> out(len_);
   for (std::uint64_t i = 0; i < len_; i++) out[i] = pattern_byte(seed_, off_ + i);
   return out;
@@ -58,15 +58,16 @@ Payload Payload::slice(std::uint64_t off, std::uint64_t len) const {
   if (off > len_) off = len_;
   if (off + len > len_) len = len_ - off;
   if (is_virtual()) return Payload::pattern(len, seed_, off_ + off);
-  return Payload::bytes(std::vector<std::uint8_t>(bytes_->begin() + long(off),
-                                                  bytes_->begin() + long(off + len)));
+  const auto& d = bytes_->data;
+  return Payload::bytes(
+      std::vector<std::uint8_t>(d.begin() + long(off), d.begin() + long(off + len)));
 }
 
 bool Payload::content_equals(const Payload& other) const {
   if (len_ != other.len_) return false;
   if (len_ == 0) return true;  // all empty payloads are equal
   if (is_virtual() && other.is_virtual()) return seed_ == other.seed_ && off_ == other.off_;
-  if (!is_virtual() && !other.is_virtual()) return *bytes_ == *other.bytes_;
+  if (!is_virtual() && !other.is_virtual()) return bytes_->data == other.bytes_->data;
   return materialize() == other.materialize();
 }
 

@@ -103,6 +103,34 @@ void put_kvs(std::vector<std::uint8_t>& out,
   }
 }
 
+// Exact image sizes of the writers above, so encode() allocates once.
+std::size_t str_size(const std::string& s) { return 2 + s.size(); }
+
+std::size_t payload_size(const Payload& p) { return p.is_virtual() ? 1 + 24 : 1 + 8 + p.size(); }
+
+std::size_t kvs_size(const std::vector<std::pair<std::string, kv::Value>>& kvs) {
+  std::size_t n = 2;
+  for (const auto& [k, v] : kvs) n += str_size(k) + 1 + 4 + (v.is_virtual() ? 0 : v.data.size());
+  return n;
+}
+
+std::size_t op_size(const TxOp& op) {
+  std::size_t n = 1 + 4 + str_size(op.oid.name) + 8;
+  switch (op.type) {
+    case TxOpType::kWrite:
+      return n + payload_size(op.data);
+    case TxOpType::kOmapSetKeys:
+      return n + kvs_size(op.omap);
+    case TxOpType::kOmapRmKeyRange:
+      return n + str_size(op.range_lo) + str_size(op.range_hi);
+    case TxOpType::kSetAttrs:
+      return n + kvs_size(op.attrs);
+    case TxOpType::kSetAllocHint:
+      break;
+  }
+  return n;
+}
+
 struct Cursor {
   const std::uint8_t* p;
   std::size_t left;
@@ -185,7 +213,10 @@ struct Cursor {
 }  // namespace
 
 std::vector<std::uint8_t> Transaction::encode() const {
+  std::size_t total = 4;
+  for (const auto& op : ops_) total += op_size(op);
   std::vector<std::uint8_t> out;
+  out.reserve(total);
   put_u32(out, std::uint32_t(ops_.size()));
   for (const auto& op : ops_) {
     put_u8(out, std::uint8_t(op.type));

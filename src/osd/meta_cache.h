@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 
+#include "common/lru_map.h"
 #include "fs/transaction.h"
 
 namespace afc::osd {
@@ -27,6 +26,9 @@ struct ObjectMeta {
 /// cache, capacity covers the working set ("10 TB needs 2.5 GB"), and a miss
 /// is authoritative (the object state is synthesized with no device read);
 /// the write path never reads.
+///
+/// A flat LruMap: each entry holds its ObjectId once, and a lookup matches
+/// the exact identity (pg and name).
 class MetaCache {
  public:
   struct Config {
@@ -34,11 +36,20 @@ class MetaCache {
     bool writethrough_authoritative = false;
   };
 
-  explicit MetaCache(const Config& cfg) : cfg_(cfg) {}
+  explicit MetaCache(const Config& cfg) : cfg_(cfg), map_(cfg.capacity) {}
 
-  std::optional<ObjectMeta> lookup(const fs::ObjectId& oid);
-  void insert(const fs::ObjectId& oid, const ObjectMeta& meta);
-  void invalidate(const fs::ObjectId& oid);
+  /// The cached metadata, now the most recently used; counts a hit or a miss.
+  std::optional<ObjectMeta> lookup(const fs::ObjectId& oid) {
+    const ObjectMeta* meta = map_.touch(oid);
+    if (meta == nullptr) {
+      misses_++;
+      return std::nullopt;
+    }
+    hits_++;
+    return *meta;
+  }
+  void insert(const fs::ObjectId& oid, const ObjectMeta& meta) { map_.insert(oid, meta); }
+  void invalidate(const fs::ObjectId& oid) { map_.erase(oid); }
 
   bool authoritative() const { return cfg_.writethrough_authoritative; }
   std::size_t size() const { return map_.size(); }
@@ -47,12 +58,7 @@ class MetaCache {
 
  private:
   Config cfg_;
-  std::list<fs::ObjectId> lru_;
-  struct Slot {
-    ObjectMeta meta;
-    std::list<fs::ObjectId>::iterator where;
-  };
-  std::unordered_map<fs::ObjectId, Slot, fs::ObjectIdHash> map_;
+  LruMap<fs::ObjectId, ObjectMeta, fs::ObjectIdHash> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

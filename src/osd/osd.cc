@@ -109,11 +109,6 @@ Pg* Osd::find_pg(std::uint32_t pgid) {
 
 void Osd::add_peer(std::uint32_t osd_id, net::Connection* conn) { peers_[osd_id] = conn; }
 
-sim::CoTask<void> Osd::charge_cpu(Time cost, bool alloc_heavy) {
-  const double mult = alloc_heavy ? profile_.alloc_cpu_multiplier() : 1.0;
-  co_await node_.cpu().consume(Time(double(cost) * mult));
-}
-
 void Osd::shard_push(WorkItem item) {
   const unsigned shard = item.pg % cfg_.shards;
   shard_queues_[shard]->try_push(std::move(item));  // PG queues are unbounded

@@ -328,7 +328,12 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   void deliver_ack(OpRef op);
   void send_reply_message(OpRef& op);
 
-  sim::CoTask<void> charge_cpu(Time cost, bool alloc_heavy);
+  /// Occupy one node core for `cost`, scaled by the profile's allocator
+  /// multiplier when `alloc_heavy`.
+  sim::CpuPool::Consume charge_cpu(Time cost, bool alloc_heavy) {
+    const double mult = alloc_heavy ? profile_.alloc_cpu_multiplier() : 1.0;
+    return node_.cpu().consume(Time(double(cost) * mult));
+  }
 
   sim::Simulation& sim_;
   net::Node& node_;

@@ -46,18 +46,20 @@ void ExtentMap::write_extent(Object& obj, std::uint64_t off, Payload data) {
       if (has_tail) obj.extents.emplace(end, std::move(tail));
     }
   }
+  // Drop the extents [off, end) covers whole, in one erase, then trim the
+  // one that extends past `end`, if any.
   it = obj.extents.lower_bound(off);
-  while (it != obj.extents.end() && it->first < end) {
+  auto covered = it;
+  while (covered != obj.extents.end() && covered->first + covered->second.data.size() <= end) {
+    ++covered;
+  }
+  it = obj.extents.erase(it, covered);
+  if (it != obj.extents.end() && it->first < end) {
     const std::uint64_t estart = it->first;
     const std::uint64_t eend = estart + it->second.data.size();
-    if (eend <= end) {
-      it = obj.extents.erase(it);
-    } else {
-      Extent tail = make_extent(it->second.data.slice(end - estart, eend - end));
-      obj.extents.erase(it);
-      obj.extents.emplace(end, std::move(tail));
-      break;
-    }
+    Extent tail = make_extent(it->second.data.slice(end - estart, eend - end));
+    obj.extents.erase(it);
+    obj.extents.emplace(end, std::move(tail));
   }
   obj.extents.emplace(off, make_extent(std::move(data)));
   if (end > obj.size) obj.size = end;

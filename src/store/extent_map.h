@@ -1,12 +1,11 @@
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "fs/transaction.h"
 
 namespace afc::store {
@@ -43,9 +42,13 @@ class ExtentMap {
     const std::uint64_t c = data.fingerprint();
     return Extent{std::move(data), c};
   }
+  /// One object copy. Both lists are sorted flat vectors: a populated
+  /// object holds a handful of extents and two xattrs, and even a 4 MiB
+  /// object cut into 4K extents holds at most 1,024, so an insert moves at
+  /// most ~48 KiB.
   struct Object {
-    std::map<std::uint64_t, Extent> extents;  // by offset, non-overlapping
-    std::map<std::string, kv::Value> xattrs;
+    FlatMap<std::uint64_t, Extent> extents;  // by offset, non-overlapping
+    FlatMap<std::string, kv::Value> xattrs;
     std::uint64_t size = 0;
   };
 

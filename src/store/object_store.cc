@@ -30,6 +30,10 @@ ObjectStore::Object& ObjectStore::materialize_object(const fs::ObjectId& oid) {
     // metadata from before the measurement window. (FlashStore maps no
     // physical blocks for this base data: it was written before this run.)
     obj.size = kPopulatedObjectSize;
+    // Room for the head / written / tail split of the first overwrite and
+    // for the two xattrs, in one allocation each.
+    obj.extents.reserve(3);
+    obj.xattrs.reserve(2);
     obj.extents.emplace(0, ExtentMap::make_extent(Payload::pattern(
                                kPopulatedObjectSize, ExtentMap::populated_seed(oid))));
     obj.xattrs.emplace("_", kv::Value::virt(kPopulatedXattrBytes));

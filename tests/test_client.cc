@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
 #include "client/rbd.h"
 #include "core/report.h"
 #include "client/runner.h"
+#include "common/rng.h"
 #include "osd/dout.h"
 #include "osd/meta_cache.h"
 #include "osd/throttle_set.h"
@@ -199,6 +203,94 @@ TEST(MetaCache, HitMissCountersAndInvalidate) {
   EXPECT_FALSE(cache.lookup(oid).has_value());
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
+}
+
+// The flat MetaCache against a std::list + unordered_map LRU on a random
+// lookup / insert / invalidate sequence: the same hits, misses, sizes and
+// evictions. Keys share names across PGs, so a match must be exact.
+TEST(MetaCache, MatchesReferenceLru) {
+  struct RefLru {
+    std::size_t capacity;
+    std::list<std::pair<fs::ObjectId, osd::ObjectMeta>> lru;
+    std::map<fs::ObjectId, decltype(lru)::iterator> where;
+    std::uint64_t hits = 0, misses = 0;
+
+    std::optional<osd::ObjectMeta> lookup(const fs::ObjectId& oid) {
+      auto it = where.find(oid);
+      if (it == where.end()) {
+        misses++;
+        return std::nullopt;
+      }
+      hits++;
+      lru.splice(lru.begin(), lru, it->second);
+      return it->second->second;
+    }
+    void insert(const fs::ObjectId& oid, const osd::ObjectMeta& meta) {
+      if (auto it = where.find(oid); it != where.end()) {
+        it->second->second = meta;
+        lru.splice(lru.begin(), lru, it->second);
+        return;
+      }
+      lru.emplace_front(oid, meta);
+      where[oid] = lru.begin();
+      if (where.size() > capacity) {
+        where.erase(lru.back().first);
+        lru.pop_back();
+      }
+    }
+    void invalidate(const fs::ObjectId& oid) {
+      if (auto it = where.find(oid); it != where.end()) {
+        lru.erase(it->second);
+        where.erase(it);
+      }
+    }
+  };
+
+  for (std::size_t capacity : {std::size_t(0), std::size_t(1), std::size_t(5), std::size_t(300)}) {
+    SCOPED_TRACE(capacity);
+    osd::MetaCache::Config cfg;
+    cfg.capacity = capacity;
+    osd::MetaCache cache(cfg);
+    RefLru ref{capacity, {}, {}};
+    Rng rng(capacity + 17);
+    auto oid = [&]() {
+      return fs::ObjectId{std::uint32_t(rng.uniform_int(0, 2)),
+                          "rbd_data.1." + std::to_string(rng.uniform_int(0, 200))};
+    };
+    for (int step = 0; step < 20000; step++) {
+      const fs::ObjectId o = oid();
+      switch (rng.uniform_int(0, 5)) {
+        case 0:
+        case 1: {
+          const osd::ObjectMeta m{true, rng.uniform_int(0, 1 << 22), std::uint64_t(step)};
+          cache.insert(o, m);
+          ref.insert(o, m);
+          break;
+        }
+        case 2:
+          cache.invalidate(o);
+          ref.invalidate(o);
+          break;
+        default: {
+          auto got = cache.lookup(o);
+          auto want = ref.lookup(o);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+          if (got) {
+            ASSERT_EQ(got->size, want->size);
+            ASSERT_EQ(got->version, want->version);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(cache.size(), ref.where.size()) << "step " << step;
+      ASSERT_EQ(cache.hits(), ref.hits);
+      ASSERT_EQ(cache.misses(), ref.misses);
+    }
+    // Same size and every reference key resident: the same entries were
+    // evicted (lookups never evict).
+    for (const auto& [o, m] : ref.lru) ASSERT_TRUE(cache.lookup(o).has_value());
+    EXPECT_EQ(cache.size(), ref.lru.size());
+  }
 }
 
 // ---------------------------------------------------------------------------

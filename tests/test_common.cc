@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/crc32c.h"
+#include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/interned.h"
 #include "common/payload.h"
@@ -330,6 +331,108 @@ TEST(Crc32c, IncrementalFeedEqualsOneShot) {
   }
   EXPECT_EQ(crc32c(nullptr, 0), 0u);
   EXPECT_NE(whole, crc32c(buf.data(), buf.size() - 1));  // length-sensitive
+}
+
+TEST(Crc32c, SlicingMatchesBitwiseDefinition) {
+  // The polynomial division itself, one bit at a time.
+  auto bitwise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; i++) {
+      c ^= p[i];
+      for (int k = 0; k < 8; k++) c = (c & 1) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(3720);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (auto& b : buf) b = std::uint8_t(rng.next());
+  for (std::size_t len = 0; len <= 300; len++) {
+    for (std::size_t start = 0; start < 8; start++) {  // every alignment
+      const std::uint8_t* p = buf.data() + start;
+      ASSERT_EQ(crc32c(p, len), bitwise(p, len)) << "len " << len << " start " << start;
+    }
+  }
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+}
+
+TEST(Payload, IsA32ByteValueType) {
+  static_assert(sizeof(Payload) == 32);
+  std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
+  Payload a = Payload::bytes(data);
+  Payload b = a;  // shares the bytes
+  Payload c = std::move(a);
+  EXPECT_TRUE(b.content_equals(c));
+  EXPECT_EQ(b.materialize(), data);
+  b = Payload::pattern(5, 1);  // reassignment leaves the other copy alone
+  EXPECT_TRUE(b.is_virtual());
+  EXPECT_FALSE(c.is_virtual());
+  EXPECT_EQ(c.materialize(), data);
+  c = c;
+  EXPECT_EQ(c.slice(1, 3).materialize(), (std::vector<std::uint8_t>{2, 3, 4}));
+}
+
+// FlatMap against std::map on random op sequences over a small key space,
+// so hits, misses, overwrites and erases all occur.
+template <class K>
+void flat_map_matches_std_map(std::uint64_t seed, K (*key)(std::uint64_t)) {
+  FlatMap<K, int> flat;
+  std::map<K, int> ref;
+  Rng rng(seed);
+  for (int step = 0; step < 4000; step++) {
+    const K k = key(rng.uniform_int(0, 40));
+    const int v = int(rng.uniform_int(0, 1000));
+    switch (rng.uniform_int(0, 4)) {
+      case 0: {  // emplace never overwrites
+        auto [fit, fins] = flat.emplace(k, v);
+        auto [rit, rins] = ref.emplace(k, v);
+        ASSERT_EQ(fins, rins);
+        ASSERT_EQ(fit->second, rit->second);
+        break;
+      }
+      case 1:
+        flat[k] = v;
+        ref[k] = v;
+        break;
+      case 2: {
+        auto fit = flat.find(k);
+        auto rit = ref.find(k);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end());
+        if (fit != flat.end()) {
+          ASSERT_EQ(fit->second, rit->second);
+          auto fnext = flat.erase(fit);
+          auto rnext = ref.erase(rit);
+          ASSERT_EQ(fnext == flat.end(), rnext == ref.end());
+          if (fnext != flat.end()) {
+            ASSERT_EQ(fnext->first, rnext->first);
+          }
+        }
+        break;
+      }
+      default: {
+        auto fit = flat.lower_bound(k);
+        auto rit = ref.lower_bound(k);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end());
+        if (fit != flat.end()) {
+          ASSERT_EQ(fit->first, rit->first);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(flat.size(), ref.size());
+    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), ref.begin(), ref.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }))
+        << "step " << step;
+  }
+}
+
+TEST(FlatMap, MatchesStdMapOnRandomOps) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    flat_map_matches_std_map<std::uint64_t>(seed, [](std::uint64_t i) { return i * 4096; });
+    flat_map_matches_std_map<std::string>(seed, [](std::uint64_t i) { return std::to_string(i); });
+  }
 }
 
 }  // namespace

@@ -547,6 +547,42 @@ TEST(Transaction, EncodeDecodeRoundTrip) {
   EXPECT_FALSE(Transaction::decode(longer.data(), longer.size()).has_value());
 }
 
+// The journal image format, byte for byte: a ring written by one build
+// must replay under the next. encode() sizes the image exactly up front.
+TEST(Transaction, EncodeMatchesGoldenBytes) {
+  Transaction t;
+  ObjectId oid{7, "rbd_data.3.00000000004a"};
+  t.write(oid, 12288, Payload::pattern(4096, 99, 512));
+  t.write(oid, 0, Payload::bytes({0xde, 0xad, 0xbe, 0xef}));
+  t.omap_setkeys(oid, {{"pglog.1", kv::Value::virt(180)},
+                       {"pginfo", kv::Value::real("epoch=4")}});
+  t.omap_rmkeyrange(oid, "pglog.0000", "pglog.0040");
+  t.setattrs(oid, {{"_", kv::Value::virt(250)}});
+  t.set_alloc_hint(oid);
+
+  const auto img = t.encode();
+  EXPECT_EQ(img.capacity(), img.size());
+  std::string hex;
+  for (std::uint8_t b : img) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  const std::string golden =
+      "06000000000700000017007262645f646174612e332e30303030303030303030"
+      "3461003000000000000000001000000000000063000000000000000002000000"
+      "000000000700000017007262645f646174612e332e3030303030303030303034"
+      "610000000000000000010400000000000000deadbeef01070000001700726264"
+      "5f646174612e332e303030303030303030303461000000000000000002000700"
+      "70676c6f672e3100b400000006007067696e666f010700000065706f63683d34"
+      "020700000017007262645f646174612e332e3030303030303030303034610000"
+      "0000000000000a0070676c6f672e303030300a0070676c6f672e303034300307"
+      "00000017007262645f646174612e332e30303030303030303030346100000000"
+      "00000000010001005f00fa000000040700000017007262645f646174612e332e"
+      "3030303030303030303034610000000000000000";
+  EXPECT_EQ(hex, golden);
+}
+
 TEST(Journal, RestartOnEmptyRingReturnsNothing) {
   JournalFixture f;
   Journal j(f.sim, f.nvram, Journal::Config{});

@@ -99,6 +99,55 @@ std::vector<ExtentMapCase> extent_map_cases(store::Backend backend) {
   return cases;
 }
 
+// More than the 1,024 4K extents a 4 MiB object can hold, in one object:
+// the flat extent list grows past any reserve, then page-sized and
+// unaligned overwrites split and trim extents deep inside it.
+TEST(ExtentMapProperty, ThousandsOfPageExtentsMatchReferenceBuffer) {
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kPages = 1300;
+  for (store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
+    SCOPED_TRACE(store::backend_name(backend));
+    store::StoreConfig cfg;
+    cfg.backend = backend;
+    store::StoreRig<> rig(cfg);
+    store::ObjectStore& store = rig.store;
+    std::vector<std::uint8_t> reference(kPages * kPage, 0);
+    const fs::ObjectId oid{1, "many"};
+    auto put = [&](std::uint64_t off, Payload payload) -> sim::CoTask<void> {
+      const auto bytes = payload.materialize();
+      std::copy(bytes.begin(), bytes.end(), reference.begin() + long(off));
+      fs::Transaction t;
+      t.write(oid, off, std::move(payload));
+      co_await store.apply_transaction(t, false);
+    };
+
+    rig.run([&]() -> sim::CoTask<void> {
+      Rng rng(77);
+      std::vector<std::uint64_t> order(kPages);
+      for (std::uint64_t i = 0; i < kPages; i++) order[i] = i;
+      for (std::uint64_t i = kPages - 1; i > 0; i--) {
+        std::swap(order[i], order[rng.uniform_int(0, i)]);
+      }
+      for (std::uint64_t page : order) {
+        co_await put(page * kPage, Payload::pattern(kPage, 5000 + page));
+      }
+      EXPECT_EQ(store.export_object(oid).extents.size(), kPages);
+
+      for (int i = 0; i < 300; i++) {
+        const std::uint64_t off = rng.uniform_int(0, kPages * kPage - 2);
+        const std::uint64_t len =
+            rng.uniform_int(1, std::min<std::uint64_t>(kPages * kPage - off, 3 * kPage));
+        co_await put(off, Payload::pattern(len, 9000 + std::uint64_t(i)));
+      }
+      EXPECT_GT(store.export_object(oid).extents.size(), std::size_t(1024));
+      EXPECT_TRUE(store.verify_object(oid));
+      auto r = co_await store.read(oid, 0, kPages * kPage);
+      EXPECT_EQ(r.length, kPages * kPage);
+      EXPECT_TRUE(r.data.has_value() && *r.data == reference);
+    });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentMapProperty,
                          ::testing::ValuesIn(extent_map_cases(store::Backend::kFile)));
 INSTANTIATE_TEST_SUITE_P(FlashSeeds, ExtentMapProperty,
