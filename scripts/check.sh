@@ -13,6 +13,7 @@
 # (focused cells first, then the whole matrix; every chaos invocation
 # under a wall-clock limit), then run the rt/ concurrency stress harness
 # natively and under ThreadSanitizer.
+# Also compiles the scripts/heap_peak.sh allocation shim so it does not rot.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -38,6 +39,10 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo
+echo "=== scripts/heap_peak.c (heap attribution shim still compiles) ==="
+cc -O2 -shared -fPIC -Wall -Wextra -Werror -o "$BUILD_DIR/heap_peak.so" scripts/heap_peak.c
 
 echo
 echo "=== perfbench self-test (untraced and traced repetitions agree) ==="

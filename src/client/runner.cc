@@ -46,6 +46,16 @@ void VmClient::add_osd_conn(std::uint32_t osd_id, net::Connection* conn) {
   osd_conns_[osd_id] = conn;
 }
 
+const fs::ObjectId& VmClient::object_id(std::uint64_t object_no) {
+  if (object_no >= oids_.size()) oids_.resize(object_no + 1);
+  fs::ObjectId& oid = oids_[object_no];
+  if (oid == fs::ObjectId{}) {
+    const std::string name = image_.object_name(object_no);
+    oid = fs::ObjectId{cmap_.pg_of(name), name};
+  }
+  return oid;
+}
+
 std::uint64_t VmClient::stable_seed(std::uint64_t image_off) const {
   return (client_id_ << 40) ^ (image_off * 0x9e3779b97f4a7c15ull) ^ 0x5eed;
 }
@@ -130,8 +140,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue(bool is_write, std::uint64_t im
                                                  std::uint64_t len, bool want_data,
                                                  Payload payload, std::uint32_t tenant) {
   const std::uint64_t span = is_write ? payload.size() : len;
-  const RbdImage::Mapping head = image_.map(image_off);
-  if (span <= head.length) {
+  if (span <= image_.object_size() - image_off % image_.object_size()) {
     co_return co_await issue_one(is_write, image_off, len, want_data, std::move(payload),
                                  tenant);
   }
@@ -143,8 +152,8 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue(bool is_write, std::uint64_t im
   std::uint64_t off = image_off;
   std::uint64_t remaining = span;
   while (remaining > 0) {
-    const RbdImage::Mapping m = image_.map(off);
-    const std::uint64_t chunk = std::min(remaining, m.length);
+    const std::uint64_t chunk =
+        std::min(remaining, image_.object_size() - off % image_.object_size());
     Payload piece;
     if (is_write) piece = payload.slice(off - image_off, chunk);
     auto p = co_await issue_one(is_write, off, chunk, want_data, std::move(piece), tenant);
@@ -166,7 +175,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue(bool is_write, std::uint64_t im
 sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_t image_off,
                                                      std::uint64_t len, bool want_data,
                                                      Payload payload, std::uint32_t tenant) {
-  const RbdImage::Mapping m = image_.map(image_off);
+  const fs::ObjectId oid = object_id(image_off / image_.object_size());
   ops_begun_++;
   PendingOp p{};
   Time timeout = op_timeout_;
@@ -181,10 +190,9 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
     msg->op_id = (client_id_ << 24) | next_seq_++;
     msg->client_id = client_id_;
     msg->tenant = tenant;
-    msg->oid.name = m.object_name;
-    msg->oid.pg = cmap_.pg_of(m.object_name);
-    msg->pg = msg->oid.pg;
-    msg->offset = m.object_offset;
+    msg->oid = oid;
+    msg->pg = oid.pg;
+    msg->offset = image_off % image_.object_size();
     msg->is_write = is_write;
     msg->want_data = want_data;
     msg->issued_at = sim_.now();

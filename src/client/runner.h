@@ -3,6 +3,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "client/rbd.h"
 #include "client/workload.h"
@@ -148,12 +149,18 @@ class VmClient : public net::Receiver {
   /// cache; oracle: the shared map directly). Reads may shed a laggy
   /// primary to the first healthy acting member.
   std::uint32_t resolve_primary(std::uint32_t pg, bool is_write);
+  /// The object id (PG and interned name) of object `object_no` of the
+  /// image, built on first use: a VM re-addresses the same objects for its
+  /// whole life, and its pool's pg_num never changes. The table grows on
+  /// demand, so building a VM costs nothing.
+  const fs::ObjectId& object_id(std::uint64_t object_no);
   /// A delta (or a fence's map_epoch) taught us a newer epoch.
   void learn_epoch(std::uint64_t epoch);
 
   sim::Simulation& sim_;
   cluster::ClusterMap& cmap_;
   RbdImage image_;
+  std::vector<fs::ObjectId> oids_;  // by object number; empty name: not built yet
   std::uint64_t client_id_;
   Rng rng_;
   Time op_cpu_ = 0;

@@ -1,5 +1,9 @@
 #include "common/rng.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 namespace afc {
 
 namespace {
@@ -65,29 +69,54 @@ double Rng::lognormal(double mean, double sigma) {
   return mean * std::exp(sigma * z - 0.5 * sigma * sigma);
 }
 
+/// Everything a zipf draw needs that depends only on (n, theta).
+struct Rng::ZipfConstants {
+  std::uint64_t n;
+  double theta;
+  double zeta;   // sum of i^-theta for i in [1, n]
+  double alpha;  // 1 / (1 - theta)
+  double eta;
+  double second;  // 1 + 0.5^theta: below it (times zeta) the draw is rank 1
+};
+
 std::uint64_t Rng::zipf(std::uint64_t n, double theta) {
   if (n <= 1) return 0;
   if (theta <= 0.0) return uniform_int(0, n - 1);
-  if (zipf_n_ != n || zipf_theta_ != theta) {
-    double zeta = 0.0;
-    for (std::uint64_t i = 1; i <= n; i++) zeta += 1.0 / std::pow(double(i), theta);
-    zipf_n_ = n;
-    zipf_theta_ = theta;
-    zipf_zeta_ = zeta;
-  }
+  if (zipf_ == nullptr || zipf_->n != n || zipf_->theta != theta) zipf_ = &zipf_constants(n, theta);
   // Inverse-CDF by linear walk would be O(n); use the standard rejection-free
   // approximation (Gray et al.) good enough for workload skew.
-  const double alpha = 1.0 / (1.0 - theta);
-  const double zetan = zipf_zeta_;
-  const double eta =
-      (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) / (1.0 - (1.0 / std::pow(2.0, theta)) / zetan);
+  const ZipfConstants& z = *zipf_;
   const double u = uniform();
-  const double uz = u * zetan;
+  const double uz = u * z.zeta;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
-  auto v = std::uint64_t(double(n) * std::pow(eta * u - eta + 1.0, alpha));
+  if (uz < z.second) return 1;
+  auto v = std::uint64_t(double(n) * std::pow(z.eta * u - z.eta + 1.0, z.alpha));
   if (v >= n) v = n - 1;
   return v;
+}
+
+// One table for the process: zeta(n, theta) is an O(n) sum (5.24M pow
+// terms for a 20 GiB image), so each (n, theta) is summed once however many
+// streams draw from it. Entries are never erased, so a pointer to one stays
+// valid. The arithmetic is the per-draw formula's, so draws are unchanged.
+const Rng::ZipfConstants& Rng::zipf_constants(std::uint64_t n, double theta) {
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, double>, ZipfConstants> table;
+  std::lock_guard lk(mu);
+  auto [it, inserted] = table.try_emplace({n, theta});
+  ZipfConstants& z = it->second;
+  if (inserted) {
+    double zeta = 0.0;
+    for (std::uint64_t i = 1; i <= n; i++) zeta += 1.0 / std::pow(double(i), theta);
+    z.n = n;
+    z.theta = theta;
+    z.zeta = zeta;
+    z.alpha = 1.0 / (1.0 - theta);
+    z.eta = (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) /
+            (1.0 - (1.0 / std::pow(2.0, theta)) / zeta);
+    z.second = 1.0 + std::pow(0.5, theta);
+  }
+  return z;
 }
 
 Rng Rng::fork() {

@@ -32,6 +32,8 @@ class Rng {
   double lognormal(double mean, double sigma);
 
   /// Zipf-distributed rank in [0, n) with exponent theta (0 = uniform).
+  /// The normalization for each (n, theta) is computed once per process
+  /// and shared by every Rng; draws depend only on this stream.
   std::uint64_t zipf(std::uint64_t n, double theta);
 
   /// Bernoulli trial.
@@ -41,11 +43,12 @@ class Rng {
   Rng fork();
 
  private:
+  struct ZipfConstants;
+  /// The process-wide constants for (n, theta), computed on first use.
+  static const ZipfConstants& zipf_constants(std::uint64_t n, double theta);
+
   std::uint64_t s_[4];
-  // Cached zipf normalization (recomputed when (n, theta) changes).
-  std::uint64_t zipf_n_ = 0;
-  double zipf_theta_ = -1.0;
-  double zipf_zeta_ = 0.0;
+  const ZipfConstants* zipf_ = nullptr;  // the (n, theta) of the last draw
 };
 
 }  // namespace afc

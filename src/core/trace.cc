@@ -108,11 +108,12 @@ void Collector::export_chrome_json(std::ostream& os) const {
   // Completed spans, oldest first. ts/dur are microseconds (Chrome's unit);
   // three decimals keep full nanosecond precision exactly.
   auto emit = [&](const Event& e) {
+    const std::string_view stage = stages_.lookup(e.stage);
     std::snprintf(buf, sizeof(buf),
-                  "%s\n{\"name\":\"%s\",\"cat\":\"afc\",\"ph\":\"X\",\"pid\":%u,"
+                  "%s\n{\"name\":\"%.*s\",\"cat\":\"afc\",\"ph\":\"X\",\"pid\":%u,"
                   "\"tid\":%llu,\"ts\":%llu.%03llu,\"dur\":%llu.%03llu,"
                   "\"args\":{\"op\":%llu}}",
-                  first ? "" : ",", stages_.lookup(e.stage).c_str(), e.track,
+                  first ? "" : ",", int(stage.size()), stage.data(), e.track,
                   static_cast<unsigned long long>(e.id),
                   static_cast<unsigned long long>(e.begin / 1000),
                   static_cast<unsigned long long>(e.begin % 1000),
@@ -146,7 +147,8 @@ std::string Collector::summary() const {
   for (StageId id = 0; id < StageId(stages_.size()); id++) {
     auto it = hists_.find(id);
     if (it == hists_.end() || it->second.count() == 0) continue;
-    std::snprintf(buf, sizeof(buf), "%-32s %7llu %12.3f\n", stages_.lookup(id).c_str(),
+    const std::string_view stage = stages_.lookup(id);
+    std::snprintf(buf, sizeof(buf), "%-32.*s %7llu %12.3f\n", int(stage.size()), stage.data(),
                   static_cast<unsigned long long>(it->second.count()), it->second.mean_ms());
     os << buf;
   }

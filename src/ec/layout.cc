@@ -2,9 +2,9 @@
 
 namespace afc::ec {
 
-std::optional<ShardName> parse_shard(const std::string& name) {
+std::optional<ShardName> parse_shard(std::string_view name) {
   auto pos = name.rfind(".s");
-  if (pos == std::string::npos || pos + 2 >= name.size()) return {};
+  if (pos == std::string_view::npos || pos + 2 >= name.size()) return {};
   unsigned shard = 0;
   for (std::size_t i = pos + 2; i < name.size(); i++) {
     char c = name[i];
@@ -12,7 +12,7 @@ std::optional<ShardName> parse_shard(const std::string& name) {
     shard = shard * 10 + unsigned(c - '0');
     if (shard > 255) return {};
   }
-  return ShardName{name.substr(0, pos), shard};
+  return ShardName{std::string(name.substr(0, pos)), shard};
 }
 
 }  // namespace afc::ec

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "fs/transaction.h"
 
@@ -27,7 +28,10 @@ inline std::uint64_t shard_offset(std::uint64_t object_off, unsigned k) {
 }
 
 inline fs::ObjectId shard_oid(const fs::ObjectId& base, unsigned shard) {
-  return fs::ObjectId{base.pg, base.name + ".s" + std::to_string(shard)};
+  std::string name(base.name());
+  name += ".s";
+  name += std::to_string(shard);
+  return fs::ObjectId{base.pg, name};
 }
 
 struct ShardName {
@@ -36,6 +40,6 @@ struct ShardName {
 };
 
 /// Inverse of shard_oid on the name part; nullopt for non-shard names.
-std::optional<ShardName> parse_shard(const std::string& name);
+std::optional<ShardName> parse_shard(std::string_view name);
 
 }  // namespace afc::ec

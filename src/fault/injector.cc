@@ -134,7 +134,7 @@ bool FaultInjector::corrupt_audited_copy(std::uint32_t osd, std::uint64_t seed, 
     if (!parity && std::find(acting.begin(), acting.end(), osd) == acting.end()) continue;
     for (auto& oid : osds_[osd]->store().objects_in_pg(pg)) {
       if (parity) {
-        const auto sn = ec::parse_shard(oid.name);
+        const auto sn = ec::parse_shard(oid.name());
         if (!sn.has_value() || sn->shard < cmap_.ec_k() || sn->shard >= acting.size() ||
             acting[sn->shard] != osd) {
           continue;

@@ -64,7 +64,7 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
 }
 
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
+void put_str(std::vector<std::uint8_t>& out, std::string_view s) {
   put_u16(out, std::uint16_t(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
@@ -86,11 +86,12 @@ void put_payload(std::vector<std::uint8_t>& out, const Payload& p) {
 void put_value(std::vector<std::uint8_t>& out, const kv::Value& v) {
   if (v.is_virtual()) {
     put_u8(out, 0);
-    put_u32(out, v.virtual_len);
+    put_u32(out, v.virtual_len());
   } else {
     put_u8(out, 1);
-    put_u32(out, std::uint32_t(v.data.size()));
-    out.insert(out.end(), v.data.begin(), v.data.end());
+    const std::string_view bytes = v.data();
+    put_u32(out, std::uint32_t(bytes.size()));
+    out.insert(out.end(), bytes.begin(), bytes.end());
   }
 }
 
@@ -104,18 +105,18 @@ void put_kvs(std::vector<std::uint8_t>& out,
 }
 
 // Exact image sizes of the writers above, so encode() allocates once.
-std::size_t str_size(const std::string& s) { return 2 + s.size(); }
+std::size_t str_size(std::string_view s) { return 2 + s.size(); }
 
 std::size_t payload_size(const Payload& p) { return p.is_virtual() ? 1 + 24 : 1 + 8 + p.size(); }
 
 std::size_t kvs_size(const std::vector<std::pair<std::string, kv::Value>>& kvs) {
   std::size_t n = 2;
-  for (const auto& [k, v] : kvs) n += str_size(k) + 1 + 4 + (v.is_virtual() ? 0 : v.data.size());
+  for (const auto& [k, v] : kvs) n += str_size(k) + 1 + 4 + (v.is_virtual() ? 0 : v.data().size());
   return n;
 }
 
 std::size_t op_size(const TxOp& op) {
-  std::size_t n = 1 + 4 + str_size(op.oid.name) + 8;
+  std::size_t n = 1 + 4 + str_size(op.oid.name()) + 8;
   switch (op.type) {
     case TxOpType::kWrite:
       return n + payload_size(op.data);
@@ -166,13 +167,14 @@ struct Cursor {
     p += 8; left -= 8;
     return v;
   }
-  std::string str() {
+  std::string_view str_view() {
     std::size_t n = u16();
     if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p), n);
+    std::string_view s(reinterpret_cast<const char*>(p), n);
     p += n; left -= n;
     return s;
   }
+  std::string str() { return std::string(str_view()); }
   Payload payload() {
     std::uint8_t tag = u8();
     if (tag == 0) {
@@ -193,9 +195,9 @@ struct Cursor {
     if (tag != 1) { ok = false; return {}; }
     std::size_t n = u32();
     if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p), n);
+    std::string_view s(reinterpret_cast<const char*>(p), n);
     p += n; left -= n;
-    return kv::Value::real(std::move(s));
+    return kv::Value::real(s);
   }
   std::vector<std::pair<std::string, kv::Value>> kvs() {
     std::size_t n = u16();
@@ -221,7 +223,7 @@ std::vector<std::uint8_t> Transaction::encode() const {
   for (const auto& op : ops_) {
     put_u8(out, std::uint8_t(op.type));
     put_u32(out, op.oid.pg);
-    put_str(out, op.oid.name);
+    put_str(out, op.oid.name());
     put_u64(out, op.offset);
     switch (op.type) {
       case TxOpType::kWrite:
@@ -251,9 +253,9 @@ std::optional<Transaction> Transaction::decode(const std::uint8_t* data,
   Transaction tx;
   for (std::uint32_t i = 0; c.ok && i < n; ++i) {
     auto type = TxOpType(c.u8());
-    ObjectId oid;
-    oid.pg = c.u32();
-    oid.name = c.str();
+    const std::uint32_t pg = c.u32();
+    const std::string_view name = c.str_view();
+    ObjectId oid = c.ok ? ObjectId(pg, name) : ObjectId();
     std::uint64_t offset = c.u64();
     switch (type) {
       case TxOpType::kWrite:
@@ -286,7 +288,7 @@ std::optional<Transaction> Transaction::decode(const std::uint8_t* data,
 std::uint64_t Transaction::encoded_bytes() const {
   std::uint64_t total = 64;  // transaction header
   for (const auto& op : ops_) {
-    total += 32 + op.oid.name.size();
+    total += 32 + op.oid.name().size();
     switch (op.type) {
       case TxOpType::kWrite:
         total += op.data.size();

@@ -1,11 +1,14 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/interned.h"
 #include "common/payload.h"
 #include "core/trace.h"
 #include "kv/memtable.h"
@@ -14,18 +17,53 @@ namespace afc::fs {
 
 /// Object identity within one OSD's store: the placement-group it hashes to
 /// plus its name (e.g. "rbd_data.3.00000000004a").
-struct ObjectId {
-  std::uint32_t pg = 0;
-  std::string name;
+///
+/// The name is a handle into one process-wide, append-only name table
+/// (names()), so a copy is 8 bytes and needs no allocation, and equality is
+/// two integer compares: the table gives each distinct string one handle.
+/// Nothing observable depends on handle values. Order is by pg, then by
+/// name bytes, and ObjectIdHash hashes the name bytes, so both match what
+/// an owned std::string name would give.
+class ObjectId {
+ public:
+  ObjectId() = default;
+  ObjectId(std::uint32_t pg, std::string_view name) : pg(pg), name_(names().intern(name)) {}
+
+  std::string_view name() const { return names().lookup(name_); }
+  /// std::hash<std::string> of name(), cached in the table.
+  std::size_t name_hash() const { return names().hash(name_); }
 
   bool operator==(const ObjectId&) const = default;
-  auto operator<=>(const ObjectId&) const = default;
+  std::strong_ordering operator<=>(const ObjectId& o) const {
+    if (pg != o.pg) return pg <=> o.pg;
+    if (name_ == o.name_) return std::strong_ordering::equal;
+    return name() <=> o.name();
+  }
+
+  /// The table every object name lives in. It is never freed: it is bounded
+  /// by the distinct names a process ever uses, and stays reachable from
+  /// this static (docs/MODEL.md). It takes no lock: like Payload's count,
+  /// it relies on the simulator being single-threaded.
+  static InternPool& names() {
+    static InternPool* const table = [] {
+      auto* t = new InternPool;
+      t->intern("");  // handle 0: the default-constructed empty name
+      return t;
+    }();
+    return *table;
+  }
+
+  std::uint32_t pg = 0;
+
+ private:
+  InternPool::Id name_ = 0;
 };
+
+static_assert(sizeof(ObjectId) <= 16, "ObjectId stays a small value type");
 
 struct ObjectIdHash {
   std::size_t operator()(const ObjectId& o) const {
-    std::size_t h = std::hash<std::string>()(o.name);
-    return h ^ (std::size_t(o.pg) * 0x9e3779b97f4a7c15ull);
+    return o.name_hash() ^ (std::size_t(o.pg) * 0x9e3779b97f4a7c15ull);
   }
 };
 
@@ -58,6 +96,8 @@ class Transaction {
   void omap_rmkeyrange(ObjectId oid, std::string lo, std::string hi);
   void setattrs(ObjectId oid, std::vector<std::pair<std::string, kv::Value>> attrs);
   void set_alloc_hint(ObjectId oid);
+  /// Room for `n` ops, so building a transaction allocates its op list once.
+  void reserve(std::size_t n) { ops_.reserve(n); }
 
   const std::vector<TxOp>& ops() const { return ops_; }
   std::size_t op_count() const { return ops_.size(); }

@@ -266,11 +266,11 @@ sim::CoTask<std::optional<Value>> Db::get(std::string key) {
   if (cpu_ != nullptr) {
     co_await cpu_->consume(Time(double(cfg_.get_cpu) * cfg_.cpu_multiplier));
   }
-  if (const Entry* e = mem_.get(key)) {
+  if (const MemEntry* e = mem_.get(key)) {
     co_return e->type == EntryType::kPut ? std::optional<Value>(e->value) : std::nullopt;
   }
   if (imm_.has_value()) {
-    if (const Entry* e = imm_->get(key)) {
+    if (const MemEntry* e = imm_->get(key)) {
       co_return e->type == EntryType::kPut ? std::optional<Value>(e->value) : std::nullopt;
     }
   }

@@ -515,6 +515,7 @@ fs::Transaction Osd::build_write_txn(Pg& pg, const fs::ObjectId& oid, std::uint6
                                      const Payload& data, std::uint64_t version,
                                      bool primary) {
   fs::Transaction txn;
+  txn.reserve(5);  // write, omap, attrs, alloc hint, log trim
   txn.write(oid, off, data);
   {
     std::vector<std::pair<std::string, kv::Value>> kvs;
@@ -1050,7 +1051,7 @@ sim::CoTask<void> Osd::serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
   co_await charge_cpu(cfg_.read_cpu / 2, true);  // no client assembly work here
   auto reply = std::make_shared<ShardReadReplyMsg>();
   reply->rid = msg->rid;
-  if (auto sn = ec::parse_shard(msg->oid.name)) reply->shard = sn->shard;
+  if (auto sn = ec::parse_shard(msg->oid.name())) reply->shard = sn->shard;
   auto rr = co_await read_clean_shard(msg->oid, msg->offset, msg->len, msg->want_data);
   reply->ok = rr.found;
   reply->data_len = rr.length;

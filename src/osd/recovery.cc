@@ -109,8 +109,8 @@ std::set<std::string> pg_census(const cluster::ClusterMap& cmap, const std::vect
     if (h == nullptr) continue;
     for (auto& oid : h->store().objects_in_pg(pg)) {
       if (!cmap.erasure()) {
-        names.insert(std::move(oid.name));
-      } else if (auto sn = ec::parse_shard(oid.name); sn.has_value() && sn->shard == p) {
+        names.emplace(oid.name());
+      } else if (auto sn = ec::parse_shard(oid.name()); sn.has_value() && sn->shard == p) {
         names.insert(std::move(sn->base));
       }
     }

@@ -1,7 +1,10 @@
 #pragma once
 
-#include <deque>
+#include <cstddef>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -13,6 +16,10 @@ namespace afc::sim {
 /// queue, logger queue). capacity 0 means unbounded. pop() returns nullopt
 /// once the channel is closed and drained, which is how worker coroutines
 /// shut down cleanly at the end of a run.
+///
+/// Storage is a power-of-two ring that stays unallocated until the first
+/// push and doubles when full, so an idle channel costs nothing and a busy
+/// one allocates nothing once it has reached its working depth.
 template <class T>
 class Channel {
  public:
@@ -20,38 +27,41 @@ class Channel {
       : capacity_(capacity), not_empty_(sim), not_full_(sim) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
+  ~Channel() {
+    while (size_ != 0) pop_front();
+    release();
+  }
 
   /// Blocking push (suspends while full). Pushing to a closed channel is a
   /// programming error and aborts.
   CoTask<void> push(T v) {
-    while (capacity_ != 0 && q_.size() >= capacity_ && !closed_) {
+    while (capacity_ != 0 && size_ >= capacity_ && !closed_) {
       blocked_pushes_++;
       co_await not_full_.wait();
     }
     if (closed_) std::abort();
-    q_.push_back(std::move(v));
+    push_back(std::move(v));
     pushes_++;
-    if (std::size_t(q_.size()) > max_depth_) max_depth_ = q_.size();
+    if (size_ > max_depth_) max_depth_ = size_;
     not_empty_.notify_one();
   }
 
   /// Non-blocking push; returns false when full or closed.
   bool try_push(T v) {
     if (closed_) return false;
-    if (capacity_ != 0 && q_.size() >= capacity_) return false;
-    q_.push_back(std::move(v));
+    if (capacity_ != 0 && size_ >= capacity_) return false;
+    push_back(std::move(v));
     pushes_++;
-    if (std::size_t(q_.size()) > max_depth_) max_depth_ = q_.size();
+    if (size_ > max_depth_) max_depth_ = size_;
     not_empty_.notify_one();
     return true;
   }
 
   /// Blocking pop; nullopt when closed and empty.
   CoTask<std::optional<T>> pop() {
-    while (q_.empty() && !closed_) co_await not_empty_.wait();
-    if (q_.empty()) co_return std::nullopt;
-    T v = std::move(q_.front());
-    q_.pop_front();
+    while (size_ == 0 && !closed_) co_await not_empty_.wait();
+    if (size_ == 0) co_return std::nullopt;
+    T v = pop_front();
     not_full_.notify_one();
     co_return std::optional<T>(std::move(v));
   }
@@ -61,18 +71,16 @@ class Channel {
   /// wakeup serves the whole backlog — the sharded-dispatch receive model,
   /// where a shard worker amortizes its wakeup cost over every frame that
   /// arrived while it slept. An empty result means closed-and-drained.
-  CoTask<std::deque<T>> pop_all() {
-    while (q_.empty() && !closed_) co_await not_empty_.wait();
-    std::deque<T> out;
-    out.swap(q_);
+  CoTask<std::vector<T>> pop_all() {
+    while (size_ == 0 && !closed_) co_await not_empty_.wait();
+    std::vector<T> out = take_all();
     if (!out.empty()) not_full_.notify_all();
     co_return out;
   }
 
   /// Drain everything currently queued without blocking.
-  std::deque<T> drain() {
-    std::deque<T> out;
-    out.swap(q_);
+  std::vector<T> drain() {
+    std::vector<T> out = take_all();
     not_full_.notify_all();
     return out;
   }
@@ -84,8 +92,10 @@ class Channel {
   }
 
   bool closed() const { return closed_; }
-  std::size_t size() const { return q_.size(); }
-  bool empty() const { return q_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Slots the ring has allocated (0 until the first push).
+  std::size_t ring_slots() const { return slots_; }
   std::size_t capacity() const { return capacity_; }
 
   std::uint64_t total_pushes() const { return pushes_; }
@@ -93,8 +103,47 @@ class Channel {
   std::size_t max_depth() const { return max_depth_; }
 
  private:
+  void push_back(T v) {
+    if (size_ == slots_) grow();
+    std::construct_at(&ring_[(head_ + size_) & (slots_ - 1)], std::move(v));
+    size_++;
+  }
+  T pop_front() {
+    T& slot = ring_[head_];
+    T v = std::move(slot);
+    std::destroy_at(&slot);
+    head_ = (head_ + 1) & (slots_ - 1);
+    size_--;
+    return v;
+  }
+  std::vector<T> take_all() {
+    std::vector<T> out;
+    out.reserve(size_);
+    while (size_ != 0) out.push_back(pop_front());
+    return out;
+  }
+  void grow() {
+    const std::size_t n = slots_ == 0 ? 4 : slots_ * 2;
+    T* bigger = std::allocator<T>().allocate(n);
+    for (std::size_t i = 0; i < size_; i++) {
+      T& from = ring_[(head_ + i) & (slots_ - 1)];
+      std::construct_at(&bigger[i], std::move(from));
+      std::destroy_at(&from);
+    }
+    release();
+    ring_ = bigger;
+    slots_ = n;
+    head_ = 0;
+  }
+  void release() {
+    if (ring_ != nullptr) std::allocator<T>().deallocate(ring_, slots_);
+  }
+
   std::size_t capacity_;
-  std::deque<T> q_;
+  T* ring_ = nullptr;  // slots_ entries; [head_, head_ + size_) mod slots_ are live
+  std::size_t slots_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   bool closed_ = false;
   CondVar not_empty_;
   CondVar not_full_;

@@ -21,7 +21,11 @@ FlashStore::FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal
       kv_cv_(sim) {}
 
 std::string FlashStore::onode_key(const fs::ObjectId& oid) {
-  return "onode." + std::to_string(oid.pg) + "." + oid.name;
+  std::string key = "onode.";
+  key += std::to_string(oid.pg);
+  key += '.';
+  key += oid.name();
+  return key;
 }
 
 sim::CoTask<void> FlashStore::read_cold_metadata(const fs::ObjectId& oid) {

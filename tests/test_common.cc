@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/flat_map.h"
@@ -79,6 +83,27 @@ TEST(Rng, ZipfThetaZeroIsUniform) {
   std::map<std::uint64_t, int> counts;
   for (int i = 0; i < 30000; i++) counts[r.zipf(10, 0.0)]++;
   for (int k = 0; k < 10; k++) EXPECT_NEAR(counts[std::uint64_t(k)], 3000, 400);
+}
+
+// Draws captured before zipf's normalization moved into the process-wide
+// table: the memoized constants must leave every draw bit-identical, and
+// a stream's draws must not depend on which Rng filled the table first.
+TEST(Rng, ZipfDrawsMatchGoldenWhicheverStreamFilledTheTable) {
+  const std::vector<std::uint64_t> golden_a = {7, 151, 430602, 13638, 3928173, 23222, 458809, 3079};
+  const std::vector<std::uint64_t> golden_b = {403, 285, 793, 74, 7, 154, 1, 0};
+  Rng other(99);
+  (void)other.zipf(1000, 0.99);  // another stream fills (1000, 0.99) first
+  Rng a(7);
+  Rng b(11);
+  std::vector<std::uint64_t> got_a, got_b;
+  for (int i = 0; i < 8; i++) {
+    got_a.push_back(a.zipf(5242880, 0.9));  // a 20 GiB image in 4 KiB blocks
+    got_b.push_back(b.zipf(1000, 0.99));
+  }
+  EXPECT_EQ(got_a, golden_a);
+  EXPECT_EQ(got_b, golden_b);
+  Rng a2(7);
+  for (std::uint64_t want : golden_a) EXPECT_EQ(a2.zipf(5242880, 0.9), want);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {
@@ -239,6 +264,40 @@ TEST(InternPool, FindDoesNotInsert) {
   pool.intern("present");
   EXPECT_TRUE(pool.find("present", id));
   EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(InternPool, HashIsStdHashOfTheBytes) {
+  InternPool pool;
+  const std::vector<std::string> names = {"", "a", "rbd_data.vm12.000000000abc",
+                                          std::string(300, 'x')};
+  for (const std::string& s : names) {
+    EXPECT_EQ(pool.hash(pool.intern(s)), std::hash<std::string>{}(s)) << s;
+  }
+}
+
+TEST(InternPool, OneHandlePerDistinctString) {
+  InternPool pool;
+  std::map<std::string, InternPool::Id> ref;
+  Rng rng(3);
+  for (int i = 0; i < 20000; i++) {
+    // Names of 0..70 bytes plus a few that get an arena block of their own.
+    const std::size_t len = rng.chance(0.01) ? 20000 : rng.uniform_int(0, 70);
+    std::string s(len, 'a');
+    for (auto& c : s) c = char('a' + rng.uniform_int(0, 2));
+    const InternPool::Id id = pool.intern(s);
+    auto [it, inserted] = ref.try_emplace(s, id);
+    EXPECT_EQ(it->second, id) << s;
+  }
+  EXPECT_EQ(pool.size(), ref.size());
+  std::set<InternPool::Id> ids;
+  for (const auto& [s, id] : ref) {
+    EXPECT_EQ(pool.lookup(id), s);
+    InternPool::Id found;
+    ASSERT_TRUE(pool.find(s, found));
+    EXPECT_EQ(found, id);
+    ids.insert(id);
+  }
+  EXPECT_EQ(ids.size(), ref.size());
 }
 
 TEST(Counters, AddAndQuery) {

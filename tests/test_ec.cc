@@ -119,10 +119,10 @@ TEST(EcLayout, ShardNamesRoundTripAndChunkMath) {
   const fs::ObjectId base{7, "rbd_data.3.00000000004a"};
   const fs::ObjectId s2 = ec::shard_oid(base, 2);
   EXPECT_EQ(s2.pg, 7u);
-  EXPECT_EQ(s2.name, "rbd_data.3.00000000004a.s2");
-  const auto parsed = ec::parse_shard(s2.name);
+  EXPECT_EQ(s2.name(), "rbd_data.3.00000000004a.s2");
+  const auto parsed = ec::parse_shard(s2.name());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->base, base.name);
+  EXPECT_EQ(parsed->base, base.name());
   EXPECT_EQ(parsed->shard, 2u);
   EXPECT_FALSE(ec::parse_shard("plain_name").has_value());
   EXPECT_FALSE(ec::parse_shard("x.s").has_value());
@@ -424,7 +424,7 @@ TEST(EcPool, ScrubDetectsAndRepairsParityInconsistency) {
     const auto& acting = cluster.map().acting(pg);
     const std::uint32_t holder = acting[4];
     for (const auto& oid : cluster.osd(holder).store().objects_in_pg(pg)) {
-      auto sn = ec::parse_shard(oid.name);
+      auto sn = ec::parse_shard(oid.name());
       if (!sn.has_value() || sn->shard != 4) continue;
       auto& store = cluster.osd(holder).store();
       const auto exp = store.export_object(oid);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <list>
+#include <string>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -65,7 +68,7 @@ TEST(FileStore, OmapOpsGoThroughKv) {
     auto v = co_await f.kvdb.get("pglog.0001");
     EXPECT_TRUE(v.has_value());
     if (v) {
-      EXPECT_EQ(v->data, "entry1");
+      EXPECT_EQ(v->data(), "entry1");
     }
 
     Transaction trim;
@@ -246,7 +249,7 @@ TEST_P(StoreContent, XattrsRoundTripAndStat) {
     auto attr = co_await f.store.getattr(f.oid("a"), "_");
     EXPECT_TRUE(attr.has_value());
     if (attr) {
-      EXPECT_EQ(attr->data, "objectinfo");
+      EXPECT_EQ(attr->data(), "objectinfo");
     }
     EXPECT_FALSE((co_await f.store.getattr(f.oid("a"), "nope")).has_value());
     EXPECT_TRUE(f.store.object_in_memory(f.oid("a")));
@@ -545,6 +548,37 @@ TEST(Transaction, EncodeDecodeRoundTrip) {
   auto longer = img;
   longer.push_back(0);
   EXPECT_FALSE(Transaction::decode(longer.data(), longer.size()).has_value());
+}
+
+// ObjectId is a pg plus a handle into the process-wide name table; it must
+// hash, compare and order exactly as a {pg, std::string} identity did.
+TEST(ObjectId, HashMatchesGoldenValues) {
+  static_assert(sizeof(ObjectId) <= 16);
+  // Captured from the std::string-named ObjectId: MetaCache slots, page-cache
+  // keys, populated_seed and objects_ iteration order all follow these.
+  EXPECT_EQ(ObjectIdHash{}(ObjectId{7, "rbd_data.vm12.000000000abc"}), 17915026833939009280ull);
+  EXPECT_EQ(ObjectIdHash{}(ObjectId{0, "rbd_data.vm0.000000000000"}), 2850491858252117702ull);
+  EXPECT_EQ(ObjectIdHash{}(ObjectId{4095, "obj"}), 13649711579005340314ull);
+  EXPECT_EQ(ObjectIdHash{}(ObjectId{3, ""}), 10347300228962016849ull);
+  EXPECT_EQ(ObjectId{}, (ObjectId{0, ""}));
+}
+
+TEST(ObjectId, OrderAndEqualityAgreeWithStdString) {
+  Rng rng(41);
+  const auto random_id = [&] {
+    std::string name = "rbd_data.";
+    const auto len = rng.uniform_int(0, 6);
+    for (std::uint64_t i = 0; i < len; i++) name += char('0' + rng.uniform_int(0, 3));
+    return std::pair{std::uint32_t(rng.uniform_int(0, 2)), name};
+  };
+  for (int i = 0; i < 5000; i++) {
+    const auto [pa, na] = random_id();
+    const auto [pb, nb] = random_id();
+    const ObjectId a{pa, na}, b{pb, nb};
+    EXPECT_EQ(a.name(), na);
+    EXPECT_EQ(a == b, std::pair(pa, na) == std::pair(pb, nb));
+    EXPECT_EQ(a <=> b, std::pair(pa, na) <=> std::pair(pb, nb)) << na << " vs " << nb;
+  }
 }
 
 // The journal image format, byte for byte: a ring written by one build

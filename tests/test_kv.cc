@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
+#include <vector>
 #include <optional>
 
 #include "common/rng.h"
@@ -23,9 +26,9 @@ TEST(MemTable, PutGetOverwrite) {
   MemTable m;
   m.put("a", Value::real("1"), 1);
   m.put("b", Value::real("2"), 2);
-  EXPECT_EQ(m.get("a")->value.data, "1");
+  EXPECT_EQ(m.get("a")->value.data(), "1");
   m.put("a", Value::real("updated"), 3);
-  EXPECT_EQ(m.get("a")->value.data, "updated");
+  EXPECT_EQ(m.get("a")->value.data(), "updated");
   EXPECT_EQ(m.get("a")->seq, 3u);
   EXPECT_EQ(m.count(), 2u);
   EXPECT_EQ(m.get("missing"), nullptr);
@@ -35,7 +38,7 @@ TEST(MemTable, TombstoneVisible) {
   MemTable m;
   m.put("k", Value::real("v"), 1);
   m.del("k", 2);
-  const Entry* e = m.get("k");
+  const MemEntry* e = m.get("k");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->type, EntryType::kDelete);
   // Deleting a never-written key still records a tombstone (needed to mask
@@ -61,14 +64,14 @@ TEST(MemTable, DumpIsSorted) {
 TEST(MemTable, SeekAndIterate) {
   MemTable m;
   for (char c = 'a'; c <= 'e'; c++) m.put(std::string(1, c), Value::virt(1), 1);
-  const Entry* e = m.seek("b");
+  const MemEntry* e = m.seek("b");
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->key, "b");
+  EXPECT_EQ(e->key(), "b");
   e = m.next(e);
-  EXPECT_EQ(e->key, "c");
+  EXPECT_EQ(e->key(), "c");
   EXPECT_EQ(m.seek("zzz"), nullptr);
   // Seek between keys lands on the next one.
-  EXPECT_EQ(m.seek("bb")->key, "c");
+  EXPECT_EQ(m.seek("bb")->key(), "c");
 }
 
 TEST(MemTable, ByteAccountingTracksContent) {
@@ -81,34 +84,113 @@ TEST(MemTable, ByteAccountingTracksContent) {
   EXPECT_LT(m.approximate_bytes(), after_one);
 }
 
+// Keys of 1..200 bytes (sharing prefixes, so ordering is exercised past
+// the first byte), overwrites and tombstones, checked through get, seek /
+// next, dump and byte accounting against a std::map.
 TEST(MemTable, AgainstReferenceModel) {
   MemTable m;
-  std::map<std::string, std::pair<bool, std::string>> ref;  // key -> (live, value)
+  struct Ref {
+    bool live;
+    std::string value;
+    std::uint64_t seq;
+  };
+  std::map<std::string, Ref> ref;
   Rng rng(31);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 400; i++) {
+    const std::size_t len = rng.uniform_int(1, 200);
+    std::string k(len, 'k');
+    for (std::size_t c = len / 2; c < len; c++) k[c] = char('a' + rng.uniform_int(0, 3));
+    keys.push_back(k);
+  }
   std::uint64_t seq = 0;
   for (int i = 0; i < 5000; i++) {
-    const std::string id = std::to_string(rng.uniform_int(0, 300));
-    const std::string key = "k" + id;
+    const std::string& key = keys[rng.uniform_int(0, keys.size() - 1)];
     if (rng.chance(0.25)) {
       m.del(key, ++seq);
-      ref[key] = {false, ""};
+      ref[key] = {false, "", seq};
     } else {
       const std::string n = std::to_string(i);
       const std::string val = "v" + n;
       m.put(key, Value::real(val), ++seq);
-      ref[key] = {true, val};
+      ref[key] = {true, val, seq};
     }
   }
+  std::uint64_t bytes = 0;
   for (const auto& [key, expect] : ref) {
-    const Entry* e = m.get(key);
+    bytes += key.size() + expect.value.size() + 16;
+    const MemEntry* e = m.get(key);
     ASSERT_NE(e, nullptr) << key;
-    if (expect.first) {
+    EXPECT_EQ(e->key(), key);
+    EXPECT_EQ(e->seq, expect.seq);
+    if (expect.live) {
       ASSERT_EQ(e->type, EntryType::kPut);
-      EXPECT_EQ(e->value.data, expect.second);
+      EXPECT_EQ(e->value.data(), expect.value);
     } else {
       EXPECT_EQ(e->type, EntryType::kDelete);
     }
   }
+  EXPECT_EQ(m.count(), ref.size());
+  EXPECT_EQ(m.approximate_bytes(), bytes);
+  EXPECT_EQ(m.get(std::string(201, 'k')), nullptr);
+
+  const std::vector<Entry> dumped = m.dump();
+  ASSERT_EQ(dumped.size(), ref.size());
+  auto it = ref.begin();
+  for (const MemEntry* e = m.seek(""); e != nullptr; e = m.next(e), ++it) {
+    ASSERT_NE(it, ref.end());
+    const Entry& d = dumped[std::size_t(std::distance(ref.begin(), it))];
+    EXPECT_EQ(e->key(), it->first);
+    EXPECT_EQ(d.key, it->first);
+    EXPECT_EQ(d.seq, it->second.seq);
+    EXPECT_EQ(d.value, e->value);
+  }
+  EXPECT_EQ(it, ref.end());
+  for (int probe = 0; probe < 50; probe++) {
+    const std::string& key = keys[rng.uniform_int(0, keys.size() - 1)];
+    const std::string from = key.substr(0, rng.uniform_int(1, 120));
+    const MemEntry* e = m.seek(from);
+    auto want = ref.lower_bound(from);
+    if (want == ref.end()) {
+      EXPECT_EQ(e, nullptr) << from;
+    } else {
+      ASSERT_NE(e, nullptr) << from;
+      EXPECT_EQ(e->key(), want->first);
+    }
+  }
+}
+
+TEST(Value, SixteenBytesSharedAndComparedByContent) {
+  static_assert(sizeof(Value) == 16);
+  const Value v = Value::virt(180);
+  EXPECT_TRUE(v.is_virtual());
+  EXPECT_EQ(v.size(), 180u);
+  EXPECT_EQ(v.virtual_len(), 180u);
+  EXPECT_TRUE(v.data().empty());
+
+  const std::string bytes(100, 'x');
+  const Value r = Value::real(bytes);
+  EXPECT_FALSE(r.is_virtual());
+  EXPECT_EQ(r.size(), 100u);
+  EXPECT_EQ(r.data(), bytes);
+
+  // Copies share the bytes; moves hand them over.
+  Value copy = r;
+  EXPECT_EQ(copy.data().data(), r.data().data());
+  Value moved = std::move(copy);
+  EXPECT_EQ(moved.data().data(), r.data().data());
+  copy = moved;
+  EXPECT_EQ(copy.data().data(), r.data().data());
+
+  // Equality is by content, not by block.
+  EXPECT_EQ(Value::real(bytes), r);
+  EXPECT_NE(Value::real("y"), r);
+  EXPECT_NE(Value::virt(100), r);
+  EXPECT_EQ(Value::virt(180), v);
+  EXPECT_NE(Value::virt(181), v);
+  EXPECT_EQ(Value::real(""), Value());
+  EXPECT_FALSE(Value().is_virtual());
+  EXPECT_EQ(Value().size(), 0u);
 }
 
 // Puts and dels interleaved with dump / seek / next, so the sorted view is
@@ -132,7 +214,7 @@ TEST(MemTable, SortedViewMatchesStdMapAcrossMerges) {
     auto it = ref.begin();
     for (const Entry& e : dumped) {
       ASSERT_EQ(e.key, it->first);
-      ASSERT_EQ(e.value.data, it->second.value);
+      ASSERT_EQ(e.value.data(), it->second.value);
       ASSERT_EQ(e.seq, it->second.seq);
       ASSERT_EQ(e.type, it->second.type);
       ++it;
@@ -141,15 +223,15 @@ TEST(MemTable, SortedViewMatchesStdMapAcrossMerges) {
       const std::string id = std::to_string(rng.uniform_int(0, 2100));
       const std::string from = "k" + id;
       auto want = ref.lower_bound(from);
-      const Entry* got = m.seek(from);
+      const MemEntry* got = m.seek(from);
       for (int walk = 0; walk < 5; walk++, ++want) {
         if (want == ref.end()) {
           ASSERT_EQ(got, nullptr) << from;
           break;
         }
         ASSERT_NE(got, nullptr) << from;
-        ASSERT_EQ(got->key, want->first);
-        ASSERT_EQ(m.get(got->key), got);  // the index and the view share entries
+        ASSERT_EQ(got->key(), want->first);
+        ASSERT_EQ(m.get(got->key()), got);  // the index and the view share entries
         got = m.next(got);
       }
     }
@@ -235,7 +317,7 @@ TEST(SsTable, GetFindsAllEntries) {
     auto [e, touched] = t.get(key);
     ASSERT_NE(e, nullptr) << key;
     EXPECT_TRUE(touched);
-    EXPECT_EQ(e->value.data, "val" + std::to_string(i));
+    EXPECT_EQ(e->value.data(), "val" + std::to_string(i));
   }
   EXPECT_EQ(t.get("absent").entry, nullptr);
   EXPECT_EQ(t.min_key(), "k000000");
@@ -265,7 +347,7 @@ TEST(MergeRuns, NewestWinsAndTombstones) {
                            {"c", Value::real("c"), 3, EntryType::kPut}};
   auto keep = merge_runs({&newer, &older}, /*drop_deletes=*/false);
   ASSERT_EQ(keep.size(), 3u);
-  EXPECT_EQ(keep[0].value.data, "new");
+  EXPECT_EQ(keep[0].value.data(), "new");
   EXPECT_EQ(keep[1].type, EntryType::kDelete);  // tombstone retained
   EXPECT_EQ(keep[2].key, "c");
 
@@ -315,7 +397,7 @@ TEST(Db, PutGetDelete) {
     co_await f.db.put("beta", Value::real("2"));
     auto v = co_await f.db.get("alpha");
     EXPECT_TRUE(v.has_value());
-    EXPECT_EQ(v->data, "1");
+    EXPECT_EQ(v->data(), "1");
     co_await f.db.del("alpha");
     v = co_await f.db.get("alpha");
     EXPECT_FALSE(v.has_value());
@@ -361,7 +443,7 @@ TEST(Db, SurvivesFlushesAndCompactions) {
       auto got = co_await f.db.get(k);
       EXPECT_TRUE(got.has_value()) << k;
       if (got) {
-        EXPECT_EQ(got->data, v) << k;
+        EXPECT_EQ(got->data(), v) << k;
       }
     }
     // Spot-check deleted keys stay deleted through compaction.

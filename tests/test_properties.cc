@@ -203,7 +203,7 @@ TEST_P(DbProperty, RandomOpsMatchStdMap) {
         } else {
           EXPECT_TRUE(got.has_value()) << key << " iter " << i;
           if (got) {
-            EXPECT_EQ(got->data, it->second);
+            EXPECT_EQ(got->data(), it->second);
           }
         }
       }
@@ -214,7 +214,7 @@ TEST_P(DbProperty, RandomOpsMatchStdMap) {
       auto got = co_await db.get(k);
       EXPECT_TRUE(got.has_value()) << k;
       if (got) {
-        EXPECT_EQ(got->data, v) << k;
+        EXPECT_EQ(got->data(), v) << k;
       }
     }
     done = true;

@@ -230,7 +230,7 @@ TEST(DetectedRecovery, ErasureMarkOutRebuildsEveryReplacedPosition) {
       for (const fs::ObjectId& base : written) {
         if (base.pg != pg) continue;
         EXPECT_TRUE(holder.store().object_in_memory(ec::shard_oid(base, p)))
-            << base.name << " position " << p << " not rebuilt on osd." << now[p];
+            << base.name() << " position " << p << " not rebuilt on osd." << now[p];
       }
     }
   }

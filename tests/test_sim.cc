@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/channel.h"
 #include "sim/cpu.h"
 #include "sim/simulation.h"
@@ -438,6 +441,58 @@ TEST(Channel, DrainGrabsEverythingWithoutBlocking) {
   EXPECT_TRUE(ch.empty());
   EXPECT_EQ(drained.front(), 0);
   EXPECT_EQ(drained.back(), 4);
+}
+
+// The ring against a std::deque: random pushes and pops cross the ring's
+// wrap point and its growth, and pop_all / drain hand back the queue in
+// FIFO order.
+TEST(Channel, RingMatchesDequeAcrossWrapGrowthAndDrains) {
+  Simulation sim;
+  Channel<std::string> ch(sim);
+  EXPECT_EQ(ch.ring_slots(), 0u);  // a fresh channel holds no storage
+  std::deque<std::string> ref;
+  Rng rng(8);
+  int next = 0;
+  const auto expect_same = [&](const std::vector<std::string>& got) {
+    ASSERT_EQ(got.size(), ref.size());
+    for (const auto& v : got) {
+      EXPECT_EQ(v, ref.front());
+      ref.pop_front();
+    }
+  };
+  for (int round = 0; round < 300; round++) {
+    const auto pushes = rng.uniform_int(0, round % 50 == 49 ? 40 : 6);
+    for (std::uint64_t i = 0; i < pushes; i++) {
+      const std::string n = std::to_string(next++);
+      const std::string v = "frame-" + n;
+      ASSERT_TRUE(ch.try_push(v));
+      ref.push_back(v);
+    }
+    const auto pops = rng.uniform_int(0, 6);
+    for (std::uint64_t i = 0; i < pops && !ref.empty(); i++) {
+      auto task = [&]() -> CoTask<void> {
+        auto v = co_await ch.pop();
+        EXPECT_EQ(v, std::optional<std::string>(ref.front()));
+        ref.pop_front();
+      };
+      spawn(task());
+      sim.run();
+    }
+    ASSERT_EQ(ch.size(), ref.size());
+    if (round % 37 == 36) {
+      auto task = [&]() -> CoTask<void> { expect_same(co_await ch.pop_all()); };
+      if (!ref.empty()) {
+        spawn(task());
+        sim.run();
+      }
+    } else if (round % 23 == 22) {
+      expect_same(ch.drain());
+    }
+    ASSERT_EQ(ch.size(), ref.size());
+  }
+  EXPECT_GE(ch.ring_slots(), ch.max_depth());
+  EXPECT_EQ(ch.ring_slots() & (ch.ring_slots() - 1), 0u);  // a power of two
+  EXPECT_EQ(ch.total_pushes(), std::uint64_t(next));
 }
 
 TEST(Channel, StatsTrackDepthAndPushes) {
