@@ -8,12 +8,10 @@
 // receive path burns CPU per connection (connection count grows with the
 // cluster).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 
 using namespace afc;
 
@@ -24,8 +22,7 @@ struct Point {
   double cpu;
 };
 
-Point run_nodes(const char* workload, unsigned nodes, const client::WorkloadSpec& base,
-                bool write) {
+Point run_nodes(unsigned nodes, const client::WorkloadSpec& base, bool write) {
   core::ClusterConfig cfg;
   cfg.profile = core::Profile::afceph();
   cfg.sustained = false;  // paper: "SSDs are clean state"
@@ -37,13 +34,7 @@ Point run_nodes(const char* workload, unsigned nodes, const client::WorkloadSpec
   auto spec = base;
   spec.warmup = 300 * kMillisecond;
   spec.runtime = base.block_size >= kMiB ? 3 * kSecond : 1000 * kMillisecond;
-  const auto wall0 = std::chrono::steady_clock::now();
   auto r = cluster.run(spec);
-  // AFC_BENCH_JSON: this rung becomes a wall-clock trajectory datapoint
-  // (stdout stays byte-identical either way).
-  core::record_run("fig12_scaleout", std::string("afceph/") + workload, cluster,
-                   write ? "write_iops" : "read_iops", write ? r.write_iops : r.read_iops, wall0,
-                   r.max_osd_node_cpu);
   return Point{write ? r.write_iops : r.read_iops, r.max_osd_node_cpu};
 }
 
@@ -52,7 +43,7 @@ void sweep(const char* name, const client::WorkloadSpec& spec, bool write, bool 
   Table t({"nodes", as_mbps ? "MB/s" : "IOPS", "scaling vs 4 nodes", "max node CPU"});
   double base = 0.0;
   for (unsigned nodes : {4u, 8u, 16u}) {
-    auto p = run_nodes(name, nodes, spec, write);
+    auto p = run_nodes(nodes, spec, write);
     const double v = as_mbps ? p.value * double(spec.block_size) / double(kMiB) : p.value;
     if (nodes == 4) base = v;
     t.row({std::to_string(nodes), as_mbps ? Table::num(v, 0) : Table::kiops(v),

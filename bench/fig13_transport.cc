@@ -17,14 +17,12 @@
 // OSDs (4 and 16 nodes). `--smoke` runs a short 16-OSD ladder and exits
 // nonzero unless sharded+batched >= community — check.sh's perf-smoke leg.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 #include "net/profile.h"
 
 using namespace afc;
@@ -67,10 +65,7 @@ Point run_rung(const Rung& rung, unsigned nodes, Time runtime) {
   auto spec = client::WorkloadSpec::rand_read(4096, 8);
   spec.warmup = 300 * kMillisecond;
   spec.runtime = runtime;
-  const auto wall0 = std::chrono::steady_clock::now();
   auto r = cluster.run(spec);
-  core::record_run("fig13_transport", rung.name, cluster, "read_iops", r.read_iops, wall0,
-                   r.max_osd_node_cpu);
   Point p;
   p.iops = r.read_iops;
   p.cpu = r.max_osd_node_cpu;

@@ -15,15 +15,11 @@
 //   qos-on     same traffic, dmClock at every OSD: steady holds a
 //              reservation, the flood a hard limit — steady's p99 must stay
 //              within 2x of solo (the isolation gate; check.sh --smoke)
-//
-// Results append to BENCH_*.json via AFC_BENCH_JSON like every other bench.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 
 using namespace afc;
 
@@ -117,16 +113,12 @@ PhaseResult run_phase(const Phase& ph, Time warmup, Time runtime) {
   if (ph.flood) spec.streams.push_back(flood_stream());
 
   workload::OpenLoopEngine engine(cluster, spec);
-  const auto wall0 = std::chrono::steady_clock::now();
   auto r = engine.run();
 
   PhaseResult out;
   out.steady = r.streams[0];
   if (r.streams.size() > 1) out.flood = r.streams[1];
   out.cluster = r.cluster;
-
-  core::record_run("fig14_qos", ph.name, cluster, "steady_p99_ms", out.steady.p99_ms, wall0,
-                   out.cluster.max_osd_node_cpu);
   return out;
 }
 

@@ -16,33 +16,18 @@
 //      whole objects from a surviving replica; EC rebuilds exactly the lost
 //      shard positions by decode-from-peers. Reported as drain time after
 //      the crash plus units recovered (objects pushed vs shards rebuilt).
-//
-// Results append to BENCH_*.json via AFC_BENCH_JSON like every other bench.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 
 using namespace afc;
 
 namespace {
 
 bool g_smoke = false;
-
-// Wall-clock bracket for one rung; emits the trajectory datapoint (stdout
-// stays byte-identical whether or not AFC_BENCH_JSON is set).
-struct Rung {
-  std::chrono::steady_clock::time_point wall0 = std::chrono::steady_clock::now();
-
-  void record(core::ClusterSim& cluster, const char* config, const char* metric,
-              double value) {
-    core::record_run("fig15_ec", config, cluster, metric, value, wall0);
-  }
-};
 
 // One OSD per node so "lose an OSD" and "lose a node" coincide and both
 // schemes spread shards/replicas over identical failure domains.
@@ -68,17 +53,12 @@ core::ClusterConfig base_config(bool ec, unsigned nodes) {
 // --- Phase A: healthy 4K random write, 3-rep vs EC(4+2) -------------------
 
 core::RunResult run_healthy(bool ec) {
-  Rung rung;
   core::ClusterConfig cfg = base_config(ec, 8);
   core::ClusterSim cluster(cfg);
   auto spec = client::WorkloadSpec::rand_write(4096, 8);
   spec.warmup = g_smoke ? 150 * kMillisecond : 300 * kMillisecond;
   spec.runtime = g_smoke ? 500 * kMillisecond : 1500 * kMillisecond;
-  auto r = cluster.run(spec);
-  const char* config = ec ? "ec42/4k_randwrite" : "3rep/4k_randwrite";
-  rung.record(cluster, config, "write_iops", r.write_iops);
-  rung.record(cluster, config, "write_p99_ms", r.write_p99_ms);
-  return r;
+  return cluster.run(spec);
 }
 
 // --- Phase B: degraded-read penalty on a spare-less EC pool ---------------
@@ -90,7 +70,6 @@ struct DegradedResult {
 };
 
 DegradedResult run_degraded_reads() {
-  Rung rung;
   core::ClusterConfig cfg = base_config(/*ec=*/true, /*nodes=*/6);
   // Small images so the sequential populate pass covers every block — reads
   // then always hit live stripes instead of fast-failing on holes.
@@ -138,10 +117,6 @@ DegradedResult run_degraded_reads() {
   cluster.simulation().run_until(out.degraded.window_end);
   cluster.simulation().run();  // drain timeouts/retries
   cluster.collect_osd_stats(out.cluster);
-  rung.record(cluster, "ec42/degraded_read", "read_p99_ms_healthy",
-              out.healthy.read_lat.p99_ms());
-  rung.record(cluster, "ec42/degraded_read", "read_p99_ms_degraded",
-              out.degraded.read_lat.p99_ms());
   cluster.close_all();
   cluster.simulation().run();
   return out;
@@ -155,7 +130,6 @@ struct RecoveryResult {
 };
 
 RecoveryResult run_recovery(bool ec, unsigned losses) {
-  Rung rung;
   core::ClusterConfig cfg = base_config(ec, 8);
   cfg.image_size = (g_smoke ? 4 : 8) * kMiB;
   cfg.client_op_timeout = 10 * kMillisecond;
@@ -188,9 +162,6 @@ RecoveryResult run_recovery(bool ec, unsigned losses) {
   } else {
     out.units = inj.counters().get("fault.backfills");
   }
-  const std::string config = std::string(ec ? "ec42" : "3rep") + "/loss" +
-                             std::to_string(losses);
-  rung.record(cluster, config.c_str(), "recovery_ms", out.recovery_ms);
   cluster.close_all();
   cluster.simulation().run();
   return out;

@@ -17,14 +17,12 @@
 // multi-stream SSD's segregated erase blocks. `--smoke` runs the headline
 // point short and exits nonzero unless flash >= file (check.sh perf gate).
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 
 using namespace afc;
 
@@ -39,15 +37,13 @@ struct Point {
   std::uint64_t gc_stalls = 0;
 };
 
-Point run_backend(store::Backend backend, const client::WorkloadSpec& spec,
-                  const char* workload_name, bool sustained) {
+Point run_backend(store::Backend backend, const client::WorkloadSpec& spec, bool sustained) {
   core::ClusterConfig cfg;
   cfg.profile = core::Profile::afceph();
   cfg.store_backend = backend;
   cfg.sustained = sustained;
   if (const char* s = std::getenv("FIG16_SEED")) cfg.seed = std::uint64_t(std::atoll(s));
   core::ClusterSim cluster(cfg);
-  const auto wall0 = std::chrono::steady_clock::now();
   auto r = cluster.run(spec);
   Point p;
   p.iops = r.write_iops;
@@ -99,8 +95,6 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec,
         r.net_batch_occupancy, (unsigned long long)r.net_nagle_stalls,
         (unsigned long long)r.net_shard_wakeups);
   }
-  core::record_run("fig16_store", std::string(store::backend_name(backend)) + "/" + workload_name,
-                   cluster, "write_iops", r.write_iops, wall0, r.max_osd_node_cpu);
   return p;
 }
 
@@ -113,7 +107,7 @@ std::pair<double, double> compare(const char* workload_name, client::WorkloadSpe
            "gc stalls"});
   double file_iops = 0.0, flash_iops = 0.0;
   for (const store::Backend backend : {store::Backend::kFile, store::Backend::kFlash}) {
-    const Point p = run_backend(backend, spec, workload_name, sustained);
+    const Point p = run_backend(backend, spec, sustained);
     if (backend == store::Backend::kFile) {
       file_iops = p.iops;
     } else {

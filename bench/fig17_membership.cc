@@ -16,13 +16,11 @@
 // `--smoke` runs both points short and exits nonzero unless the false-down
 // count is zero and detection lands inside the bound (check.sh gate).
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "afceph.h"
-#include "core/bench_json.h"
 
 using namespace afc;
 
@@ -66,8 +64,7 @@ struct Point {
 /// measurement choice: hb_sent counts the heartbeats of the whole window,
 /// traffic and tail alike. Then close_all() cancels the periodic plane and
 /// the residue runs dry.
-Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time crash_at,
-                std::uint32_t crash_osd) {
+Point run_point(std::uint64_t seed, Time runtime, Time crash_at, std::uint32_t crash_osd) {
   core::ClusterConfig cfg = membership_config(seed);
   core::ClusterSim cluster(cfg);
   if (crash_at > 0) {
@@ -76,7 +73,6 @@ Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time 
     cluster.install_faults(plan);
   }
 
-  const auto wall0 = std::chrono::steady_clock::now();
   client::RunStats stats;
   auto spec = client::WorkloadSpec::rand_write(4096, 4);
   spec.warmup = 100 * kMillisecond;
@@ -110,10 +106,6 @@ Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time 
     }
   }
 
-  core::record_run("fig17_membership", config_name, cluster,
-                   crash_at > 0 ? "detect_ms" : "write_iops",
-                   crash_at > 0 ? p.detect_ms : p.write_iops, wall0);
-
   cluster.close_all();
   cluster.simulation().run();
   return p;
@@ -134,8 +126,8 @@ int main(int argc, char** argv) {
   const Time runtime = smoke ? 900 * kMillisecond : 3 * kSecond;
   const Time crash_at = 300 * kMillisecond;
 
-  const Point healthy = run_point("fault-free", 1, runtime, /*crash_at=*/0, 0);
-  const Point crash = run_point("crash", 2, runtime, crash_at, /*crash_osd=*/1);
+  const Point healthy = run_point(1, runtime, /*crash_at=*/0, 0);
+  const Point crash = run_point(2, runtime, crash_at, /*crash_osd=*/1);
 
   Table t({"scenario", "write IOPS", "hb sent", "hb timeouts", "markdowns", "false downs",
            "map deltas", "fenced", "detect ms"});

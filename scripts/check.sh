@@ -2,17 +2,17 @@
 # One-shot gate: configure Release, build, run the unit tests, run the
 # perfbench determinism self-test, run the event-core microbenchmark,
 # smoke-test the op tracer (including validating the exported Chrome trace
-# JSON), validate the committed BENCH_*.json perf
-# trajectory, run the transport perf-smoke (fig13 ladder + default-off
-# byte-identity), run the QoS and EC smokes (fig14/fig15 gates), run the
-# store-backend perf smoke (fig16 gate: FlashStore >= FileStore), run the
-# membership smoke (fig17 gate: crash detected within the heartbeat bound,
-# zero false downs) plus its oracle byte-identity check, run the chaos
-# fault-injection soak (every leg on every {file, flash} store x
-# {oracle, detected} membership cell), re-run that soak under ASan+UBSan
-# (focused cells first, then the whole matrix; every chaos invocation
-# under a wall-clock limit), then run the rt/ concurrency stress harness
-# natively and under ThreadSanitizer.
+# JSON), check the committed BENCH_*.json history is still valid JSON, run
+# the transport perf-smoke (fig13 ladder + default-off byte-identity), run
+# the QoS and EC smokes (fig14/fig15 gates), run the store-backend perf
+# smoke (fig16 gate: FlashStore >= FileStore), run the membership smoke
+# (fig17 gate: crash detected within the heartbeat bound, zero false downs)
+# plus its oracle byte-identity check, run the chaos fault-injection soak
+# (every leg on every {file, flash} store x {oracle, detected} membership
+# cell), then under ASan+UBSan run the whole unit suite and re-run that
+# soak (focused cells first, then the whole matrix; the suite and every
+# chaos invocation under a wall-clock limit), then run the afceph_rt
+# (src/rt/) concurrency stress harness natively and under ThreadSanitizer.
 # Also compiles the scripts/heap_peak.sh allocation shim so it does not rot.
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -20,16 +20,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 
-# run_leg <name> <seconds> <command...>: run one bench/chaos invocation
-# under a wall-clock limit, so a hang fails the gate with the leg's name
-# instead of wedging it. Each limit is about 3x the invocation's measured
-# wall time on a 4-core x86 machine.
+# run_leg <name> <seconds> <command...>: run one long invocation (a
+# bench/chaos run or the sanitized unit suite) under a wall-clock limit, so
+# a hang fails the gate with the leg's name instead of wedging it. Each
+# limit is about 3x the invocation's measured wall time on a 4-core x86
+# machine.
 run_leg() {
   local name=$1 limit=$2 rc=0
   shift 2
   timeout -k 10 "$limit" "$@" || rc=$?
   if [ "$rc" -eq 124 ]; then
-    echo "FAIL: chaos leg '$name' exceeded its ${limit}s limit (hung?)" >&2
+    echo "FAIL: leg '$name' exceeded its ${limit}s limit (hung?)" >&2
   fi
   return "$rc"
 }
@@ -63,7 +64,7 @@ python3 -m json.tool "$TRACE_JSON" > /dev/null
 echo "trace JSON OK: $TRACE_JSON"
 
 echo
-echo "=== BENCH_*.json perf trajectory (committed datapoints stay valid JSON) ==="
+echo "=== BENCH_*.json perf trajectory (committed history stays valid JSON) ==="
 for bench_json in BENCH_*.json; do
   [ -e "$bench_json" ] || { echo "FAIL: no BENCH_*.json trajectory committed" >&2; exit 1; }
   python3 -m json.tool "$bench_json" > /dev/null
@@ -71,55 +72,40 @@ for bench_json in BENCH_*.json; do
 done
 
 echo
-echo "=== transport perf-smoke (fig13 ladder @ 16 OSDs + a fresh datapoint) ==="
-SMOKE_JSON="$BUILD_DIR/bench_smoke.json"
-rm -f "$SMOKE_JSON"
-AFC_BENCH_JSON="$SMOKE_JSON" "$BUILD_DIR/bench/fig13_transport" --smoke
-python3 -m json.tool "$SMOKE_JSON" > /dev/null
-echo "perf-smoke OK (sharded+batched >= community; $SMOKE_JSON valid)"
+echo "=== transport perf-smoke (fig13 ladder @ 16 OSDs) ==="
+"$BUILD_DIR/bench/fig13_transport" --smoke
+echo "perf-smoke OK (sharded+batched >= community)"
 
 echo
 echo "=== QoS isolation smoke (fig14 noisy neighbor, open-loop engine) ==="
 # The harness itself is the gate: it exits non-zero unless the well-behaved
 # tenant's p99 under a flood stays <= 2x its solo p99 with QoS on, AND the
 # QoS-off run demonstrably degrades (the flood must actually hurt).
-QOS_JSON="$BUILD_DIR/bench_qos_smoke.json"
-rm -f "$QOS_JSON"
-AFC_BENCH_JSON="$QOS_JSON" "$BUILD_DIR/bench/fig14_qos" --smoke
-python3 -m json.tool "$QOS_JSON" > /dev/null
-echo "qos-smoke OK (steady p99 bounded under flood; $QOS_JSON valid)"
+"$BUILD_DIR/bench/fig14_qos" --smoke
+echo "qos-smoke OK (steady p99 bounded under flood)"
 
 echo
 echo "=== EC vs replication smoke (fig15, healthy write p99 + degraded reads) ==="
 # The harness is the gate: EC(4+2) healthy 4K-write p99 must stay within 2x
 # of 3-replication's, and the degraded window must actually serve
 # reconstructed (decode-from-k) reads.
-EC_JSON="$BUILD_DIR/bench_ec_smoke.json"
-rm -f "$EC_JSON"
-AFC_BENCH_JSON="$EC_JSON" "$BUILD_DIR/bench/fig15_ec" --smoke
-python3 -m json.tool "$EC_JSON" > /dev/null
-echo "ec-smoke OK (EC write p99 bounded vs 3-rep; $EC_JSON valid)"
+"$BUILD_DIR/bench/fig15_ec" --smoke
+echo "ec-smoke OK (EC write p99 bounded vs 3-rep)"
 
 echo
 echo "=== store-backend smoke (fig16 perf gate: FlashStore >= FileStore) ==="
 # The harness is the gate: sustained 4K random write on the raw-device
 # backend must not regress below FileStore-optimized, or it exits non-zero.
-STORE_JSON="$BUILD_DIR/bench_store_smoke.json"
-rm -f "$STORE_JSON"
-AFC_BENCH_JSON="$STORE_JSON" "$BUILD_DIR/bench/fig16_store" --smoke
-python3 -m json.tool "$STORE_JSON" > /dev/null
-echo "store-smoke OK (flash >= file on sustained 4K random write; $STORE_JSON valid)"
+"$BUILD_DIR/bench/fig16_store" --smoke
+echo "store-smoke OK (flash >= file on sustained 4K random write)"
 
 echo
 echo "=== membership smoke (fig17 gate: detection bound + zero false downs) ==="
 # The harness is the gate: in detected mode a crashed OSD must be marked
 # down (and the map republished) within hb_grace + 2*hb_interval, and no
 # healthy OSD may ever be marked down, or it exits non-zero.
-MEMBERSHIP_JSON="$BUILD_DIR/bench_membership_smoke.json"
-rm -f "$MEMBERSHIP_JSON"
-AFC_BENCH_JSON="$MEMBERSHIP_JSON" "$BUILD_DIR/bench/fig17_membership" --smoke
-python3 -m json.tool "$MEMBERSHIP_JSON" > /dev/null
-echo "membership-smoke OK (crash detected within bound, 0 false downs; $MEMBERSHIP_JSON valid)"
+"$BUILD_DIR/bench/fig17_membership" --smoke
+echo "membership-smoke OK (crash detected within bound, 0 false downs)"
 
 echo
 echo "=== transport byte-identity (all switches off == explicit community rung) ==="
@@ -158,13 +144,22 @@ echo "=== bench/chaos (fault injection + recovery invariants, 22 mode cells) ===
 run_leg all 250 "$BUILD_DIR/bench/chaos"
 
 echo
-echo "=== bench/chaos under ASan+UBSan ==="
-# Leak detection stays on, with one suppression: coroutine frames still
-# suspended at exit (device worker loops; RPC waiters stranded by injected
-# crashes — their reply never arrives, by design). See scripts/lsan.supp.
+echo "=== unit suite under ASan+UBSan ==="
+# Every test target, at the default 8 MiB stack. Leak detection stays on,
+# with one suppression: coroutine frames still suspended at exit (device
+# worker loops; RPC waiters stranded by injected crashes — their reply never
+# arrives, by design). See scripts/lsan.supp.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFC_SANITIZE=ON
-cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos
+cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target \
+  chaos afceph_core_tests afceph_osd_tests afceph_fault_tests afceph_rt_tests stress_rt
+LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  run_leg asan-unit-suite 180 ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$(nproc)"
+echo "sanitized unit suite OK"
+
+echo
+echo "=== bench/chaos under ASan+UBSan ==="
 # The corruption cell first, on its own: torn-write replay, CRC verification
 # and scrub repair walk raw record bytes, so a memory bug there should fail
 # with a focused label before the full soak runs.

@@ -40,12 +40,6 @@
 #include "osd/recovery.h"
 #include "osd/osd.h"
 #include "osd/qos.h"
-#include "rt/arena.h"
-#include "rt/async_logger.h"
-#include "rt/completion_batcher.h"
-#include "rt/mpmc_queue.h"
-#include "rt/sharded_opqueue.h"
-#include "rt/throttle.h"
 #include "sim/channel.h"
 #include "sim/cpu.h"
 #include "sim/simulation.h"

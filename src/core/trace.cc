@@ -21,7 +21,6 @@ bool Collector::env_requested() {
 }
 
 Collector::StageId Collector::stage_id(const char* name) {
-  std::lock_guard lk(mu_);
   return stages_.intern(name);
 }
 
@@ -41,7 +40,6 @@ void Collector::record(const Span& span, StageId stage, Time begin, Time dur) {
 
 void Collector::begin(const Span& span, StageId stage, Time now) {
   if (!span.valid()) return;
-  std::lock_guard lk(mu_);
   auto [it, inserted] = open_.emplace(OpenKey{span.id, stage, span.track}, now);
   if (!inserted) {
     mismatched_++;
@@ -51,7 +49,6 @@ void Collector::begin(const Span& span, StageId stage, Time now) {
 
 void Collector::end(const Span& span, StageId stage, Time now) {
   if (!span.valid()) return;
-  std::lock_guard lk(mu_);
   auto it = open_.find(OpenKey{span.id, stage, span.track});
   if (it == open_.end()) {
     mismatched_++;
@@ -64,7 +61,6 @@ void Collector::end(const Span& span, StageId stage, Time now) {
 
 void Collector::complete(const Span& span, StageId stage, Time begin, Time end) {
   if (!span.valid()) return;
-  std::lock_guard lk(mu_);
   record(span, stage, begin, end >= begin ? end - begin : 0);
 }
 
@@ -73,13 +69,11 @@ void Collector::instant(const Span& span, StageId stage, Time at) {
 }
 
 void Collector::name_track(std::uint32_t track, std::string name) {
-  std::lock_guard lk(mu_);
   track_names_[track] = std::move(name);
 }
 
 const Histogram& Collector::stage_histogram(const char* name) const {
   static const Histogram kEmpty;
-  std::lock_guard lk(mu_);
   InternPool::Id id;
   if (!stages_.find(name, id)) return kEmpty;
   auto it = hists_.find(id);
@@ -87,7 +81,6 @@ const Histogram& Collector::stage_histogram(const char* name) const {
 }
 
 void Collector::export_chrome_json(std::ostream& os) const {
-  std::lock_guard lk(mu_);
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[256];
@@ -140,7 +133,6 @@ bool Collector::export_chrome_json_file(const std::string& path) const {
 }
 
 std::string Collector::summary() const {
-  std::lock_guard lk(mu_);
   std::ostringstream os;
   char buf[160];
   os << "stage                             count      mean (ms)\n";
@@ -156,7 +148,6 @@ std::string Collector::summary() const {
 }
 
 void Collector::clear() {
-  std::lock_guard lk(mu_);
   ring_.clear();
   ring_next_ = 0;
   ring_wrapped_ = false;

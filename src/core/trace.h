@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,10 +25,8 @@ struct Span {
 };
 
 /// Track-id encoding: clients use their client_id directly, OSD daemons are
-/// offset so the two namespaces cannot collide; the real-threads (rt::)
-/// structures share one synthetic track.
+/// offset so the two namespaces cannot collide.
 inline constexpr std::uint32_t kOsdTrackBase = 0x1000000;
-inline constexpr std::uint32_t kRtTrack = 0x2000000;
 /// Fault-injection events render on their own track (span id = plan index).
 inline constexpr std::uint32_t kFaultTrack = 0x3000000;
 /// Monitor membership decisions (mark-down/up/out, map publishes) render on
@@ -40,7 +37,7 @@ inline std::uint32_t osd_track(std::uint32_t osd_id) { return kOsdTrackBase + os
 
 /// Op-level trace collector: a ring buffer of completed spans plus one
 /// latency histogram per stage, fed by instrumentation sites across net/,
-/// rt/, osd/, fs/ and kv/. Exports (a) Chrome trace-event JSON loadable in
+/// osd/, fs/ and kv/. Exports (a) Chrome trace-event JSON loadable in
 /// chrome://tracing / Perfetto and (b) per-stage histograms, so any bench
 /// can print a Fig.-3-style breakdown without hardcoding the pipeline.
 ///
@@ -50,9 +47,8 @@ inline std::uint32_t osd_track(std::uint32_t osd_id) { return kOsdTrackBase + os
 /// schedules simulator events, so enabling tracing cannot change simulated
 /// results — only observe them.
 ///
-/// Timestamps are supplied by callers: simulated subsystems pass sim-time
-/// ns; the real-threads rt:: structures pass monotonic wall-clock ns (the
-/// two are never mixed in one run in practice — see docs/TRACING.md).
+/// Timestamps are supplied by callers in sim-time ns. Single-threaded: every
+/// site runs on the simulator's one thread, so nothing here locks.
 class Collector {
  public:
   using StageId = InternPool::Id;
@@ -147,7 +143,6 @@ class Collector {
   static Collector* active_;
 
   Config cfg_;
-  mutable std::mutex mu_;  // rt:: sites record from real threads
   InternPool stages_;
   std::vector<Event> ring_;
   std::size_t ring_next_ = 0;

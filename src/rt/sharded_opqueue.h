@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -8,14 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stage_names.h"
-#include "core/trace.h"
-
 namespace afc::rt {
-
-/// Monotonic wall-clock ns for tracing the real-threads structures (the
-/// simulator side uses sim time instead; the two never mix in one run).
-std::uint64_t trace_now_ns();
 
 /// Real-threads implementation of the paper's §3.1 OP_WQ: ops are hashed to
 /// shards by key (PG id); each shard has worker threads popping ops. A key
@@ -46,7 +40,6 @@ class ShardedOpQueue {
   /// guaranteed to be handed to some pop() before the shard reports drained.
   bool submit(std::uint64_t key, Op op) {
     Shard& s = shard_of(key);
-    const std::uint64_t t0 = trace::Collector::active() != nullptr ? trace_now_ns() : 0;
     {
       std::lock_guard lk(s.mu);
       if (s.closed) return false;
@@ -56,13 +49,13 @@ class ShardedOpQueue {
       // second same-key op on ready would let complete()'s promote-to-front
       // jump the parked op over it, breaking per-key FIFO.
       if (pending_mode_ && (ks.busy || ks.has_ready || !ks.pending.empty())) {
-        ks.pending.push_back(Item{key, std::move(op), t0});
+        ks.pending.push_back(Item{key, std::move(op)});
         s.parked++;
         deferred_.fetch_add(1, std::memory_order_relaxed);
         return true;  // parked, not ready: nobody can claim it yet
       }
       if (pending_mode_) ks.has_ready = true;
-      s.ready.push_back(Item{key, std::move(op), t0});
+      s.ready.push_back(Item{key, std::move(op)});
     }
     s.cv.notify_one();
     return true;
@@ -100,7 +93,6 @@ class ShardedOpQueue {
           continue;
         }
         ks.busy = true;
-        trace_claimed(it);
         return Claimed{it.key, std::move(it.op)};
       }
       // Community mode: wait until the head exists AND its key is free —
@@ -120,7 +112,6 @@ class ShardedOpQueue {
       // have been consumed (by this claim), so re-arm a sibling worker if
       // the next op is claimable right now.
       if (!s.ready.empty() && !s.keys[s.ready.front().key].busy) s.cv.notify_one();
-      trace_claimed(it);
       return Claimed{it.key, std::move(it.op)};
     }
   }
@@ -139,9 +130,8 @@ class ShardedOpQueue {
       KeyState& ks = s.keys[key];
       if (pending_mode_ && !ks.pending.empty()) {
         // Hand the key straight to its next op, at the front for fairness.
-        // The item keeps its original submit stamp, so a traced wait covers
-        // the parked interval too. Safe to jump the queue: no other op for
-        // this key can be on ready (one-ready-op-per-key invariant).
+        // Safe to jump the queue: no other op for this key can be on ready
+        // (one-ready-op-per-key invariant).
         s.ready.push_front(std::move(ks.pending.front()));
         ks.pending.pop_front();
         s.parked--;
@@ -182,21 +172,12 @@ class ShardedOpQueue {
   struct Item {
     std::uint64_t key;
     Op op;
-    std::uint64_t trace_t0 = 0;  // submit time (wall ns), 0 when untraced
   };
   struct KeyState {
     bool busy = false;
     bool has_ready = false;  // pending mode: this key's one op on ready
     std::deque<Item> pending;
   };
-
-  /// Record submit→claim wait (rt.opwq.wait) for a traced item.
-  static void trace_claimed(const Item& it) {
-    auto* tr = trace::Collector::active();
-    if (tr == nullptr || it.trace_t0 == 0) return;
-    tr->complete(trace::Span{it.key + 1, trace::kRtTrack}, tr->stage_id(stage::kRtOpQueue),
-                 it.trace_t0, trace_now_ns());
-  }
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;

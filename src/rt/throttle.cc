@@ -1,11 +1,6 @@
 #include "rt/throttle.h"
 
-#include "common/stage_names.h"
-#include "core/trace.h"
-
 namespace afc::rt {
-
-std::uint64_t trace_now_ns();  // defined in sharded_opqueue.cc
 
 Throttle::Throttle(std::uint64_t capacity) : capacity_(capacity) {}
 
@@ -14,18 +9,10 @@ bool Throttle::acquire(std::uint64_t n) {
   const std::uint64_t ticket = next_ticket_++;
   const bool blocks = ticket != serving_ticket_ || used_ + n > capacity_;
   if (blocks) blocked_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t wait_t0 =
-      (blocks && trace::Collector::active() != nullptr) ? trace_now_ns() : 0;
   cv_.wait(lk, [&] {
     return shutdown_ || (ticket == serving_ticket_ && used_ + n <= capacity_);
   });
   if (shutdown_) return false;
-  if (wait_t0 != 0) {
-    if (auto* tr = trace::Collector::active()) {
-      tr->complete(trace::Span{ticket + 1, trace::kRtTrack}, tr->stage_id(stage::kRtThrottle),
-                   wait_t0, trace_now_ns());
-    }
-  }
   used_ += n;
   serving_ticket_++;
   cv_.notify_all();

@@ -57,9 +57,12 @@ class FramePool {
 
 /// Lazily-started awaitable coroutine returning T. The standard structured
 /// task shape: a parent `co_await`s a child CoTask; the child starts on
-/// await and resumes the parent by symmetric transfer at completion. The
-/// frame is destroyed when the CoTask object is destroyed (after the parent
-/// consumed the result), so lifetimes nest like ordinary calls.
+/// await, inline on the parent's stack. A child that completes without
+/// suspending returns to the parent like an ordinary call, so a loop of
+/// synchronous children runs in constant stack; a child that suspended
+/// resumes the parent by symmetric transfer at completion. The frame is
+/// destroyed when the CoTask object is destroyed (after the parent consumed
+/// the result), so lifetimes nest like ordinary calls.
 ///
 /// Simulated code must not throw across suspension points: an escaped
 /// exception terminates the process (a simulator bug, not a recoverable
@@ -87,9 +90,14 @@ class [[nodiscard]] CoTask {
   }
 
   bool await_ready() const noexcept { return false; }
-  Handle await_suspend(std::coroutine_handle<> parent) noexcept {
+  bool await_suspend(std::coroutine_handle<> parent) noexcept {
+    // Start the child now; this returns at its first suspension. Until it
+    // does, the child has no continuation, so finishing here returns to
+    // this frame instead of resuming the parent on top of it.
+    h_.resume();
+    if (h_.done()) return false;  // the parent continues on the same stack
     h_.promise().continuation = parent;
-    return h_;  // start the child now
+    return true;
   }
   T await_resume() {
     if constexpr (!std::is_void_v<T>) {

@@ -81,7 +81,7 @@ TEST(TraceCollector, RingOverwritesOldestButHistogramsSeeAll) {
   trace::Collector c(cfg);
   const auto stage = c.stage_id(stage::kKvWrite);
   for (std::uint64_t i = 1; i <= 10; i++) {
-    c.complete(trace::Span{i, trace::kRtTrack}, stage, i * 100, i * 100 + 50);
+    c.complete(trace::Span{i, trace::osd_track(0)}, stage, i * 100, i * 100 + 50);
   }
   EXPECT_EQ(c.spans_recorded(), 10u);
   EXPECT_EQ(c.spans_dropped(), 6u);
