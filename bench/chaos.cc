@@ -19,13 +19,12 @@
 //
 // Usage: chaos [--leg=<empty|directed|corruption|ec|membership|random>]
 //              [--store=<file|flash>] [--membership=<oracle|detected>]
-// An absent filter means all values. The driver sets each cell's mode
-// itself, so AFC_STORE, AFC_MEMBERSHIP and AFC_NET_TRANSPORT must be unset.
+// An absent filter means all values; each cell's mode comes from its own
+// ClusterConfig, never from the environment.
 // Exit status is 0 on success, 1 if any invariant fails (scripts/check.sh
 // and its ASan+UBSan leg gate on it), 2 on a usage error.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -568,14 +567,6 @@ int usage_error(const std::string& what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Every cell sets its own mode; an env override would silently turn one
-  // cell into another (and a leg that needs a monitor would run without one).
-  for (const char* var : {"AFC_STORE", "AFC_MEMBERSHIP", "AFC_NET_TRANSPORT"}) {
-    if (const char* v = std::getenv(var); v != nullptr && v[0] != '\0') {
-      return usage_error(std::string(var) +
-                         " is set; unset it (select cells with --store= / --membership=)");
-    }
-  }
   std::string leg_filter;
   std::string store_filter;
   std::string membership_filter;

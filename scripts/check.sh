@@ -3,16 +3,16 @@
 # perfbench determinism self-test, run the event-core microbenchmark,
 # smoke-test the op tracer (including validating the exported Chrome trace
 # JSON), check the committed BENCH_*.json history is still valid JSON, run
-# the transport perf-smoke (fig13 ladder + default-off byte-identity), run
-# the QoS and EC smokes (fig14/fig15 gates), run the store-backend perf
-# smoke (fig16 gate: FlashStore >= FileStore), run the membership smoke
-# (fig17 gate: crash detected within the heartbeat bound, zero false downs)
-# plus its oracle byte-identity check, run the chaos fault-injection soak
-# (every leg on every {file, flash} store x {oracle, detected} membership
-# cell), then under ASan+UBSan run the whole unit suite and re-run that
-# soak (focused cells first, then the whole matrix; the suite and every
-# chaos invocation under a wall-clock limit), then run the afceph_rt
-# (src/rt/) concurrency stress harness natively and under ThreadSanitizer.
+# the transport perf-smoke (fig13 ladder), run the QoS and EC smokes
+# (fig14/fig15 gates), run the store-backend perf smoke (fig16 gate:
+# FlashStore >= FileStore), run the membership smoke (fig17 gate: crash
+# detected within the heartbeat bound, zero false downs), run the chaos
+# fault-injection soak (every leg on every {file, flash} store x {oracle,
+# detected} membership cell), then under ASan+UBSan run the whole unit
+# suite and re-run that soak (focused cells first, then the whole matrix;
+# the suite and every chaos invocation under a wall-clock limit), then run
+# the afceph_rt (src/rt/) concurrency stress harness natively and under
+# ThreadSanitizer.
 # Also compiles the scripts/heap_peak.sh allocation shim so it does not rot.
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -106,38 +106,6 @@ echo "=== membership smoke (fig17 gate: detection bound + zero false downs) ==="
 # healthy OSD may ever be marked down, or it exits non-zero.
 "$BUILD_DIR/bench/fig17_membership" --smoke
 echo "membership-smoke OK (crash detected within bound, 0 false downs)"
-
-echo
-echo "=== transport byte-identity (all switches off == explicit community rung) ==="
-# The default-constructed net config IS the community rung; forcing it via
-# the env override must not change a byte of the paper figures.
-"$BUILD_DIR/bench/fig01_baseline" > "$BUILD_DIR/fig01_default.txt"
-AFC_NET_TRANSPORT=community "$BUILD_DIR/bench/fig01_baseline" > "$BUILD_DIR/fig01_community.txt"
-cmp "$BUILD_DIR/fig01_default.txt" "$BUILD_DIR/fig01_community.txt"
-"$BUILD_DIR/bench/fig03_latency_breakdown" > "$BUILD_DIR/fig03_default.txt"
-AFC_NET_TRANSPORT=community "$BUILD_DIR/bench/fig03_latency_breakdown" > "$BUILD_DIR/fig03_community.txt"
-cmp "$BUILD_DIR/fig03_default.txt" "$BUILD_DIR/fig03_community.txt"
-echo "fig01/fig03 byte-identical with switches off"
-
-echo
-echo "=== store byte-identity (default == explicit FileStore backend) ==="
-# store=file is the default rung; forcing it via AFC_STORE must not change
-# a byte of the paper figures.
-AFC_STORE=file "$BUILD_DIR/bench/fig01_baseline" > "$BUILD_DIR/fig01_storefile.txt"
-cmp "$BUILD_DIR/fig01_default.txt" "$BUILD_DIR/fig01_storefile.txt"
-AFC_STORE=file "$BUILD_DIR/bench/fig03_latency_breakdown" > "$BUILD_DIR/fig03_storefile.txt"
-cmp "$BUILD_DIR/fig03_default.txt" "$BUILD_DIR/fig03_storefile.txt"
-echo "fig01/fig03 byte-identical with AFC_STORE=file"
-
-echo
-echo "=== membership byte-identity (default == explicit oracle mode) ==="
-# Oracle membership is the default rung: no heartbeat timers, no RNG draws,
-# no monitor. Forcing it via AFC_MEMBERSHIP must not change a byte.
-AFC_MEMBERSHIP=oracle "$BUILD_DIR/bench/fig01_baseline" > "$BUILD_DIR/fig01_oracle.txt"
-cmp "$BUILD_DIR/fig01_default.txt" "$BUILD_DIR/fig01_oracle.txt"
-AFC_MEMBERSHIP=oracle "$BUILD_DIR/bench/fig03_latency_breakdown" > "$BUILD_DIR/fig03_oracle.txt"
-cmp "$BUILD_DIR/fig03_default.txt" "$BUILD_DIR/fig03_oracle.txt"
-echo "fig01/fig03 byte-identical with AFC_MEMBERSHIP=oracle"
 
 echo
 echo "=== bench/chaos (fault injection + recovery invariants, 22 mode cells) ==="

@@ -3,12 +3,13 @@
 #
 # Builds <base-ref> in a git worktree under build/perf_ab and the working
 # tree beside it (both Release), then runs the identity set on each side:
-# fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16 and chaos (the
-# whole mode matrix), with all AFC_* and FIG16_* variables cleared. Each
-# bench's stdout is compared with cmp, and both sides' wall seconds and
-# peak RSS (MiB, the bench process's ru_maxrss read through python3's
-# resource module) are printed. Exits non-zero when any stdout differs or
-# any bench fails.
+# the benches fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16, fig17
+# and chaos (the whole mode matrix), and the examples failure_recovery and
+# cluster_expansion, with all AFC_* and FIG16_* variables cleared. Each
+# program's stdout is compared with cmp, and both sides' wall seconds and
+# peak RSS (MiB, the process's ru_maxrss read through python3's resource
+# module) are printed. Exits non-zero when any stdout differs or any
+# program fails.
 #
 # Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
 set -euo pipefail
@@ -17,8 +18,12 @@ base_ref="${1:?usage: scripts/perf_ab.sh <base-ref>}"
 cd "$(dirname "$0")/.."
 root="$PWD"
 out="$root/build/perf_ab"
-benches=(fig01_baseline fig03_latency_breakdown fig09_ladder fig10_vm_sweep fig11_solidfire
-         fig12_scaleout fig15_ec fig16_store chaos)
+# Paths under a build tree; each file name is also its CMake target.
+programs=(bench/fig01_baseline bench/fig03_latency_breakdown bench/fig09_ladder
+          bench/fig10_vm_sweep bench/fig11_solidfire bench/fig12_scaleout bench/fig15_ec
+          bench/fig16_store bench/fig17_membership bench/chaos
+          examples/failure_recovery examples/cluster_expansion)
+targets=("${programs[@]##*/}")
 
 base_sha="$(git rev-parse --verify "${base_ref}^{commit}")"
 worktree="$out/base-src"
@@ -31,7 +36,7 @@ git worktree add --quiet --detach "$worktree" "$base_sha"
 
 build() {  # <source dir> <build dir>; the log is shown only if the build fails
   if ! { cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$2" -j "$(nproc)" --target "${benches[@]}"; } > "$2.log" 2>&1; then
+         cmake --build "$2" -j "$(nproc)" --target "${targets[@]}"; } > "$2.log" 2>&1; then
     cat "$2.log" >&2
     echo "FAIL: building $1" >&2
     exit 1
@@ -45,8 +50,8 @@ for v in $(compgen -e); do
   case "$v" in AFC_* | FIG16_*) unset "$v" ;; esac
 done
 
-run() {  # <side> <bench>; prints "wall_s peak_rss_mib", returns the bench's status
-  python3 - "$out/$1/bench/$2" "$out/$1/$2.out" << 'EOF'
+run() {  # <side> <program path>; prints "wall_s peak_rss_mib", returns its status
+  python3 - "$out/$1/$2" "$out/$1/${2##*/}.out" << 'EOF'
 import resource, subprocess, sys, time
 t0 = time.monotonic()
 with open(sys.argv[2], "wb") as out:
@@ -59,10 +64,11 @@ EOF
 }
 
 status=0
-printf '%-26s %9s %9s %9s %9s  %s\n' bench base_s head_s base_MiB head_MiB stdout
-for b in "${benches[@]}"; do
-  base_r=$(run base "$b") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
-  head_r=$(run head "$b") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
+printf '%-26s %9s %9s %9s %9s  %s\n' program base_s head_s base_MiB head_MiB stdout
+for p in "${programs[@]}"; do
+  b="${p##*/}"
+  base_r=$(run base "$p") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
+  head_r=$(run head "$p") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
   read -r base_s base_mib <<< "$base_r"
   read -r head_s head_mib <<< "$head_r"
   if cmp -s "$out/base/$b.out" "$out/head/$b.out"; then

@@ -129,7 +129,6 @@ std::uint32_t VmClient::resolve_primary(std::uint32_t pg, bool is_write) {
     for (std::uint32_t member : cmap_.acting(pg)) {
       if (member == cluster::ClusterMap::kNoOsd) continue;
       if (member < known_laggy_.size() && known_laggy_[member]) continue;
-      laggy_read_sheds_++;
       return member;
     }
   }

@@ -125,7 +125,6 @@ class VmClient : public net::Receiver {
   // --- membership accounting (always 0 under kOracle) --------------------
   std::uint64_t fenced_replies() const { return fenced_replies_; }
   std::uint64_t map_updates() const { return map_updates_; }
-  std::uint64_t laggy_read_sheds() const { return laggy_read_sheds_; }
 
  private:
   struct PendingOp {
@@ -189,7 +188,6 @@ class VmClient : public net::Receiver {
   std::vector<bool> known_laggy_;
   std::uint64_t fenced_replies_ = 0;
   std::uint64_t map_updates_ = 0;
-  std::uint64_t laggy_read_sheds_ = 0;
 };
 
 }  // namespace afc::client

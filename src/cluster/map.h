@@ -68,7 +68,6 @@ class ClusterMap {
   /// only a mark-out (CRUSH `in = false`) re-places. Off by default: the
   /// oracle path keeps up == in and acting sets always full-size.
   void set_filter_down(bool on) { filter_down_ = on; }
-  bool filter_down() const { return filter_down_; }
 
   /// Stable hash of an object name onto a PG (ps = placement seed).
   std::uint32_t pg_of(std::string_view object_name) const;

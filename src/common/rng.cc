@@ -56,19 +56,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  double u1 = uniform();
-  double u2 = uniform();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return mean + stddev * z;
-}
-
-double Rng::lognormal(double mean, double sigma) {
-  const double z = normal(0.0, 1.0);
-  return mean * std::exp(sigma * z - 0.5 * sigma * sigma);
-}
-
 /// Everything a zipf draw needs that depends only on (n, theta).
 struct Rng::ZipfConstants {
   std::uint64_t n;

@@ -25,12 +25,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Standard normal via Box-Muller, scaled to (mean, stddev).
-  double normal(double mean, double stddev);
-
-  /// Lognormal-ish heavy tail: mean * exp(sigma * N(0,1) - sigma^2/2).
-  double lognormal(double mean, double sigma);
-
   /// Zipf-distributed rank in [0, n) with exponent theta (0 = uniform).
   /// The normalization for each (n, theta) is computed once per process
   /// and shared by every Rng; draws depend only on this stream.

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "net/profile.h"
 #include "osd/recovery.h"
@@ -45,44 +44,9 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     tracer_ = std::make_unique<trace::Collector>();
     trace::Collector::install(tracer_.get());
   }
-  // --- environment-dependent defaults ---------------------------------
-  // AFC_NET_TRANSPORT overrides the transport rung without touching bench
-  // code (community / optimized / sharded / sharded_batched / bypass) —
-  // check.sh uses it to prove the default-off path is byte-identical to an
-  // explicit community rung.
-  if (const char* t = std::getenv("AFC_NET_TRANSPORT"); t != nullptr && t[0] != '\0') {
-    if (auto net_cfg = net::NetProfile::by_name(t)) {
-      cfg_.net = *net_cfg;
-    } else {
-      std::fprintf(stderr, "AFC_NET_TRANSPORT: unknown rung '%s' (ignored)\n", t);
-    }
-  }
-  // AFC_STORE overrides the object-store backend the same way (file /
-  // flash) — check.sh uses it to prove store=file is byte-identical to the
-  // default, and fig16 compares the two backends end-to-end.
-  if (const char* s = std::getenv("AFC_STORE"); s != nullptr && s[0] != '\0') {
-    if (auto backend = store::parse_backend(s)) {
-      cfg_.store_backend = *backend;
-    } else {
-      std::fprintf(stderr, "AFC_STORE: unknown backend '%s' (ignored)\n", s);
-    }
-  }
-  // AFC_MEMBERSHIP overrides the failure-detection mode the same way —
-  // check.sh uses it to prove an explicit `oracle` is byte-identical to the
-  // default and to soak `detected` without touching bench code.
-  if (const char* m = std::getenv("AFC_MEMBERSHIP"); m != nullptr && m[0] != '\0') {
-    if (std::strcmp(m, "oracle") == 0) {
-      cfg_.membership.mode = mon::MembershipMode::kOracle;
-    } else if (std::strcmp(m, "detected") == 0) {
-      cfg_.membership.mode = mon::MembershipMode::kDetected;
-    } else {
-      std::fprintf(stderr, "AFC_MEMBERSHIP: unknown mode '%s' (ignored)\n", m);
-    }
-  }
   // Pool-level QoS plumbing: the cluster-wide TenantProfile table becomes
   // every OSD's scheduler config (add_node() inherits it the same way).
   cfg_.osd.qos = cfg_.qos;
-  cfg_.osd.membership = cfg_.membership;
   // Detected mode splits liveness from placement: acting sets must drop
   // *down* members immediately (no data movement) while *out* — the
   // placement change — waits for the monitor's down_out_interval.
@@ -158,8 +122,6 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
 
   // --- membership plane (kDetected only; kOracle builds none of this) ----
   if (cfg_.membership.detected()) {
-    for (auto& o : osds_) o->set_cluster_osds(roster());
-
     mon_node_ = std::make_unique<net::Node>(sim_, "mon",
                                             net::Node::Config{4, 1250 * kMiB});
     monitor_ = std::make_unique<mon::Monitor>(sim_, cmap_, cfg_.membership);
@@ -190,15 +152,14 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     for (unsigned i = 0; i < total_osds; i++) {
       net::Connection* conn = mon_msgr_->connect(osds_[i]->messenger(), cluster_net);
       monitor_->add_osd_subscriber(i, conn);
-      osds_[i]->set_mon_conn(conn->reverse());
+      osds_[i]->attach_membership(cfg_.membership, conn->reverse(), roster(),
+                                  cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     }
     for (auto& vm : vms_) {
       monitor_->add_client_subscriber(mon_msgr_->connect(vm->messenger(), client_net));
       vm->set_membership(cfg_.membership);
     }
-    for (unsigned i = 0; i < total_osds; i++) {
-      osds_[i]->start_membership(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    }
+    for (auto& o : osds_) o->membership()->start();
   }
 }
 
@@ -289,15 +250,11 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
     r.journal_full_stalls += o->journal().full_stalls();
     r.journal_full_ns += o->journal().full_stall_ns();
     r.fs_writeback_stalls += o->store().writeback_stalls();
-    r.log_entries_dropped += o->dlog().dropped();
     r.metadata_device_reads += o->store().metadata_device_reads();
     r.syscalls += o->store().syscalls();
     r.kv_write_amplification =
         std::max(r.kv_write_amplification, o->omap_db().write_amplification());
     r.kv_stall_slowdowns += o->omap_db().stall_slowdowns();
-    r.journal_records_replayed += o->counters().get("osd.journal.records_replayed");
-    r.journal_torn_tails += o->counters().get("osd.journal.torn_tails");
-    r.journal_crc_failures += o->counters().get("osd.journal.crc_failures");
     r.scrub_objects_repaired += o->counters().get("osd.scrub_objects_repaired");
     r.ec_reconstruct_reads += o->counters().get("osd.ec_reconstruct_reads");
     r.ec_shards_rebuilt += o->counters().get("osd.ec_shards_rebuilt");
@@ -306,7 +263,6 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
       r.qos_enqueued += qos->stats().enqueued;
       r.qos_dispatched += qos->stats().dispatched;
       r.qos_reservation_grants += qos->stats().reservation_grants;
-      r.qos_weight_grants += qos->stats().weight_grants;
       r.qos_limit_deferrals += qos->stats().limit_deferrals;
       r.qos_queue_hwm = std::max(r.qos_queue_hwm, qos->stats().depth_hwm);
     }
@@ -321,8 +277,6 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
     r.failure_reports = monitor_->counters().get("mon.failure_reports");
     r.false_downs = monitor_->counters().get("mon.false_downs");
     r.map_deltas = monitor_->counters().get("mon.map_deltas");
-    r.mon_markdowns = monitor_->counters().get("mon.markdowns");
-    r.mon_markouts = monitor_->counters().get("mon.markouts");
     r.laggy_flags = monitor_->counters().get("mon.laggy_flags");
   }
   for (unsigned s = 0; s < osd::kStageCount; s++) r.stage_ms[s] = stage_merged[s].mean_ms();
@@ -336,13 +290,9 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
   if (mon_msgr_ != nullptr) net.merge(mon_msgr_->net_stats());
   r.net_messages = net.messages;
   r.net_frames = net.frames;
-  r.net_batches = net.batches;
-  r.net_batched_msgs = net.batched_msgs;
-  r.net_max_batch = net.max_batch;
   r.net_batch_occupancy = net.batch_occupancy();
   r.net_nagle_stalls = net.nagle_stalls;
   r.net_shard_wakeups = net.shard_wakeups;
-  r.net_shard_depth_hwm = net.shard_depth_hwm;
 }
 
 fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
@@ -372,11 +322,9 @@ std::vector<osd::Osd*> ClusterSim::roster() const {
 sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::MapChange& change) {
   const std::vector<osd::Osd*> osds = roster();
   std::uint64_t migrated = 0;
-  for (const osd::PgRemap& r : change.remaps()) {
+  for (const osd::PgRemap& r : change.remaps(osds.front()->pg_backend())) {
     osd::install_remap(osds, r);
-    for (unsigned pos : r.targets) {
-      migrated += co_await osd::recover_target(sim_, cmap_, osds, r, pos);
-    }
+    for (unsigned pos : r.targets) migrated += co_await osd::recover_target(osds, r, pos);
     // Survivors that are no longer in the acting set keep stale data; a real
     // cluster trims it lazily, which we skip.
   }

@@ -69,7 +69,6 @@ struct ClusterConfig {
   /// heartbeats, no monitor, byte-identical event stream. kDetected builds a
   /// monitor node, starts OSD<->OSD heartbeats, and routes every membership
   /// decision through failure reports + epoch-fenced map deltas.
-  /// AFC_MEMBERSHIP=oracle|detected overrides at runtime.
   mon::MembershipConfig membership;
 
   Profile profile;
@@ -79,8 +78,7 @@ struct ClusterConfig {
   fs::FileStore::Config fs;
   /// Object-store backend per OSD: kFile (FileStore + external NVRAM
   /// journal — the default, byte-identical to the pre-FlashStore tree) or
-  /// kFlash (raw-device FlashStore). AFC_STORE=file|flash overrides it at
-  /// runtime without touching bench code.
+  /// kFlash (raw-device FlashStore).
   store::Backend store_backend = store::Backend::kFile;
   store::FlashStore::Config flash;
   kv::Db::Config kv;
@@ -114,16 +112,12 @@ struct RunResult {
   std::uint64_t journal_full_stalls = 0;
   Time journal_full_ns = 0;
   std::uint64_t fs_writeback_stalls = 0;
-  std::uint64_t log_entries_dropped = 0;
   std::uint64_t metadata_device_reads = 0;
   std::uint64_t syscalls = 0;
   double kv_write_amplification = 0.0;
   double max_osd_node_cpu = 0.0;
   std::uint64_t kv_stall_slowdowns = 0;
-  // Integrity layer: journal replay + scrub repair (zero in fault-free runs).
-  std::uint64_t journal_records_replayed = 0;
-  std::uint64_t journal_torn_tails = 0;
-  std::uint64_t journal_crc_failures = 0;
+  // Integrity layer: scrub repair (zero in fault-free runs).
   std::uint64_t scrub_objects_repaired = 0;
   // Erasure coding (all zero for replicated pools): degraded reads served by
   // decode, shards rebuilt by recovery, stripes whose parity check failed.
@@ -138,18 +132,13 @@ struct RunResult {
   // engaged; occupancy is mean messages per wire frame.
   std::uint64_t net_messages = 0;
   std::uint64_t net_frames = 0;
-  std::uint64_t net_batches = 0;
-  std::uint64_t net_batched_msgs = 0;
-  std::uint64_t net_max_batch = 0;
   double net_batch_occupancy = 0.0;
   std::uint64_t net_nagle_stalls = 0;
   std::uint64_t net_shard_wakeups = 0;
-  std::uint64_t net_shard_depth_hwm = 0;
   // QoS scheduler evidence (all zero when ClusterConfig::qos is disabled).
   std::uint64_t qos_enqueued = 0;
   std::uint64_t qos_dispatched = 0;
   std::uint64_t qos_reservation_grants = 0;
-  std::uint64_t qos_weight_grants = 0;
   std::uint64_t qos_limit_deferrals = 0;
   std::uint64_t qos_queue_hwm = 0;  // deepest tenant-queue backlog, any OSD
   // Membership & failure detection (all zero under kOracle): heartbeats
@@ -162,8 +151,6 @@ struct RunResult {
   std::uint64_t false_downs = 0;
   std::uint64_t map_deltas = 0;
   std::uint64_t fenced_ops = 0;
-  std::uint64_t mon_markdowns = 0;
-  std::uint64_t mon_markouts = 0;
   std::uint64_t laggy_flags = 0;
 };
 
@@ -199,7 +186,6 @@ class ClusterSim {
   /// `plan`. Call before run(); an empty plan schedules nothing. Returns the
   /// injector so the caller can read its counters afterwards.
   fault::FaultInjector& install_faults(const fault::FaultPlan& plan);
-  fault::FaultInjector* fault_injector() { return injector_.get(); }
 
   /// The cluster monitor, or nullptr under kOracle (no monitor is built).
   mon::Monitor* monitor() { return monitor_.get(); }

@@ -156,7 +156,7 @@ std::string health_report(ClusterSim& cluster) {
              (unsigned long long)o.counters().get("osd.hb_recoveries"),
              (unsigned long long)o.counters().get("osd.fenced_ops"),
              (unsigned long long)o.counters().get("osd.fenced_rep_ops"),
-             (unsigned long long)o.known_epoch());
+             (unsigned long long)o.membership()->known_epoch());
     }
   }
   return out;

@@ -147,13 +147,4 @@ std::string Collector::summary() const {
   return os.str();
 }
 
-void Collector::clear() {
-  ring_.clear();
-  ring_next_ = 0;
-  ring_wrapped_ = false;
-  open_.clear();
-  hists_.clear();
-  recorded_ = dropped_ = mismatched_ = 0;
-}
-
 }  // namespace afc::trace

@@ -114,8 +114,6 @@ class Collector {
   /// stage that fired, in first-interned order.
   std::string summary() const;
 
-  void clear();
-
  private:
   struct Event {
     std::uint64_t id;

@@ -213,7 +213,7 @@ void FaultInjector::do_restart(std::uint32_t osd) {
       // and the surviving primaries backfill what the daemon missed.
       co_await osds_[osd]->on_restart();
       osds_[osd]->messenger().set_blackhole(false);
-      osds_[osd]->announce_boot();
+      osds_[osd]->membership()->announce_boot();
     });
     return;
   }
@@ -239,14 +239,14 @@ void FaultInjector::do_restart(std::uint32_t osd) {
 }
 
 void FaultInjector::retarget_pgs(const osd::MapChange& change) {
-  for (const osd::PgRemap& r : change.remaps()) {
+  for (const osd::PgRemap& r : change.remaps(osds_.front()->pg_backend())) {
     osd::install_remap(osds_, r);
     // Asynchronous recovery: the data path keeps running while the PG
     // re-replicates (Ceph recovers in the background too).
     for (unsigned pos : r.targets) {
       counters_.add(r.decode ? "fault.ec_rebuilds" : "fault.backfills");
       sim::spawn_fn([this, r, pos]() -> sim::CoTask<void> {
-        co_await osd::recover_target(sim_, cmap_, osds_, r, pos);
+        co_await osd::recover_target(osds_, r, pos);
       });
     }
   }

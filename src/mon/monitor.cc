@@ -118,7 +118,6 @@ void Monitor::handle_beacon(std::uint32_t osd, bool boot) {
 void Monitor::mark_down(std::uint32_t osd) {
   OsdState& s = state_[osd];
   s.down = true;
-  s.down_since = sim_.now();
   s.markdown_history.push_back(sim_.now());
   cmap_.crush().set_up_only(osd, false);
   markdowns_.push_back({osd, sim_.now()});

@@ -89,7 +89,6 @@ class Monitor : public net::Receiver {
     bool down = false;
     bool out = false;
     bool laggy = false;
-    Time down_since = 0;
     Time laggy_refreshed = 0;
     std::vector<Time> markdown_history;  // within flap_window, for backoff
     sim::TimerToken down_out_timer;

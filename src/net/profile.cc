@@ -43,15 +43,6 @@ Connection::Config NetProfile::bypass() {
   return c;
 }
 
-std::optional<Connection::Config> NetProfile::by_name(std::string_view name) {
-  if (name == "community") return community();
-  if (name == "optimized") return optimized();
-  if (name == "sharded") return sharded();
-  if (name == "sharded_batched" || name == "sharded+batched") return sharded_batched();
-  if (name == "bypass") return bypass();
-  return std::nullopt;
-}
-
 Connection::Config NetProfile::cluster(const Connection::Config& base) {
   Connection::Config c = base;
   c.nagle = false;

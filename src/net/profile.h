@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <string_view>
-
 #include "net/messenger.h"
 
 namespace afc::net {
@@ -33,10 +30,6 @@ struct NetProfile {
   static Connection::Config sharded();
   static Connection::Config sharded_batched();
   static Connection::Config bypass();
-
-  /// Rung by name ("sharded+batched" accepted for sharded_batched), for the
-  /// AFC_NET_TRANSPORT env override and bench CLI flags. nullopt = unknown.
-  static std::optional<Connection::Config> by_name(std::string_view name);
 
   /// The cluster-network (OSD↔OSD) wiring variant of `base`: Ceph sets
   /// TCP_NODELAY on the sockets it owns, so Nagle is always off here.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "ec/layout.h"
-#include "osd/recovery.h"
-
 namespace afc::osd {
 
 namespace {
@@ -82,7 +79,7 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
   } else {
     sim::spawn(finisher_loop());
   }
-  if (cmap_.erasure()) codec_ = std::make_unique<ec::Codec>(cmap_.ec_k(), cmap_.ec_m());
+  backend_ = PgBackend::make(*this);
   if (cfg_.qos.enabled) {
     qos_ = std::make_unique<QosScheduler>(
         sim_, cfg_.qos, [this](WorkItem item, Time enqueued_at) {
@@ -138,57 +135,17 @@ sim::CoTask<void> Osd::on_message(net::Message m) {
       co_await dispatch_rep_reply(std::static_pointer_cast<RepReplyMsg>(m.body));
       break;
     case kShardRead:
-      co_await serve_shard_read(std::static_pointer_cast<ShardReadMsg>(m.body), m.reply_to);
-      break;
     case kShardReadReply:
-      handle_shard_read_reply(std::static_pointer_cast<ShardReadReplyMsg>(m.body));
+      co_await backend_->on_message(std::move(m));
       break;
-    case kHbPing: {
-      // Answered inline from dispatch with no CPU charge: heartbeats must
-      // measure the *network* path, not queueing — a busy OSD with a live
-      // link is alive (the laggy watermarks cover slow, not this).
-      const auto& ping = static_cast<const HbPingMsg&>(*m.body);
-      if (m.reply_to != nullptr) {
-        auto reply = std::make_shared<HbPingReplyMsg>();
-        reply->from_osd = id_;
-        reply->sent_at = ping.sent_at;
-        net::Message wire;
-        wire.type = kHbPingReply;
-        wire.size = 80;
-        wire.body = std::move(reply);
-        m.reply_to->send(std::move(wire));
-      }
-      break;
-    }
-    case kHbPingReply: {
-      const auto& pr = static_cast<const HbPingReplyMsg&>(*m.body);
-      if (hb_ != nullptr) hb_->on_ping_reply(pr.from_osd, pr.sent_at);
-      break;
-    }
-    case kMapDelta:
-      apply_map_delta(static_cast<const MapDeltaMsg&>(*m.body));
-      break;
-    default:
-      break;
+    default:  // heartbeats and map deltas (detected membership only)
+      if (agent_ != nullptr) agent_->on_message(m);
   }
 }
 
 sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
                                           net::Connection* conn) {
-  if (cfg_.membership.detected() && msg->epoch != 0) {
-    if (msg->epoch > known_epoch_) {
-      // The client knows a newer map than we do: serve the op (its routing
-      // was at least as fresh as ours) but catch up.
-      request_map();
-    } else if (msg->epoch < known_epoch_) {
-      // Epoch fence: the client routed with a stale map. Reject before any
-      // throttle or ledger admission — it may have picked the wrong
-      // primary, and a split-brain ex-primary must not keep acking writes.
-      counters_.add("osd.fenced_ops");
-      send_fence_reply(*msg, conn);
-      co_return;
-    }
-  }
+  if (agent_ != nullptr && !agent_->admit_client_op(*msg, conn)) co_return;
   if (qos_ != nullptr) {
     // QoS path: decode and classify in dispatch context, then park the op in
     // its tenant's dmClock queue. The message throttles move downstream
@@ -262,19 +219,8 @@ sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
   if (it == inflight_.end()) co_return;
   OpRef op = it->second;
   if (msg->fenced) {
-    // The replica's map outpaced this rep-op's stamped epoch. The publish
-    // that fenced it has usually reached us too by now — restamp and resend
-    // straight away; if not, fetch the map and let the watchdog's next
-    // resend round carry the fresh epoch.
-    counters_.add("osd.fenced_rep_replies");
-    if (known_epoch_ >= msg->map_epoch) {
-      const auto sub = std::find_if(
-          op->waiting_peers.begin(), op->waiting_peers.end(),
-          [&](const OpCtx::SubOp& w) { return w.peer == msg->from_osd; });
-      if (!op->acked && !op->failed && sub != op->waiting_peers.end()) send_rep_op(*op, *sub);
-    } else {
-      request_map();
-    }
+    // Only a detected-mode replica fences, and then this OSD has an agent.
+    agent_->on_rep_fenced(*op, *msg);
     co_return;
   }
   // Credit each replica once: lossy-link retransmission and watchdog repop
@@ -360,7 +306,6 @@ sim::CoTask<void> Osd::run_item_pending_queue(WorkItem item) {
     if (trace::Collector::active() != nullptr) item.trace_parked = sim_.now();
     pg->pending.push_back(std::move(item));
     pg->pending_defers++;
-    if (pg->pending.size() > pg->pending_high_water) pg->pending_high_water = pg->pending.size();
     co_return;
   }
   pg->busy = true;
@@ -382,7 +327,7 @@ sim::CoTask<void> Osd::process_item(WorkItem& item) {
       if (item.op->msg->is_write) {
         co_await process_client_write(item);
       } else {
-        co_await process_client_read(item);
+        co_await backend_->client_read(item);
       }
       break;
     case WorkItem::kReplicaOp:
@@ -437,10 +382,7 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   co_await dlog_.log(cfg_.log_entries_dispatch);
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.prepare_cpu, true);
-  if (codec_ != nullptr) {
-    co_await charge_cpu(cfg_.ec_encode_cpu, false);  // k+m GF(256) MAC sweep
-    op->stripe = encode_stripe(msg);
-  }
+  co_await backend_->plan_write(*op);
 
   const std::vector<std::uint32_t>& acting = pg.acting();
   const auto self = std::find(acting.begin(), acting.end(), id_);
@@ -474,41 +416,10 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
     op->waiting_peers.push_back({peer, p});
   }
   op->commits_planned = op->commits_needed;
-  // Replicated: min_size, clamped to the members there are. EC: the
-  // unclamped k+1 floor — a stripe with fewer durable shards must fail, not
-  // ack degraded, since one further loss would destroy acked data.
-  op->min_commits = op->stripe.empty() ? std::min(cmap_.ack_floor(), op->commits_needed)
-                                       : cmap_.ack_floor();
+  op->min_commits = backend_->min_commits(op->commits_needed);
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
   co_await submit_txn(item, std::move(txn));
-}
-
-std::vector<OpCtx::Shard> Osd::encode_stripe(const ClientIoMsg& msg) const {
-  // Data shards keep the O(1) virtual representation when the stripe
-  // divides evenly (the hot 4K path); parity is always computed on real
-  // bytes so scrub can recheck the stripe equation against stored content.
-  const unsigned k = codec_->k();
-  const std::uint64_t clen = ec::chunk_len(msg.data.size(), k);
-  const std::uint64_t soff = ec::shard_offset(msg.offset, k);
-  const bool exact = msg.data.size() % k == 0;
-  std::vector<OpCtx::Shard> stripe;
-  stripe.reserve(k + codec_->m());
-  std::vector<std::vector<std::uint8_t>> chunks(k);
-  for (unsigned j = 0; j < k; j++) {
-    Payload sl = msg.data.slice(
-        std::uint64_t(j) * clen,
-        std::min<std::uint64_t>(clen, msg.data.size() - std::uint64_t(j) * clen));
-    chunks[j] = sl.materialize();
-    chunks[j].resize(clen, 0);
-    stripe.push_back({ec::shard_oid(msg.oid, j), soff,
-                      exact && sl.is_virtual() ? sl : Payload::bytes(chunks[j])});
-  }
-  for (auto& par : codec_->encode(chunks)) {
-    const unsigned p = unsigned(stripe.size());
-    stripe.push_back({ec::shard_oid(msg.oid, p), soff, Payload::bytes(std::move(par))});
-  }
-  return stripe;
 }
 
 fs::Transaction Osd::build_write_txn(Pg& pg, const fs::ObjectId& oid, std::uint64_t off,
@@ -569,7 +480,7 @@ sim::CoTask<void> Osd::commit_txn(WorkItem item, fs::Transaction txn, std::uint6
     if (item.op != nullptr) {
       completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, item.op, item.pg, {}, nullptr});
     } else {
-      send_rep_reply(item.conn, *item.rep, false);
+      send_rep_reply(item.conn, *item.rep, 0);
     }
   } else if (item.op != nullptr) {
     finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, item.op, item.pg, {}, nullptr});
@@ -600,14 +511,7 @@ sim::CoTask<void> Osd::on_applied(const OpRef& op) {
 
 sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
   RepOpMsg& rep = *item.rep;
-  if (cfg_.membership.detected() && rep.epoch != 0 && rep.epoch < known_epoch_) {
-    // Epoch fence (replica side): the primary prepared this sub-op under a
-    // map older than ours. Reject before journaling — a stale ex-primary's
-    // write must not gain durable copies — and tell it what to catch up to.
-    counters_.add("osd.fenced_rep_ops");
-    send_rep_reply(item.conn, rep, true);
-    co_return;
-  }
+  if (agent_ != nullptr && agent_->fences_rep_op(rep, item.conn)) co_return;
   Pg* pgp = find_pg(item.pg);
   if (pgp == nullptr) co_return;
   Pg& pg = *pgp;
@@ -619,14 +523,14 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
                                             /*primary=*/false));
 }
 
-void Osd::send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced) {
+void Osd::send_rep_reply(net::Connection* conn, const RepOpMsg& rep, std::uint64_t fence_epoch) {
   if (conn == nullptr) return;
   auto reply = std::make_shared<RepReplyMsg>();
   reply->op_id = rep.op_id;
   reply->pg = rep.pg;
   reply->from_osd = id_;
-  reply->fenced = fenced;
-  if (fenced) reply->map_epoch = known_epoch_;
+  reply->fenced = fence_epoch != 0;
+  reply->map_epoch = fence_epoch;
   net::Message wire;
   wire.type = kRepReply;
   wire.size = cfg_.reply_msg_bytes;
@@ -691,7 +595,8 @@ void Osd::send_rep_op(OpCtx& op, OpCtx::SubOp sub) {
   rep->op_id = op.msg->op_id;
   rep->pg = op.msg->pg;
   rep->version = op.version;
-  rep->epoch = known_epoch_;  // watchdog resends restamp with the fresh map
+  // Watchdog resends restamp with the fresh map; oracle mode stamps 0.
+  rep->epoch = agent_ != nullptr ? agent_->known_epoch() : 0;
   rep->oid = shard.oid;
   rep->offset = shard.offset;
   rep->data = shard.data;
@@ -735,21 +640,10 @@ void Osd::on_rep_timeout(std::uint64_t op_id) {
   // Retries exhausted: abandon the silent peers and resolve the op with
   // whatever is durable — a degraded ack if min_size copies committed,
   // an ok=false failure otherwise.
-  if (cfg_.membership.detected()) {
-    // Degraded-ack gating: only a peer the learned map has marked down may
-    // be abandoned. A silent-but-up peer could mean *we* are the partitioned
-    // side — if the monitor later swings the PG to that peer, an ack issued
-    // here becomes acked-then-lost. Fail the op instead; the client retries
-    // against whatever primary the healed map names.
-    unsigned down = 0;
-    for (const OpCtx::SubOp& sub : op->waiting_peers) {
-      if (sub.peer < known_down_.size() && known_down_[sub.peer]) down++;
-    }
-    if (down < op->waiting_peers.size()) {
-      counters_.add("osd.rep_unresolved_failures");
-      fail_op(op);
-      return;
-    }
+  if (agent_ != nullptr && !agent_->may_abandon(op->waiting_peers)) {
+    counters_.add("osd.rep_unresolved_failures");
+    fail_op(op);
+    return;
   }
   counters_.add("osd.rep_peers_abandoned", op->waiting_peers.size());
   op->commits_needed -= unsigned(op->waiting_peers.size());
@@ -815,7 +709,7 @@ sim::CoTask<void> Osd::finisher_loop() {
       case CompletionEvent::kApplied:
         break;  // bookkeeping only
       case CompletionEvent::kRepCommitSend:
-        send_rep_reply(evt->conn, *evt->rep, false);
+        send_rep_reply(evt->conn, *evt->rep, 0);
         break;
     }
     pg->lock().unlock();
@@ -856,236 +750,8 @@ sim::CoTask<void> Osd::completion_worker_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Read path
+// Replies: read results and ordered write acks
 // ---------------------------------------------------------------------------
-
-sim::CoTask<void> Osd::process_client_read(WorkItem& item) {
-  if (cmap_.erasure()) {
-    co_await process_client_read_ec(item);
-    co_return;
-  }
-  OpRef op = item.op;
-  ClientIoMsg& msg = *op->msg;
-
-  // Read-after-write consistency (ondisk_read_lock): wait for this
-  // object's journaled writes to reach the filestore.
-  co_await store_->wait_object_readable(msg.oid);
-  co_await dlog_.log(cfg_.log_entries_read);
-  ObjectMeta meta = co_await ensure_object_meta(msg.oid);
-  co_await charge_cpu(cfg_.read_cpu, true);
-  store::ObjectStore::ReadResult rr;
-  if (meta.exists) rr = co_await store_->read(msg.oid, msg.offset, msg.read_len, msg.want_data);
-  client_reads_++;
-  send_read_reply(op, rr.found, rr.length, std::move(rr.data));
-}
-
-// ---------------------------------------------------------------------------
-// Erasure-coded read path (never reached for replicated pools)
-// ---------------------------------------------------------------------------
-
-sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {
-  OpRef op = item.op;
-  ClientIoMsg& msg = *op->msg;
-
-  co_await dlog_.log(cfg_.log_entries_read);
-  // Charged for cost parity with the replicated path; existence is decided
-  // by the gather itself (< k shards found = not found).
-  ObjectMeta meta = co_await ensure_object_meta(msg.oid);
-  (void)meta;
-  co_await charge_cpu(cfg_.read_cpu, true);
-  client_reads_++;
-  // Detach the shard gather: a partitioned holder can stall it for
-  // ec_read_timeout, which must not wedge this PG's op stream.
-  sim::spawn(ec_read_gather(op));
-}
-
-sim::CoTask<void> Osd::ec_read_gather(OpRef op) {
-  ClientIoMsg& msg = *op->msg;
-  const unsigned k = cmap_.ec_k();
-  const unsigned m = cmap_.ec_m();
-  const std::uint64_t clen = ec::chunk_len(msg.read_len, k);
-  const std::uint64_t soff = ec::shard_offset(msg.offset, k);
-  std::vector<std::uint32_t> acting;
-  if (Pg* pg = find_pg(msg.pg)) acting = pg->acting();
-  if (acting.size() < std::size_t(k) + m) {
-    send_read_reply(op, false, 0, std::nullopt);
-    co_return;
-  }
-
-  ShardGather g(sim_);
-  const std::uint64_t rid = next_shard_rid_++;
-  shard_gathers_[rid] = &g;
-  std::vector<unsigned> local;
-
-  auto request = [&](unsigned p) {
-    if (g.good.count(p) != 0 || g.bad.count(p) != 0 || g.waiting.count(p) != 0) return;
-    const std::uint32_t holder = acting[p];
-    if (holder == cluster::ClusterMap::kNoOsd) {
-      g.bad.insert(p);
-      return;
-    }
-    if (holder == id_) {
-      g.waiting.insert(p);
-      local.push_back(p);
-      return;
-    }
-    // A CRUSH-down holder is skipped immediately; only a *silently*
-    // unreachable one (partition: up but blackholed) costs ec_read_timeout.
-    if (peers_.find(holder) == peers_.end() || !cmap_.crush().is_up(holder)) {
-      g.bad.insert(p);
-      return;
-    }
-    auto req = std::make_shared<ShardReadMsg>();
-    req->rid = rid;
-    req->pg = msg.pg;
-    req->oid = ec::shard_oid(msg.oid, p);
-    req->offset = soff;
-    req->len = clen;
-    req->want_data = msg.want_data;
-    net::Message wire;
-    wire.type = kShardRead;
-    wire.size = 200;
-    wire.body = std::move(req);
-    wire.trace = op->span;
-    peers_[holder]->send(std::move(wire));
-    g.waiting.insert(p);
-  };
-
-  // Serve one locally-held shard position (the primary usually holds one).
-  auto fetch_local = [&](unsigned p) -> sim::CoTask<void> {
-    auto rr = co_await read_clean_shard(ec::shard_oid(msg.oid, p), soff, clen, msg.want_data);
-    if (rr.found) {
-      g.good[p] = GatherChunk{rr.length, std::move(rr.data)};
-    } else {
-      g.bad.insert(p);
-    }
-    g.waiting.erase(p);
-  };
-
-  for (unsigned phase = 0; phase < 2; phase++) {
-    if (phase == 0) {
-      // Healthy path: data shards only — no decode, no parity traffic.
-      for (unsigned p = 0; p < k; p++) request(p);
-    } else {
-      if (g.good.size() >= k && g.bad.empty()) break;  // all data chunks arrived
-      // Something is missing or corrupt: pull every parity shard and
-      // reconstruct from any k survivors.
-      for (unsigned p = k; p < k + m; p++) request(p);
-    }
-    for (unsigned p : local) co_await fetch_local(p);
-    local.clear();
-    while (!g.waiting.empty()) {
-      if (co_await g.cv.wait_for(cfg_.ec_read_timeout) == sim::TimedOut::kYes) {
-        for (unsigned p : g.waiting) g.bad.insert(p);
-        g.waiting.clear();
-      }
-    }
-  }
-  shard_gathers_.erase(rid);
-
-  bool data_complete = true;
-  for (unsigned p = 0; p < k; p++)
-    if (g.good.count(p) == 0) data_complete = false;
-
-  if (data_complete) {
-    std::uint64_t total = 0;
-    std::optional<std::vector<std::uint8_t>> out;
-    if (msg.want_data) out.emplace();
-    for (unsigned p = 0; p < k; p++) {
-      auto& ch = g.good[p];
-      total += ch.len;
-      if (msg.want_data && ch.bytes) {
-        auto b = std::move(*ch.bytes);
-        b.resize(clen, 0);
-        out->insert(out->end(), b.begin(), b.end());
-      }
-    }
-    total = std::min<std::uint64_t>(total, msg.read_len);
-    if (out && out->size() > msg.read_len) out->resize(msg.read_len);
-    send_read_reply(op, true, total, std::move(out));
-    co_return;
-  }
-
-  if (g.good.size() < k) {
-    // Fewer than k survivors: information-theoretically unrecoverable.
-    send_read_reply(op, false, 0, std::nullopt);
-    co_return;
-  }
-
-  // Degraded read: decode the stripe from any k surviving shards.
-  co_await charge_cpu(cfg_.ec_decode_cpu, false);
-  counters_.add("osd.ec_reconstruct_reads");
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    tr->instant(op->span, tr->stage_id(stage::kEcReconstruct), sim_.now());
-  }
-  if (!msg.want_data) {
-    send_read_reply(op, true, msg.read_len, std::nullopt);
-    co_return;
-  }
-  std::vector<unsigned> present;
-  std::vector<std::vector<std::uint8_t>> chunks;
-  for (auto& [p, ch] : g.good) {
-    if (present.size() == k) break;
-    std::vector<std::uint8_t> b = ch.bytes ? std::move(*ch.bytes) : std::vector<std::uint8_t>{};
-    b.resize(clen, 0);
-    present.push_back(p);
-    chunks.push_back(std::move(b));
-  }
-  auto data = codec_->decode(present, chunks);
-  if (!data) {
-    send_read_reply(op, false, 0, std::nullopt);
-    co_return;
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(std::size_t(clen) * k);
-  for (unsigned p = 0; p < k; p++)
-    out.insert(out.end(), (*data)[p].begin(), (*data)[p].end());
-  if (out.size() > msg.read_len) out.resize(msg.read_len);
-  const std::uint64_t total = out.size();
-  send_read_reply(op, true, total, std::move(out));
-}
-
-sim::CoTask<void> Osd::serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
-                                        net::Connection* conn) {
-  const Time t0 = sim_.now();
-  co_await charge_cpu(cfg_.read_cpu / 2, true);  // no client assembly work here
-  auto reply = std::make_shared<ShardReadReplyMsg>();
-  reply->rid = msg->rid;
-  if (auto sn = ec::parse_shard(msg->oid.name())) reply->shard = sn->shard;
-  auto rr = co_await read_clean_shard(msg->oid, msg->offset, msg->len, msg->want_data);
-  reply->ok = rr.found;
-  reply->data_len = rr.length;
-  reply->data = std::move(rr.data);
-  if (auto* tr = trace::Collector::active()) {
-    trace::Span sp{msg->rid, trace::osd_track(id_)};
-    tr->complete(sp, tr->stage_id(stage::kEcShardRead), t0, sim_.now());
-  }
-  net::Message wire;
-  wire.type = kShardReadReply;
-  wire.size = reply->data_len + cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  if (conn != nullptr) conn->send(std::move(wire));
-}
-
-sim::CoTask<store::ObjectStore::ReadResult> Osd::read_clean_shard(
-    const fs::ObjectId& oid, std::uint64_t off, std::uint64_t len, bool want_data) {
-  co_await store_->wait_object_readable(oid);
-  if (!store_->holds_clean(oid)) co_return store::ObjectStore::ReadResult{};
-  co_return co_await store_->read(oid, off, len, want_data);
-}
-
-void Osd::handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg) {
-  auto it = shard_gathers_.find(msg->rid);
-  if (it == shard_gathers_.end()) return;  // gather finished, timed out, or crashed
-  ShardGather& g = *it->second;
-  if (g.waiting.erase(msg->shard) == 0) return;  // duplicate or already given up on
-  if (msg->ok) {
-    g.good[msg->shard] = GatherChunk{msg->data_len, std::move(msg->data)};
-  } else {
-    g.bad.insert(msg->shard);
-  }
-  g.cv.notify_all();
-}
 
 void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                           std::optional<std::vector<std::uint8_t>> data) {
@@ -1100,10 +766,6 @@ void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
     tr->end(op->span, tr->stage_id(stage::kReadOp), sim_.now());
   }
 }
-
-// ---------------------------------------------------------------------------
-// Ack delivery
-// ---------------------------------------------------------------------------
 
 void Osd::deliver_ack(OpRef op) {
   if (!profile_.ordered_acks) {
@@ -1192,48 +854,6 @@ void Osd::set_pg_acting(std::uint32_t pgid, std::vector<std::uint32_t> acting) {
   }
 }
 
-sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
-  std::uint64_t pushed = 0;
-  Pg* src_pg = find_pg(pgid);
-  for (const auto& oid : store_->objects_in_pg(pgid)) {
-    // Delta backfill: journal replay (or an earlier push) may already have
-    // restored this object at the target — skip identical content. After a
-    // push, re-check and re-push: a client write that applied at the target
-    // mid-copy is wiped by the snapshot install while the source keeps it,
-    // so one pass can leave the replica stale under live traffic.
-    unsigned attempts = 0;
-    bool same = false;
-    while (attempts < 4) {
-      // The export must reflect every write this source has admitted for
-      // the object: under backlog the filestore lags the journal by
-      // hundreds of ms, and an export taken in that window would "repair"
-      // an up-to-date replica backwards (the replica applied those writes
-      // already; the snapshot install erases them, and the source's late
-      // apply then diverges the copies for good).
-      co_await store_->wait_object_readable(oid);
-      // An unclean source copy is left for scrub, which repairs it from a
-      // clean one (ObjectStore::holds_clean).
-      if (!store_->holds_clean(oid)) break;
-      same = target.store().object_in_memory(oid) &&
-             target.store().object_fingerprint(oid) == store_->object_fingerprint(oid);
-      if (same) break;
-      auto data = co_await push_export(oid);
-      co_await target.recover_object(oid, std::move(data));
-      attempts++;
-    }
-    if (attempts > 0) {
-      pushed++;
-    } else if (same) {
-      counters_.add("osd.backfill_skipped");
-    }
-  }
-  // Sync the version stream so the target can continue the PG log.
-  if (src_pg != nullptr) {
-    if (Pg* dst_pg = target.find_pg(pgid)) dst_pg->observe_version(src_pg->version());
-  }
-  co_return pushed;
-}
-
 sim::CoTask<store::ObjectExport> Osd::push_export(const fs::ObjectId& oid) {
   store::ObjectExport data = store_->export_object(oid);
   std::uint64_t bytes = 0;
@@ -1262,145 +882,19 @@ sim::CoTask<void> Osd::recover_object(const fs::ObjectId& oid,
   meta_cache_.insert(oid, meta);
 }
 
-// ---------------------------------------------------------------------------
-// Membership (MembershipMode::kDetected; everything inert under kOracle)
-// ---------------------------------------------------------------------------
-
-void Osd::start_membership(std::uint64_t seed) {
-  if (!cfg_.membership.detected()) return;
-  const std::size_t n = cmap_.crush().osd_count();
-  known_down_.assign(n, false);
-  known_laggy_.assign(n, false);
-  hb_ = std::make_unique<HeartbeatAgent>(sim_, *this, cfg_.membership, seed);
-  hb_->start();
-}
-
-void Osd::announce_boot() {
-  if (hb_ != nullptr) hb_->on_restart();
-  send_beacon(/*boot=*/true);
-}
-
-std::vector<std::uint32_t> Osd::adjacent_peers() const {
-  std::set<std::uint32_t> s;
-  for (const auto& [pgid, pg] : pgs_) {
-    for (std::uint32_t m : pg->acting()) {
-      if (m != id_ && m != cluster::ClusterMap::kNoOsd) s.insert(m);
-    }
-  }
-  return {s.begin(), s.end()};
-}
-
-Time Osd::oldest_inflight_recv() const {
-  Time oldest = 0;
-  for (const auto& [op_id, op] : inflight_) {
-    const Time t = op->ts[kStRecv];
-    if (t != 0 && (oldest == 0 || t < oldest)) oldest = t;
-  }
-  return oldest;
-}
-
-void Osd::report_failure(std::uint32_t target, bool laggy) {
-  if (mon_conn_ == nullptr) return;
-  counters_.add(laggy ? "osd.laggy_reports" : "osd.failure_reports");
-  auto body = std::make_shared<FailureReportMsg>();
-  body->reporter = id_;
-  body->target = target;
-  body->laggy = laggy;
-  net::Message m;
-  m.type = kFailureReport;
-  m.size = 96;
-  m.body = std::move(body);
-  mon_conn_->send(std::move(m));
-}
-
-void Osd::send_beacon(bool boot) {
-  if (mon_conn_ == nullptr) return;
-  counters_.add("osd.beacons");
-  auto body = std::make_shared<MonBeaconMsg>();
-  body->osd = id_;
-  body->boot = boot;
-  net::Message m;
-  m.type = kMonBeacon;
-  m.size = 64;
-  m.body = std::move(body);
-  mon_conn_->send(std::move(m));
-}
-
-void Osd::send_fence_reply(const ClientIoMsg& msg, net::Connection* conn) {
-  auto reply = std::make_shared<IoReplyMsg>();
-  reply->ok = false;
-  reply->fenced = true;
-  reply->map_epoch = known_epoch_;
-  send_io_reply(conn, msg, std::move(reply), {});
-}
-
-void Osd::request_map() {
-  if (mon_conn_ == nullptr || requested_epoch_ == known_epoch_) return;
-  requested_epoch_ = known_epoch_;  // one request per epoch we are stuck at
-  counters_.add("osd.map_requests");
-  net::Message m;
-  m.type = kMapRequest;
-  m.size = 32;
-  m.body = std::make_shared<MapRequestMsg>();
-  mon_conn_->send(std::move(m));
-}
-
-void Osd::apply_map_delta(const MapDeltaMsg& delta) {
-  if (delta.epoch <= known_epoch_) {
-    counters_.add("osd.map_deltas_stale");
-    return;
-  }
-  known_epoch_ = delta.epoch;
-  counters_.add("osd.map_updates");
-  if (auto* tr = trace::Collector::active()) {
-    tr->instant(trace::Span{delta.epoch, trace::osd_track(id_)},
-                tr->stage_id(stage::kMapUpdate), sim_.now());
-  }
-  const std::size_t n = cmap_.crush().osd_count();
-  known_down_.assign(n, false);
-  known_laggy_.assign(n, false);
-  for (std::uint32_t o : delta.down)
-    if (o < n) known_down_[o] = true;
-  for (std::uint32_t o : delta.laggy)
-    if (o < n) known_laggy_[o] = true;
-
-  // Re-derive this OSD's PGs under the new map (ascending pgid: spawn order
-  // is part of the determinism contract): hold every PG this OSD is now a
-  // member of, and drive the recovery rule (osd/recovery.h) for each moved
-  // PG whose source it is — the detected-mode counterpart of the oracle
-  // injector's retarget.
-  for (std::uint32_t pgid = 0; pgid < cmap_.pool().pg_num; pgid++) {
-    const std::vector<std::uint32_t>& now = cmap_.acting(pgid);
-    Pg* pg = find_pg(pgid);
-    if (pg == nullptr) {
-      if (std::find(now.begin(), now.end(), id_) != now.end()) create_pg(pgid, now);
-      continue;
-    }
-    if (pg->acting() == now) continue;
-    const PgRemap r = plan_remap(cmap_, pgid, pg->acting());
-    pg->set_acting(now);
-    if (r.source != id_) continue;
-    for (unsigned pos : r.targets) {
-      counters_.add(r.decode ? "osd.map_rebuilds" : "osd.map_backfills");
-      sim::spawn_fn([this, r, pos]() -> sim::CoTask<void> {
-        co_await recover_target(sim_, cmap_, cluster_osds_, r, pos);
-      });
-    }
-  }
-  if (hb_ != nullptr) hb_->refresh_peers();
+void Osd::attach_membership(const mon::MembershipConfig& cfg, net::Connection* mon_conn,
+                            std::vector<Osd*> roster, std::uint64_t seed) {
+  agent_ = std::make_unique<MembershipAgent>(*this, cfg, mon_conn, std::move(roster), seed);
 }
 
 void Osd::on_crash() {
-  if (hb_ != nullptr) hb_->on_crash();
+  if (agent_ != nullptr) agent_->on_crash();
   inflight_.clear();
   ack_state_.clear();
   // A store with a deferred-write ledger loses it with the daemon's RAM;
   // its WAL records survive on media for replay.
   store_->on_daemon_crash();
-  // Routing entries for in-flight shard gathers die with the daemon's RAM;
-  // the gather coroutines themselves are zombies that expire on their own
-  // ec_read_timeout.
-  shard_gathers_.clear();
+  backend_->on_crash();
   // Ops parked in the QoS queues were only in this daemon's RAM; zombies
   // resolving after the crash must not underflow the fresh window either.
   if (qos_ != nullptr) qos_->reset();
@@ -1418,7 +912,7 @@ sim::CoTask<void> Osd::on_restart() {
 // ---------------------------------------------------------------------------
 
 void Osd::close() {
-  if (hb_ != nullptr) hb_->stop();
+  if (agent_ != nullptr) agent_->stop();
   for (auto& q : shard_queues_) q->close();
   finisher_q_.close();
   completion_q_.close();

@@ -9,18 +9,18 @@
 #include "common/histogram.h"
 #include "common/stats.h"
 #include "core/profile.h"
-#include "ec/codec.h"
 #include "fs/filestore.h"
 #include "fs/journal.h"
 #include "mon/membership.h"
 #include "osd/dout.h"
-#include "osd/heartbeat.h"
-#include "store/store_config.h"
+#include "osd/membership_agent.h"
 #include "osd/meta_cache.h"
 #include "osd/op.h"
 #include "osd/pg.h"
+#include "osd/pg_backend.h"
 #include "osd/qos.h"
 #include "osd/throttle_set.h"
+#include "store/store_config.h"
 
 namespace afc::osd {
 
@@ -82,12 +82,6 @@ struct OsdConfig {
   /// ClusterConfig::qos is the cluster-level (pool) declaration; ClusterSim
   /// plumbs it here for every OSD it builds.
   QosConfig qos;
-
-  /// Failure detection & map distribution (docs/FAULTS.md "injected vs
-  /// detected"). Under the default kOracle everything below — heartbeats,
-  /// epoch fencing, monitor traffic — is inert: no timers, no RNG, no
-  /// messages. ClusterSim plumbs ClusterConfig::membership here.
-  mon::MembershipConfig membership;
 };
 
 /// One Ceph OSD daemon: messenger dispatch → sharded OP_WQ → PG (lock or
@@ -118,7 +112,6 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   net::Messenger& messenger() { return msgr_; }
   const net::Messenger& messenger() const { return msgr_; }
   net::Node& node() { return node_; }
-  const core::Profile& profile() const { return profile_; }
 
   /// Instantiate a PG this OSD serves (primary or replica).
   void create_pg(std::uint32_t pgid, std::vector<std::uint32_t> acting);
@@ -133,18 +126,15 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// Update a PG's acting set after a CRUSH map change (creates the PG if
   /// this OSD just joined it).
   void set_pg_acting(std::uint32_t pgid, std::vector<std::uint32_t> acting);
-  /// Re-replicate one PG's objects to `target` (backfill): charges source
-  /// reads, network transfer, and target writes.
-  sim::CoTask<std::uint64_t> push_pg(std::uint32_t pgid, Osd& target);
   /// Export one object for recovery at another OSD, charged as a source
   /// read, the wire transfer and one recovery hop.
   sim::CoTask<store::ObjectExport> push_export(const fs::ObjectId& oid);
   /// Install one recovered object (charged as a light apply).
   sim::CoTask<void> recover_object(const fs::ObjectId& oid, store::ObjectExport data);
-  /// The daemon died (fault injection): its RAM — the op ledger and the
-  /// ordered-ack bookkeeping — is gone. Journal and filestore state
-  /// survive on media; coroutines already in flight keep running as
-  /// zombies whose output is blackholed.
+  /// The daemon died (fault injection): its RAM — the op ledger, the
+  /// ordered-ack bookkeeping, gather routes, heartbeat state — is gone.
+  /// Journal and filestore state survive on media; coroutines already in
+  /// flight keep running as zombies whose output is blackholed.
   void on_crash();
   /// The daemon came back: replay the store's write-ahead ring from the
   /// last applied sequence (CRC-verified, tail-truncated) so locally
@@ -156,37 +146,15 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   sim::CoTask<void> on_restart();
 
   // --- membership (MembershipMode::kDetected only) ----------------------
-  /// Record this OSD's connection to the monitor (reports, beacons, map
-  /// requests travel over it; deltas arrive on the mon's own connection).
-  void set_mon_conn(net::Connection* conn) { mon_conn_ = conn; }
-  /// Hand the OSD the cluster roster (`osds[i]` has id i) so it can drive
-  /// recovery for the PGs it is the source of when a monitor delta moves them.
-  void set_cluster_osds(std::vector<Osd*> osds) { cluster_osds_ = std::move(osds); }
-  /// Construct and start the heartbeat agent (no-op under kOracle).
-  void start_membership(std::uint64_t seed);
-  /// Post-replay boot announcement: resume heartbeats, beacon the monitor
-  /// (the detected-mode replacement for the injector's oracle mark-up).
-  void announce_boot();
-  /// A monitor map delta arrived: adopt the epoch and membership state,
-  /// re-derive this OSD's PG acting sets (creating the PGs it just joined),
-  /// and recover the targets of every moved PG it is the source of.
-  void apply_map_delta(const MapDeltaMsg& delta);
-  std::uint64_t known_epoch() const { return known_epoch_; }
-  /// Connection to a peer OSD, or nullptr (heartbeat agent send path).
-  net::Connection* peer_conn(std::uint32_t osd_id) {
-    auto it = peers_.find(osd_id);
-    return it == peers_.end() ? nullptr : it->second;
-  }
-  /// Sorted union of this OSD's PG acting sets minus itself: who the
-  /// heartbeat agent pings.
-  std::vector<std::uint32_t> adjacent_peers() const;
-  /// Receive timestamp of the oldest op still in flight (0 = none): the
-  /// self-laggy watermark (a wedged data path with crisp heartbeats).
-  Time oldest_inflight_recv() const;
-  /// Send a failure (or laggy) report about `target` to the monitor.
-  void report_failure(std::uint32_t target, bool laggy);
-  void send_beacon(bool boot);
-  HeartbeatAgent* heartbeat() { return hb_.get(); }
+  /// Build this daemon's membership agent (it arms no timer until its
+  /// start()); an oracle-mode OSD never has one.
+  void attach_membership(const mon::MembershipConfig& cfg, net::Connection* mon_conn,
+                         std::vector<Osd*> roster, std::uint64_t seed);
+  /// The membership agent, or nullptr under kOracle.
+  MembershipAgent* membership() { return agent_.get(); }
+
+  /// The pool's redundancy scheme, as this OSD runs it.
+  PgBackend& pg_backend() { return *backend_; }
 
   /// Close all internal queues so worker coroutines drain and exit.
   void close();
@@ -242,27 +210,10 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   /// The one client write: shared prelude, the scheme's shard plan, the
   /// not-in-the-acting-set check, then one sub-op per remote position.
   sim::CoTask<void> process_client_write(WorkItem& item);
-  sim::CoTask<void> process_client_read(WorkItem& item);
   sim::CoTask<void> process_replica_op(WorkItem& item);
   sim::CoTask<void> process_rep_reply_locked(WorkItem& item);  // community
   sim::CoTask<void> process_ack_locked(WorkItem& item);        // community
 
-  // --- erasure coding (every member inert unless the pool is erasure) ----
-  /// The EC shard plan of a client write: k data + m parity chunks, each
-  /// with its shard object and shard-space offset, indexed by position.
-  std::vector<OpCtx::Shard> encode_stripe(const ClientIoMsg& msg) const;
-  sim::CoTask<void> process_client_read_ec(WorkItem& item);
-  /// Detached shard-gather for one striped read: the PG critical section is
-  /// released first, so a partitioned shard holder's ec_read_timeout never
-  /// blocks the PG's other ops.
-  sim::CoTask<void> ec_read_gather(OpRef op);
-  sim::CoTask<void> serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
-                                     net::Connection* conn);
-  /// Read a local shard once its queued writes have applied; an unclean
-  /// one reads as not found, which turns corruption into a decoding read.
-  sim::CoTask<store::ObjectStore::ReadResult> read_clean_shard(
-      const fs::ObjectId& oid, std::uint64_t off, std::uint64_t len, bool want_data);
-  void handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg);
   void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                        std::optional<std::vector<std::uint8_t>> data);
   /// Reply to a client: `reply` carries the outcome; op id, direction and
@@ -283,14 +234,9 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   void on_rep_timeout(std::uint64_t op_id);
   /// Resolve an op as failed: reply ok=false, release throttles, account.
   void fail_op(OpRef op);
-  /// Replica -> primary commit ack, or (`fenced`) an epoch-fence rejection.
-  void send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced);
-
-  // --- membership helpers (kDetected only) -------------------------------
-  /// Reject a stale-epoch client op before admission (no throttles held).
-  void send_fence_reply(const ClientIoMsg& msg, net::Connection* conn);
-  /// Ask the monitor for the current map (once per stuck epoch).
-  void request_map();
+  /// Replica -> primary commit ack, or (a nonzero `fence_epoch`) an
+  /// epoch-fence rejection telling the primary that epoch.
+  void send_rep_reply(net::Connection* conn, const RepOpMsg& rep, std::uint64_t fence_epoch);
 
   // --- the write transaction --------------------------------------------
   /// The PG-log write transaction for one object write. The primary also
@@ -351,23 +297,8 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   MetaCache meta_cache_;
 
   std::unique_ptr<QosScheduler> qos_;  // null unless cfg_.qos.enabled
-  std::unique_ptr<ec::Codec> codec_;   // null unless the pool is erasure
-  /// In-flight shard gathers, keyed by rid. The ShardGather lives on the
-  /// gather coroutine's frame; this map only routes replies to it, so
-  /// on_crash() just clears the map (the gather times out as a zombie).
-  struct GatherChunk {
-    std::uint64_t len = 0;
-    std::optional<std::vector<std::uint8_t>> bytes;
-  };
-  struct ShardGather {
-    explicit ShardGather(sim::Simulation& s) : cv(s) {}
-    sim::CondVar cv;
-    std::map<unsigned, GatherChunk> good;  // shard position -> chunk
-    std::set<unsigned> bad;                // missing / corrupt / unreachable
-    std::set<unsigned> waiting;            // requests not yet answered
-  };
-  std::unordered_map<std::uint64_t, ShardGather*> shard_gathers_;
-  std::uint64_t next_shard_rid_ = 1;
+  std::unique_ptr<PgBackend> backend_;
+  std::unique_ptr<MembershipAgent> agent_;  // null under kOracle
   std::unordered_map<std::uint32_t, std::unique_ptr<Pg>> pgs_;
   std::unordered_map<std::uint32_t, net::Connection*> peers_;
   std::vector<std::unique_ptr<sim::Channel<WorkItem>>> shard_queues_;
@@ -384,23 +315,18 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   };
   std::unordered_map<std::uint64_t, ClientAckState> ack_state_;
 
-  // --- membership state (empty/null under kOracle) ------------------------
-  std::unique_ptr<HeartbeatAgent> hb_;
-  net::Connection* mon_conn_ = nullptr;
-  /// Newest map epoch this daemon has *learned* (lazily, from deltas) — the
-  /// fence line for incoming ops. Distinct from cmap_.epoch(), the shared
-  /// ground truth a partitioned daemon has not seen yet.
-  std::uint64_t known_epoch_ = 1;
-  std::uint64_t requested_epoch_ = 0;  // map-request dedup per stuck epoch
-  std::vector<bool> known_down_;   // from the last applied delta
-  std::vector<bool> known_laggy_;
-  std::vector<Osd*> cluster_osds_;  // roster for delta-driven recovery
-
   Histogram stage_hist_[kStageCount];
   Histogram write_total_;
   std::uint64_t client_writes_ = 0;
   std::uint64_t client_reads_ = 0;
   std::uint64_t replica_ops_ = 0;
+
+  // The redundancy scheme and the detected-mode membership agent are parts
+  // of this daemon kept in their own files.
+  friend class PgBackend;
+  friend class ReplicatedBackend;
+  friend class EcBackend;
+  friend class MembershipAgent;
 };
 
 }  // namespace afc::osd

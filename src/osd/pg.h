@@ -34,7 +34,6 @@ class Pg {
   bool busy = false;
   std::deque<WorkItem> pending;
   std::uint64_t pending_defers = 0;  // ops parked instead of blocking a worker
-  std::size_t pending_high_water = 0;
 
   // --- PG log ----------------------------------------------------------
   std::uint64_t next_version() { return ++version_; }

@@ -50,10 +50,4 @@ void ExtentAllocator::free(std::uint64_t off, std::uint64_t len) {
   free_.emplace(start, end - start);
 }
 
-std::uint64_t ExtentAllocator::free_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [off, len] : free_) total += len;
-  return total;
-}
-
 }  // namespace afc::store

@@ -27,7 +27,6 @@ class ExtentAllocator {
   void free(std::uint64_t off, std::uint64_t len);
 
   std::uint64_t allocated_bytes() const { return allocated_bytes_; }
-  std::uint64_t free_bytes() const;
   std::uint64_t overcommits() const { return overcommits_; }
   std::size_t fragments() const { return free_.size(); }
 

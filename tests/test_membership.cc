@@ -1,8 +1,9 @@
 // Tests for the detected-membership plane: the monitor's failure
 // arbitration (reporter quorum, TTL pruning, flap hysteresis, down-out,
 // laggy flags) driven directly through its public report/beacon cores
-// without a network, the client's seeded retry jitter, and a small
-// end-to-end crash-detection smoke over the full heartbeat stack.
+// without a network, the client's seeded retry jitter, a small end-to-end
+// crash-detection smoke over the full heartbeat stack, and the guard that
+// oracle mode builds none of it.
 
 #include <gtest/gtest.h>
 
@@ -228,6 +229,47 @@ TEST(Membership, CrashDetectedWithinGraceEndToEnd) {
 
   cluster.close_all();
   cluster.simulation().run();
+}
+
+// The oracle guard: an oracle-mode cluster builds no membership plane at
+// all — no agent on any OSD, no monitor, no heartbeat tick queued, before
+// or after traffic — so its event stream is the pre-membership one.
+// Detected mode gives every OSD an agent whose tick stays armed.
+TEST(Membership, OracleBuildsNoPlaneDetectedArmsEveryAgent) {
+  for (const MembershipMode mode : {MembershipMode::kOracle, MembershipMode::kDetected}) {
+    SCOPED_TRACE(mode == MembershipMode::kOracle ? "oracle" : "detected");
+    const bool detected = mode == MembershipMode::kDetected;
+    core::ClusterConfig cfg;
+    cfg.profile = core::Profile::afceph();
+    cfg.osd_nodes = 4;
+    cfg.osds_per_node = 1;
+    cfg.client_nodes = 1;
+    cfg.vms = 2;
+    cfg.pg_num = 32;
+    cfg.sustained = false;
+    cfg.image_size = 256 * kMiB;
+    cfg.membership.mode = mode;
+    core::ClusterSim cluster(cfg);
+
+    const sim::Simulation& sim = cluster.simulation();
+    const std::size_t ticks = detected ? cluster.osd_count() : 0;
+    EXPECT_EQ(cluster.monitor() != nullptr, detected);
+    for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+      EXPECT_EQ(cluster.osd(i).membership() != nullptr, detected) << "osd." << i;
+    }
+    EXPECT_EQ(sim.pending_daemon_events(), ticks);
+
+    client::WorkloadSpec spec = client::WorkloadSpec::rand_write(4096, 4);
+    spec.warmup = 20 * kMillisecond;
+    spec.runtime = 80 * kMillisecond;
+    const core::RunResult r = cluster.run(spec);
+    EXPECT_GT(r.write_iops, 0.0);
+    EXPECT_EQ(sim.pending_daemon_events(), ticks);
+    EXPECT_EQ(r.hb_sent > 0, detected);
+
+    cluster.close_all();
+    cluster.simulation().run();
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Tests for the one redundancy rule per PG (osd/recovery.h) and the one
-// client write path: the remap rule itself (source, targets) for both
-// schemes, its detected-membership caller (a returning primary is
-// backfilled; an EC mark-out re-places and rebuilds every position), and
-// the write path's failure rules — a client op for a PG the OSD does not
-// hold, and a write that reaches an OSD outside the PG's acting set.
+// Tests for the one redundancy rule per PG (PgBackend::plan_remap, applied
+// through osd/recovery.h) and the one client write path: the remap rule
+// itself (source, targets) for both schemes, its detected-membership
+// caller (a returning primary is backfilled; an EC mark-out re-places and
+// rebuilds every position), and the write path's failure rules — a client
+// op for a PG the OSD does not hold, and a write that reaches an OSD
+// outside the PG's acting set.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,35 @@ namespace {
 
 constexpr std::uint32_t kNoOsd = cluster::ClusterMap::kNoOsd;
 
-cluster::ClusterMap small_map(cluster::ClusterMap::PoolConfig pool) {
-  cluster::ClusterMap cmap(pool);
-  for (std::uint32_t i = 0; i < 6; i++) cmap.crush().add_osd(i, i);
-  return cmap;
-}
+/// Six OSDs, one per host, 64 PGs and no clients: a map to move and the
+/// scheme's remap rule (PgBackend::plan_remap) to plan on it.
+struct RuleRig {
+  core::ClusterSim cluster;
+  cluster::ClusterMap& cmap;
+  const osd::PgBackend& scheme;
+
+  static core::ClusterConfig config(unsigned replication, bool ec) {
+    core::ClusterConfig cfg;
+    cfg.osd_nodes = 6;
+    cfg.osds_per_node = 1;
+    cfg.client_nodes = 0;
+    cfg.vms = 0;
+    cfg.pg_num = 64;
+    cfg.replication = replication;
+    cfg.ec_pool = ec;
+    cfg.ec_k = 2;
+    cfg.ec_m = 2;
+    return cfg;
+  }
+  RuleRig(unsigned replication, bool ec)
+      : cluster(config(replication, ec)),
+        cmap(cluster.map()),
+        scheme(cluster.osd(0).pg_backend()) {}
+  ~RuleRig() {
+    cluster.close_all();
+    cluster.simulation().run();
+  }
+};
 
 /// First PG whose acting set contains `osd`.
 std::uint32_t pg_holding(const cluster::ClusterMap& cmap, std::uint32_t osd) {
@@ -39,14 +64,15 @@ std::uint32_t pg_holding(const cluster::ClusterMap& cmap, std::uint32_t osd) {
 // The rule
 
 TEST(RemapRule, ReplicatedTargetsNewcomersFromFirstUpOldMember) {
-  cluster::ClusterMap cmap = small_map({64, 3});
+  RuleRig rig(3, false);
+  cluster::ClusterMap& cmap = rig.cmap;
   const std::uint32_t pg = pg_holding(cmap, 2);
   const osd::MapChange change(cmap);
   const std::vector<std::uint32_t> old = cmap.acting(pg);
   cmap.crush().set_up(2, false);
   cmap.bump_epoch();
 
-  const osd::PgRemap r = osd::plan_remap(cmap, pg, old);
+  const osd::PgRemap r = rig.scheme.plan_remap(pg, old);
   EXPECT_FALSE(r.decode);
   EXPECT_EQ(r.now, cmap.acting(pg));
   const std::uint32_t first_up = old[0] == 2 ? old[1] : old[0];
@@ -56,7 +82,7 @@ TEST(RemapRule, ReplicatedTargetsNewcomersFromFirstUpOldMember) {
   EXPECT_EQ(std::find(old.begin(), old.end(), newcomer), old.end());
 
   // MapChange applies the same rule to every moved PG, ascending.
-  const auto remaps = change.remaps();
+  const auto remaps = change.remaps(rig.scheme);
   ASSERT_FALSE(remaps.empty());
   for (std::size_t i = 1; i < remaps.size(); i++) EXPECT_LT(remaps[i - 1].pg, remaps[i].pg);
   const auto it = std::find_if(remaps.begin(), remaps.end(),
@@ -67,44 +93,43 @@ TEST(RemapRule, ReplicatedTargetsNewcomersFromFirstUpOldMember) {
 }
 
 TEST(RemapRule, ReplicatedWithoutSurvivingSourceHasNoTargets) {
-  cluster::ClusterMap cmap = small_map({64, 2});
+  RuleRig rig(2, false);
+  cluster::ClusterMap& cmap = rig.cmap;
   const std::uint32_t pg = 0;
   const std::vector<std::uint32_t> old = cmap.acting(pg);
   for (std::uint32_t m : old) cmap.crush().set_up(m, false);
   cmap.bump_epoch();
 
-  const osd::PgRemap r = osd::plan_remap(cmap, pg, old);
+  const osd::PgRemap r = rig.scheme.plan_remap(pg, old);
   EXPECT_EQ(r.source, kNoOsd);
   EXPECT_TRUE(r.targets.empty());  // nothing left to copy from
 }
 
 TEST(RemapRule, ErasureTargetsChangedPositionsAndSkipsHoles) {
-  cluster::ClusterMap::PoolConfig pool{64, 2};
-  pool.scheme = cluster::ClusterMap::Scheme::kErasure;
-  pool.ec_k = 2;
-  pool.ec_m = 2;
-  cluster::ClusterMap cmap = small_map(pool);
+  RuleRig rig(2, true);
+  cluster::ClusterMap& cmap = rig.cmap;
   const std::uint32_t pg = pg_holding(cmap, 3);
   const std::vector<std::uint32_t> old = cmap.acting(pg);
   const unsigned pos3 = unsigned(std::find(old.begin(), old.end(), 3u) - old.begin());
   cmap.crush().set_up(3, false);
   cmap.bump_epoch();
 
-  const osd::PgRemap r = osd::plan_remap(cmap, pg, old);
+  const osd::PgRemap r = rig.scheme.plan_remap(pg, old);
   EXPECT_TRUE(r.decode);
   ASSERT_EQ(r.targets, std::vector<unsigned>{pos3});  // survivors keep their slots
   EXPECT_NE(r.now[pos3], 3u);
   EXPECT_NE(r.now[pos3], kNoOsd);
 
   // With no spare left the vacated position holes to kNoOsd: not a target.
-  cluster::ClusterMap tight = small_map(pool);
+  RuleRig tight_rig(2, true);
+  cluster::ClusterMap& tight = tight_rig.cmap;
   for (std::uint32_t o : {4u, 5u}) tight.crush().set_up(o, false);
   tight.bump_epoch();
   const std::uint32_t tpg = pg_holding(tight, 3);
   const std::vector<std::uint32_t> told = tight.acting(tpg);
   tight.crush().set_up(3, false);
   tight.bump_epoch();
-  const osd::PgRemap h = osd::plan_remap(tight, tpg, told);
+  const osd::PgRemap h = tight_rig.scheme.plan_remap(tpg, told);
   EXPECT_NE(std::find(h.now.begin(), h.now.end(), kNoOsd), h.now.end());
   EXPECT_TRUE(h.targets.empty());
 }
