@@ -180,7 +180,9 @@ Digest collect_digest(core::ClusterSim& cluster, fault::FaultInjector* inj,
     d.rep_retry_rounds += c.get("osd.rep_retry_rounds");
     d.dup_rep_replies += c.get("osd.dup_rep_replies");
     d.osd_writes += osd.client_writes();
-    d.deferred_writes += c.get("flash.deferred_writes");
+    if (const auto* flash = dynamic_cast<const store::FlashStore*>(&osd.store())) {
+      d.deferred_writes += flash->deferred_writes();
+    }
     d.replayed += c.get("osd.journal.records_replayed");
     d.torn_tails += c.get("osd.journal.torn_tails");
     d.crc_failures += c.get("osd.journal.crc_failures");

@@ -42,7 +42,6 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec, bool
   cfg.profile = core::Profile::afceph();
   cfg.store_backend = backend;
   cfg.sustained = sustained;
-  if (const char* s = std::getenv("FIG16_SEED")) cfg.seed = std::uint64_t(std::atoll(s));
   core::ClusterSim cluster(cfg);
   auto r = cluster.run(spec);
   Point p;
@@ -53,47 +52,6 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec, bool
   p.syscalls = r.syscalls;
   for (std::size_t i = 0; i < cluster.osd_count(); i++) {
     p.gc_stalls += cluster.osd_ssd(i).gc_stalls();
-  }
-  if (std::getenv("FIG16_STAGES") != nullptr) {
-    std::printf("  [%s] iops %.1f, mean %.4f ms; write path %.4f ms:\n",
-                store::backend_name(backend), r.write_iops, r.write_lat_ms,
-                r.write_path_total_ms);
-    for (unsigned s = 1; s < osd::kStageCount; s++) {
-      std::printf("    %-34s %.3f ms\n", kWriteStageNames[s], r.stage_ms[s]);
-    }
-    std::uint64_t jent = 0, jbat = 0, jstall = 0;
-    double jwait = 0;
-    for (std::size_t i = 0; i < cluster.osd_count(); i++) {
-      const fs::Journal& j = cluster.osd(i).journal();
-      jent += j.entries_written();
-      jbat += j.batches_written();
-      jstall += j.full_stalls();
-      jwait += double(j.full_stall_ns());
-    }
-    if (jent > 0) {
-      std::printf("    ring: %llu entries, avg batch %.2f, %llu full stalls (%.1f ms)\n",
-                  (unsigned long long)jent, jbat > 0 ? double(jent) / double(jbat) : 0.0,
-                  (unsigned long long)jstall, jwait / 1e6);
-    }
-    std::printf(
-        "    pg_lock %.1f ms (%llu contended), defers %llu, jfull %llu, wb_stalls %llu, "
-        "kv_slow %llu, kv_amp %.2f, meta_reads %llu\n",
-        double(r.pg_lock_wait_ns) / 1e6, (unsigned long long)r.pg_lock_contended,
-        (unsigned long long)r.pending_defers, (unsigned long long)r.journal_full_stalls,
-        (unsigned long long)r.fs_writeback_stalls, (unsigned long long)r.kv_stall_slowdowns,
-        r.kv_write_amplification, (unsigned long long)r.metadata_device_reads);
-    if (trace::Collector* tr = cluster.tracer(); tr != nullptr) {
-      for (const char* s : {stage::kClientIo, stage::kNetWire, stage::kNetBatch,
-                            stage::kDispatchThrottle, stage::kJournalThrottle,
-                            stage::kJournalWrite, stage::kReplication, stage::kWriteOp}) {
-        std::printf("    span %-24s %.4f ms\n", s, tr->stage_mean_ms(s));
-      }
-    }
-    std::printf(
-        "    net: %llu msgs, %llu frames, occupancy %.2f, nagle %llu; shard wakeups %llu\n",
-        (unsigned long long)r.net_messages, (unsigned long long)r.net_frames,
-        r.net_batch_occupancy, (unsigned long long)r.net_nagle_stalls,
-        (unsigned long long)r.net_shard_wakeups);
   }
   return p;
 }

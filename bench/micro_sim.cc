@@ -20,11 +20,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <queue>
 #include <vector>
 
 #include "common/stats.h"
+#include "core/trace.h"
 #include "sim/simulation.h"
 
 using namespace afc;
@@ -99,9 +99,7 @@ class WheelSim {
   using TimerId = sim::TimerToken;
 
   WheelSim() {
-    if (const char* v = std::getenv("AFC_SIM_PROFILE"); v != nullptr && v[0] != '\0' && v[0] != '0') {
-      sim_.enable_profiling();
-    }
+    if (trace::Collector::profile_requested()) sim_.enable_profiling();
   }
 
   Time now() const { return sim_.now(); }

@@ -5,7 +5,7 @@
 # tree beside it (both Release), then runs the identity set on each side:
 # the benches fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16, fig17
 # and chaos (the whole mode matrix), and the examples failure_recovery and
-# cluster_expansion, with all AFC_* and FIG16_* variables cleared. Each
+# cluster_expansion, with all AFC_* variables cleared. Each
 # program's stdout is compared with cmp, and both sides' wall seconds and
 # peak RSS (MiB, the process's ru_maxrss read through python3's resource
 # module) are printed. Exits non-zero when any stdout differs or any
@@ -47,7 +47,7 @@ build "$worktree" "$out/base"
 build "$root" "$out/head"
 
 for v in $(compgen -e); do
-  case "$v" in AFC_* | FIG16_*) unset "$v" ;; esac
+  case "$v" in AFC_*) unset "$v" ;; esac
 done
 
 run() {  # <side> <program path>; prints "wall_s peak_rss_mib", returns its status

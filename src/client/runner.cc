@@ -66,10 +66,6 @@ sim::CoTask<void> VmClient::on_message(net::Message m) {
     if (delta.epoch > known_epoch_) {
       learn_epoch(delta.epoch);
       map_updates_++;
-      known_laggy_.assign(cmap_.crush().osd_count(), false);
-      for (std::uint32_t o : delta.laggy) {
-        if (o < known_laggy_.size()) known_laggy_[o] = true;
-      }
     }
     co_return;
   }
@@ -102,36 +98,17 @@ void VmClient::learn_epoch(std::uint64_t epoch) {
   if (epoch <= known_epoch_) return;
   known_epoch_ = epoch;
   primary_cache_.clear();
-  cache_epoch_ = epoch;
 }
 
-std::uint32_t VmClient::resolve_primary(std::uint32_t pg, bool is_write) {
+std::uint32_t VmClient::resolve_primary(std::uint32_t pg) {
   if (!detected_) return cmap_.primary(pg);
   // Lazy routing: the cache pins whatever primary this client resolved
-  // under its current epoch; only a learned epoch (delta or fence)
-  // invalidates it. A partitioned client keeps routing on yesterday's map —
-  // which is exactly what epoch fencing exists to catch.
-  if (cache_epoch_ != known_epoch_) {
-    primary_cache_.clear();
-    cache_epoch_ = known_epoch_;
-  }
-  std::uint32_t primary;
-  if (auto it = primary_cache_.find(pg); it != primary_cache_.end()) {
-    primary = it->second;
-  } else {
-    primary = cmap_.primary(pg);
-    primary_cache_[pg] = primary;
-  }
-  if (!is_write && shed_laggy_ && primary < known_laggy_.size() &&
-      known_laggy_[primary]) {
-    // Gray-failure read shedding: any acting member can serve a replicated
-    // read; pick the first one not flagged laggy (writes keep the primary).
-    for (std::uint32_t member : cmap_.acting(pg)) {
-      if (member == cluster::ClusterMap::kNoOsd) continue;
-      if (member < known_laggy_.size() && known_laggy_[member]) continue;
-      return member;
-    }
-  }
+  // under its current epoch; only a learned epoch (delta or fence, through
+  // learn_epoch) clears it. A partitioned client keeps routing on
+  // yesterday's map — which is exactly what epoch fencing exists to catch.
+  if (auto it = primary_cache_.find(pg); it != primary_cache_.end()) return it->second;
+  const std::uint32_t primary = cmap_.primary(pg);
+  primary_cache_[pg] = primary;
   return primary;
 }
 
@@ -204,7 +181,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
 
     // Primary recomputed per attempt: an OSD crash bumps the map epoch, and
     // the retry targets whichever OSD CRUSH now elects for this PG.
-    const std::uint32_t primary = resolve_primary(msg->pg, is_write);
+    const std::uint32_t primary = resolve_primary(msg->pg);
     auto conn_it = osd_conns_.find(primary);
     if (conn_it == osd_conns_.end()) {
       p.ok = false;
@@ -305,7 +282,7 @@ sim::CoTask<void> VmClient::io_loop(WorkloadSpec spec, Time stop_at, RunStats* s
       const std::uint64_t seed =
           spec.verify ? stable_seed(off) : (client_id_ << 40) ^ (issued_ * 0x9e37ull) ^ off;
       auto p = co_await issue(true, off, spec.block_size, false,
-                              Payload::pattern(spec.block_size, seed), tenant_);
+                              Payload::pattern(spec.block_size, seed));
       // Only acked writes join the verify ledger: a failed write's content
       // is undefined (some replicas may hold it), and the exactly-once
       // contract only covers acked data. Overwrites are safe either way —
@@ -313,7 +290,7 @@ sim::CoTask<void> VmClient::io_loop(WorkloadSpec spec, Time stop_at, RunStats* s
       if (spec.verify && p.ok) written_offsets_.insert(off);
     } else {
       const bool check = spec.verify && written_offsets_.count(off) != 0;
-      auto p = co_await issue(false, off, spec.block_size, check, Payload{}, tenant_);
+      auto p = co_await issue(false, off, spec.block_size, check, Payload{});
       if (check && sink != nullptr) {
         const auto expected = Payload::pattern(spec.block_size, stable_seed(off));
         if (!p.ok || !p.data.has_value() ||
@@ -333,13 +310,13 @@ void VmClient::start(const WorkloadSpec& spec, Time stop_at, RunStats* sink) {
 }
 
 sim::CoTask<bool> VmClient::write_once(std::uint64_t image_off, Payload data) {
-  auto p = co_await issue(true, image_off, data.size(), false, std::move(data), tenant_);
+  auto p = co_await issue(true, image_off, data.size(), false, std::move(data));
   co_return p.ok;
 }
 
 sim::CoTask<VmClient::ReadOnce> VmClient::read_once(std::uint64_t image_off,
                                                     std::uint64_t len) {
-  auto p = co_await issue(false, image_off, len, true, Payload{}, tenant_);
+  auto p = co_await issue(false, image_off, len, true, Payload{});
   ReadOnce out;
   out.ok = p.ok;
   if (p.data.has_value()) out.data = std::move(*p.data);

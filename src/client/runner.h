@@ -11,7 +11,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
-#include "mon/membership.h"
 #include "osd/op.h"
 
 namespace afc::client {
@@ -64,10 +63,6 @@ class VmClient : public net::Receiver {
   /// Client-side CPU charged per I/O (fio + KRBD + dispatch).
   void set_op_cpu(Time cpu) { op_cpu_ = cpu; }
 
-  /// QoS tenant class stamped on every op this VM issues (0 = default
-  /// profile at the OSD). The open-loop engine overrides per-op instead.
-  void set_tenant(std::uint32_t tenant) { tenant_ = tenant; }
-
   /// Per-op timeout + resubmit (librados-style): if no reply arrives within
   /// `timeout`, abandon the attempt, back off exponentially and resubmit as
   /// a *fresh* op (new op id, primary recomputed from the current cluster
@@ -80,15 +75,12 @@ class VmClient : public net::Receiver {
     op_backoff_ = backoff;
   }
 
-  /// Detected-mode membership: ops are stamped with the client's learned
-  /// epoch, primaries are resolved through a per-epoch cache (the client is
-  /// *lazy* — it routes on the last map it saw until a delta or a fence
-  /// teaches it better), and with `shed_laggy_primary` reads route around a
-  /// laggy primary. Inert (epoch stamped 0) unless cfg.detected().
-  void set_membership(const mon::MembershipConfig& cfg) {
-    detected_ = cfg.detected();
-    shed_laggy_ = cfg.shed_laggy_primary;
-  }
+  /// Detected-mode membership (the detected plane calls this): ops are
+  /// stamped with the client's learned epoch, and primaries are resolved
+  /// through a per-epoch cache — the client is *lazy*, routing on the last
+  /// map it saw until a delta or a fence teaches it better. Without it ops
+  /// are stamped epoch 0 and route on the shared map.
+  void set_membership() { detected_ = true; }
   std::uint64_t known_epoch() const { return known_epoch_; }
 
   /// Launch the workload's closed loops; they stop issuing at `stop_at`.
@@ -137,17 +129,18 @@ class VmClient : public net::Receiver {
 
   sim::CoTask<void> io_loop(WorkloadSpec spec, Time stop_at, RunStats* sink, unsigned job);
   /// Issue one I/O and wait for its completion; returns the filled pending
-  /// record. `payload` is the write body (ignored for reads).
+  /// record. `payload` is the write body (ignored for reads); `tenant` is
+  /// the QoS class (0: the OSD's default profile; only the open-loop
+  /// engine stamps another).
   sim::CoTask<PendingOp> issue(bool is_write, std::uint64_t image_off, std::uint64_t len,
-                               bool want_data, Payload payload, std::uint32_t tenant);
+                               bool want_data, Payload payload, std::uint32_t tenant = 0);
   /// One per-object sub-op (image_off..+len must not cross an object).
   sim::CoTask<PendingOp> issue_one(bool is_write, std::uint64_t image_off, std::uint64_t len,
                                    bool want_data, Payload payload, std::uint32_t tenant);
   std::uint64_t stable_seed(std::uint64_t image_off) const;
   /// Primary for `pg` as *this client* believes it (detected: per-epoch
-  /// cache; oracle: the shared map directly). Reads may shed a laggy
-  /// primary to the first healthy acting member.
-  std::uint32_t resolve_primary(std::uint32_t pg, bool is_write);
+  /// cache; oracle: the shared map directly).
+  std::uint32_t resolve_primary(std::uint32_t pg);
   /// The object id (PG and interned name) of object `object_no` of the
   /// image, built on first use: a VM re-addresses the same objects for its
   /// whole life, and its pool's pg_num never changes. The table grows on
@@ -163,7 +156,6 @@ class VmClient : public net::Receiver {
   std::uint64_t client_id_;
   Rng rng_;
   Time op_cpu_ = 0;
-  std::uint32_t tenant_ = 0;
   net::Messenger msgr_;
   std::unordered_map<std::uint32_t, net::Connection*> osd_conns_;
   std::unordered_map<std::uint64_t, PendingOp*> pending_;
@@ -181,11 +173,9 @@ class VmClient : public net::Receiver {
 
   // --- membership state (inert under kOracle) -----------------------------
   bool detected_ = false;
-  bool shed_laggy_ = false;
   std::uint64_t known_epoch_ = 1;
-  std::uint64_t cache_epoch_ = 0;  // epoch primary_cache_ was filled under
-  std::unordered_map<std::uint32_t, std::uint32_t> primary_cache_;  // pg -> osd
-  std::vector<bool> known_laggy_;
+  // pg -> osd, filled under known_epoch_
+  std::unordered_map<std::uint32_t, std::uint32_t> primary_cache_;
   std::uint64_t fenced_replies_ = 0;
   std::uint64_t map_updates_ = 0;
 };

@@ -14,7 +14,6 @@ inline constexpr Time kSecond = 1000ull * 1000 * 1000;
 
 /// Convert virtual time to floating-point units for reporting.
 constexpr double to_ms(Time t) { return double(t) / double(kMillisecond); }
-constexpr double to_us(Time t) { return double(t) / double(kMicrosecond); }
 constexpr double to_s(Time t) { return double(t) / double(kSecond); }
 
 inline constexpr std::uint64_t kKiB = 1024;

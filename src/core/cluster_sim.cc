@@ -4,18 +4,10 @@
 #include <cstdlib>
 
 #include "net/profile.h"
-#include "osd/recovery.h"
 
 namespace afc::core {
 
 namespace {
-
-/// AFC_SIM_PROFILE=1 turns on the event-loop profiler for every bench that
-/// goes through ClusterSim; the counters print to stderr after each run.
-bool sim_profile_requested() {
-  const char* v = std::getenv("AFC_SIM_PROFILE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 /// Destination for the env-requested trace export; numbered when one process
 /// runs several clusters (e.g. fig03's community + AFCeph profiles).
@@ -39,18 +31,16 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
           cfg_.ec_pool ? cluster::ClusterMap::Scheme::kErasure
                        : cluster::ClusterMap::Scheme::kReplicated,
           cfg_.ec_k, cfg_.ec_m}) {
-  if (sim_profile_requested()) sim_.enable_profiling();
+  // AFC_SIM_PROFILE=1: the event-loop counters print to stderr after run().
+  if (trace::Collector::profile_requested()) sim_.enable_profiling();
   if (trace::Collector::env_requested() && trace::Collector::active() == nullptr) {
     tracer_ = std::make_unique<trace::Collector>();
     trace::Collector::install(tracer_.get());
   }
+  plane_ = mon::MembershipPlane::make(sim_, cmap_, cfg_.membership, cfg_.seed);
   // Pool-level QoS plumbing: the cluster-wide TenantProfile table becomes
   // every OSD's scheduler config (add_node() inherits it the same way).
   cfg_.osd.qos = cfg_.qos;
-  // Detected mode splits liveness from placement: acting sets must drop
-  // *down* members immediately (no data movement) while *out* — the
-  // placement change — waits for the monitor's down_out_interval.
-  cmap_.set_filter_down(cfg_.membership.detected());
   cfg_.ssd.sustained = cfg_.sustained;
   // The flash backend sees the same RAM budget as the file backend —
   // backend choice must not smuggle in a cache-size edge.
@@ -67,6 +57,8 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
       !cfg_.ec_pool && (cfg_.populated < 0 ? cfg_.sustained : cfg_.populated != 0);
   throttle_cfg_ = cfg_.profile.ssd_throttles ? osd::ThrottleSet::Config::ssd_tuned()
                                              : osd::ThrottleSet::Config::community();
+  cluster_net_ = net::NetProfile::cluster(cfg_.net);
+  client_net_ = net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
 
   // --- nodes, devices, OSDs --------------------------------------------
   const unsigned total_osds = cfg_.osd_nodes * cfg_.osds_per_node;
@@ -90,18 +82,15 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
   }
 
   // --- cluster-network wiring ------------------------------------------
-  const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
   for (unsigned i = 0; i < total_osds; i++) {
     for (unsigned j = i + 1; j < total_osds; j++) {
-      net::Connection* conn = osds_[i]->messenger().connect(osds_[j]->messenger(), cluster_net);
+      net::Connection* conn = osds_[i]->messenger().connect(osds_[j]->messenger(), cluster_net_);
       osds_[i]->add_peer(j, conn);
       osds_[j]->add_peer(i, conn->reverse());
     }
   }
 
   // --- VMs ---------------------------------------------------------------
-  const net::Connection::Config client_net =
-      net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
   for (unsigned v = 0; v < cfg_.vms; v++) {
     net::Node& host = *client_nodes_[v % cfg_.client_nodes];
     vms_.push_back(std::make_unique<client::VmClient>(
@@ -115,52 +104,16 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
       tr->name_track(trace::client_track(v + 1), "vm." + std::to_string(v));
     }
     for (unsigned i = 0; i < total_osds; i++) {
-      net::Connection* conn = vms_.back()->messenger().connect(osds_[i]->messenger(), client_net);
+      net::Connection* conn = vms_.back()->messenger().connect(osds_[i]->messenger(), client_net_);
       vms_.back()->add_osd_conn(i, conn);
     }
   }
 
-  // --- membership plane (kDetected only; kOracle builds none of this) ----
-  if (cfg_.membership.detected()) {
-    mon_node_ = std::make_unique<net::Node>(sim_, "mon",
-                                            net::Node::Config{4, 1250 * kMiB});
-    monitor_ = std::make_unique<mon::Monitor>(sim_, cmap_, cfg_.membership);
-    mon_msgr_ = std::make_unique<net::Messenger>(sim_, *mon_node_, *monitor_, "mon");
-    // Ground truth for the false-positive counter: an OSD is "actually
-    // failed" iff its daemon is blackholed or some injected fault sits on a
-    // link touching its messenger (partition mark-downs are correct).
-    monitor_->set_liveness_probe([this](std::uint32_t id) {
-      net::Messenger& target = osds_[id]->messenger();
-      if (target.blackholed()) return true;
-      for (const auto& o : osds_) {
-        for (const auto& c : o->messenger().connections()) {
-          if ((&c->local() == &target || &c->remote() == &target) && c->fault().any()) {
-            return true;
-          }
-        }
-      }
-      for (const auto& c : mon_msgr_->connections()) {
-        if ((&c->local() == &target || &c->remote() == &target) && c->fault().any()) {
-          return true;
-        }
-      }
-      return false;
-    });
-    // Wire mon<->OSD in id order and mon<->client in client order — both
-    // registration orders are part of the determinism contract (publish
-    // iterates them).
-    for (unsigned i = 0; i < total_osds; i++) {
-      net::Connection* conn = mon_msgr_->connect(osds_[i]->messenger(), cluster_net);
-      monitor_->add_osd_subscriber(i, conn);
-      osds_[i]->attach_membership(cfg_.membership, conn->reverse(), roster(),
-                                  cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    }
-    for (auto& vm : vms_) {
-      monitor_->add_client_subscriber(mon_msgr_->connect(vm->messenger(), client_net));
-      vm->set_membership(cfg_.membership);
-    }
-    for (auto& o : osds_) o->membership()->start();
-  }
+  // --- membership plane: mon<->OSD in id order, then mon<->client in
+  // client order (publish iterates both), then the agents ---------------
+  for (auto& o : osds_) plane_->attach_osd(*o, cluster_net_);
+  for (auto& vm : vms_) plane_->attach_client(*vm, client_net_);
+  plane_->start();
 }
 
 void ClusterSim::add_server() {
@@ -264,20 +217,10 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
       r.qos_dispatched += qos->stats().dispatched;
       r.qos_reservation_grants += qos->stats().reservation_grants;
       r.qos_limit_deferrals += qos->stats().limit_deferrals;
-      r.qos_queue_hwm = std::max(r.qos_queue_hwm, qos->stats().depth_hwm);
     }
     r.hb_sent += o->counters().get("osd.hb_sent");
-    r.hb_timeouts += o->counters().get("osd.hb_timeouts");
-    r.fenced_ops +=
-        o->counters().get("osd.fenced_ops") + o->counters().get("osd.fenced_rep_ops");
     for (unsigned s = 0; s < osd::kStageCount; s++) stage_merged[s].merge(o->stage_delta(s));
     total_merged.merge(o->write_total_hist());
-  }
-  if (monitor_ != nullptr) {
-    r.failure_reports = monitor_->counters().get("mon.failure_reports");
-    r.false_downs = monitor_->counters().get("mon.false_downs");
-    r.map_deltas = monitor_->counters().get("mon.map_deltas");
-    r.laggy_flags = monitor_->counters().get("mon.laggy_flags");
   }
   for (unsigned s = 0; s < osd::kStageCount; s++) r.stage_ms[s] = stage_merged[s].mean_ms();
   r.write_path_total_ms = total_merged.mean_ms();
@@ -287,7 +230,9 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
   net::NetStats net;
   for (const auto& o : osds_) net.merge(o->messenger().net_stats());
   for (const auto& v : vms_) net.merge(v->messenger().net_stats());
-  if (mon_msgr_ != nullptr) net.merge(mon_msgr_->net_stats());
+  if (const net::Messenger* mon = plane_->messenger(); mon != nullptr) {
+    net.merge(mon->net_stats());
+  }
   r.net_messages = net.messages;
   r.net_frames = net.frames;
   r.net_batch_occupancy = net.batch_occupancy();
@@ -302,40 +247,18 @@ fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
     for (auto& o : osds_) endpoints.push_back(&o->messenger());
     for (auto& s : ssds_) ssds.push_back(s.get());
     for (auto& vm : vms_) endpoints.push_back(&vm->messenger());
-    if (mon_msgr_ != nullptr) endpoints.push_back(mon_msgr_.get());
-    injector_ = std::make_unique<fault::FaultInjector>(
-        sim_, cmap_, roster(), std::move(ssds), std::move(endpoints), cfg_.seed);
-    injector_->set_detected(cfg_.membership.detected());
-    injector_->set_monitor(mon_msgr_.get());
+    if (net::Messenger* mon = plane_->messenger(); mon != nullptr) endpoints.push_back(mon);
+    injector_ = std::make_unique<fault::FaultInjector>(sim_, cmap_, *plane_, std::move(ssds),
+                                                       std::move(endpoints), cfg_.seed);
   }
   injector_->install(plan);
   return *injector_;
 }
 
-std::vector<osd::Osd*> ClusterSim::roster() const {
-  std::vector<osd::Osd*> osds;
-  osds.reserve(osds_.size());
-  for (const auto& o : osds_) osds.push_back(o.get());
-  return osds;
-}
-
-sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::MapChange& change) {
-  const std::vector<osd::Osd*> osds = roster();
-  std::uint64_t migrated = 0;
-  for (const osd::PgRemap& r : change.remaps(osds.front()->pg_backend())) {
-    osd::install_remap(osds, r);
-    for (unsigned pos : r.targets) migrated += co_await osd::recover_target(osds, r, pos);
-    // Survivors that are no longer in the acting set keep stale data; a real
-    // cluster trims it lazily, which we skip.
-  }
-  co_return migrated;
-}
-
 sim::CoTask<std::uint64_t> ClusterSim::decommission_osd(std::uint32_t osd_id) {
   const osd::MapChange change(cmap_);
   cmap_.crush().set_up(osd_id, false);
-  cmap_.bump_epoch();
-  co_return co_await rebalance(change);
+  co_return co_await plane_->rebalance(change);
 }
 
 sim::CoTask<std::uint64_t> ClusterSim::add_node() {
@@ -343,40 +266,37 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
 
   const unsigned node_index = unsigned(osd_nodes_.size());
   add_server();
-
-  const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
-  const net::Connection::Config client_net =
-      net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
-
   const std::size_t first_new = osds_.size();
   for (unsigned k = 0; k < cfg_.osds_per_node; k++) add_osd(node_index);
   // Wire the new OSDs to everyone (existing OSDs and all VMs).
   for (std::size_t n = first_new; n < osds_.size(); n++) {
     for (std::size_t o = 0; o < osds_.size(); o++) {
       if (o == n) continue;
-      net::Connection* conn = osds_[n]->messenger().connect(osds_[o]->messenger(), cluster_net);
+      net::Connection* conn = osds_[n]->messenger().connect(osds_[o]->messenger(), cluster_net_);
       osds_[n]->add_peer(std::uint32_t(o), conn);
       osds_[o]->add_peer(std::uint32_t(n), conn->reverse());
     }
     for (auto& vm : vms_) {
-      net::Connection* conn = vm->messenger().connect(osds_[n]->messenger(), client_net);
+      net::Connection* conn = vm->messenger().connect(osds_[n]->messenger(), client_net_);
       vm->add_osd_conn(std::uint32_t(n), conn);
     }
   }
-  cmap_.bump_epoch();
-  co_return co_await rebalance(change);
+  for (std::size_t n = first_new; n < osds_.size(); n++) {
+    plane_->attach_osd(*osds_[n], cluster_net_);
+  }
+  plane_->start();
+  co_return co_await plane_->rebalance(change);
 }
 
 sim::CoTask<osd::ScrubReport> ClusterSim::deep_scrub(bool repair) {
-  const std::vector<osd::Osd*> osds = roster();
-  co_return co_await osd::deep_scrub(sim_, cmap_, osds, repair);
+  co_return co_await osd::deep_scrub(sim_, cmap_, plane_->roster(), repair);
 }
 
 void ClusterSim::close_all() {
-  if (monitor_ != nullptr) monitor_->close();
+  if (mon::Monitor* mon = plane_->monitor(); mon != nullptr) mon->close();
   for (auto& o : osds_) o->close();
   for (auto& vm : vms_) vm->messenger().close_all();
-  if (mon_msgr_ != nullptr) mon_msgr_->close_all();
+  if (net::Messenger* mon = plane_->messenger(); mon != nullptr) mon->close_all();
 }
 
 }  // namespace afc::core

@@ -10,7 +10,7 @@
 #include "device/nvram.h"
 #include "device/ssd.h"
 #include "fault/injector.h"
-#include "mon/monitor.h"
+#include "mon/plane.h"
 #include "osd/osd.h"
 #include "osd/scrub.h"
 
@@ -64,11 +64,12 @@ struct ClusterConfig {
   /// OSD the cluster builds (including nodes added later). Off by default.
   osd::QosConfig qos;
 
-  /// Membership & failure detection. kOracle (default) keeps today's
-  /// omniscient semantics — crashes instantly flip the shared CRUSH map, no
-  /// heartbeats, no monitor, byte-identical event stream. kDetected builds a
-  /// monitor node, starts OSD<->OSD heartbeats, and routes every membership
-  /// decision through failure reports + epoch-fenced map deltas.
+  /// Membership & failure detection; the mode picks the membership plane
+  /// (mon/plane.h). kOracle (default) keeps the omniscient semantics —
+  /// crashes instantly flip the shared CRUSH map, no heartbeats, no
+  /// monitor, byte-identical event stream. kDetected builds a monitor node,
+  /// starts OSD<->OSD heartbeats, and routes every membership decision
+  /// through failure reports + epoch-fenced map deltas.
   mon::MembershipConfig membership;
 
   Profile profile;
@@ -140,18 +141,9 @@ struct RunResult {
   std::uint64_t qos_dispatched = 0;
   std::uint64_t qos_reservation_grants = 0;
   std::uint64_t qos_limit_deferrals = 0;
-  std::uint64_t qos_queue_hwm = 0;  // deepest tenant-queue backlog, any OSD
-  // Membership & failure detection (all zero under kOracle): heartbeats
-  // sent / grace expiries, failure reports received by the monitor, monitor
-  // mark-downs that the liveness probe called healthy, and map deltas
-  // published. fenced_ops counts stale-epoch ops rejected cluster-wide.
+  // Heartbeats sent cluster-wide (zero under kOracle). The monitor's own
+  // decisions are read from ClusterSim::monitor()->counters().
   std::uint64_t hb_sent = 0;
-  std::uint64_t hb_timeouts = 0;
-  std::uint64_t failure_reports = 0;
-  std::uint64_t false_downs = 0;
-  std::uint64_t map_deltas = 0;
-  std::uint64_t fenced_ops = 0;
-  std::uint64_t laggy_flags = 0;
 };
 
 /// Builds a simulated Ceph cluster (community or AFCeph per the profile)
@@ -188,17 +180,20 @@ class ClusterSim {
   fault::FaultInjector& install_faults(const fault::FaultPlan& plan);
 
   /// The cluster monitor, or nullptr under kOracle (no monitor is built).
-  mon::Monitor* monitor() { return monitor_.get(); }
+  mon::Monitor* monitor() { return plane_->monitor(); }
 
   // --- elasticity & failure handling -------------------------------------
+  // Both changes rebalance through the membership plane: under kDetected
+  // the monitor then publishes the new epoch to every agent and client.
   /// Take an OSD out of the CRUSH map (failure / decommission), recompute
   /// placement, and re-replicate the affected PGs from surviving members.
   /// Quiesce client traffic first. Returns the number of objects pushed.
   sim::CoTask<std::uint64_t> decommission_osd(std::uint32_t osd_id);
 
   /// Add one server node with the standard OSD complement, wire it into the
-  /// cluster and the clients, and rebalance PGs onto it (paper Fig. 12's
-  /// expansion, live). Returns the number of objects migrated.
+  /// cluster, the clients and the membership plane, and rebalance PGs onto
+  /// it (paper Fig. 12's expansion, live). Returns the number of objects
+  /// migrated.
   sim::CoTask<std::uint64_t> add_node();
 
   /// Deep scrub every PG (osd/scrub.h); with `repair`, rebuild every
@@ -220,11 +215,6 @@ class ClusterSim {
   void report_observability();
 
  private:
-  /// Apply the recovery rule (osd/recovery.h) to every PG `change`
-  /// re-placed, one target at a time.
-  sim::CoTask<std::uint64_t> rebalance(const osd::MapChange& change);
-  /// Every OSD, indexed by id (the osd/recovery.h and osd/scrub.h convention).
-  std::vector<osd::Osd*> roster() const;
   /// A new OSD server: its node and its NVRAM journal device.
   void add_server();
   /// The next OSD id on server `node`: CRUSH entry, SSD array and daemon.
@@ -234,6 +224,8 @@ class ClusterSim {
   /// Derived from cfg_ once by the constructor; add_node() reuses them.
   store::StoreConfig store_cfg_;
   osd::ThrottleSet::Config throttle_cfg_;
+  net::Connection::Config cluster_net_;  // OSD<->OSD and mon<->OSD links
+  net::Connection::Config client_net_;   // VM<->OSD and mon<->VM links
   /// Owned only when this ClusterSim installed the collector itself (env
   /// opt-in); run() then also exports the Chrome JSON on completion.
   std::unique_ptr<trace::Collector> tracer_;
@@ -245,10 +237,8 @@ class ClusterSim {
   std::vector<std::unique_ptr<dev::SsdModel>> ssds_;
   std::vector<std::unique_ptr<osd::Osd>> osds_;
   std::vector<std::unique_ptr<client::VmClient>> vms_;
-  // Detected-mode membership plane (all null/empty under kOracle).
-  std::unique_ptr<net::Node> mon_node_;
-  std::unique_ptr<mon::Monitor> monitor_;
-  std::unique_ptr<net::Messenger> mon_msgr_;
+  /// Owns the roster (every OSD by id) and, under kDetected, the monitor.
+  std::unique_ptr<mon::MembershipPlane> plane_;
   std::unique_ptr<fault::FaultInjector> injector_;
   bool ran_ = false;
 };

@@ -15,10 +15,16 @@ Collector::Collector() : Collector(Config{}) {}
 
 Collector::Collector(Config cfg) : cfg_(cfg) { ring_.reserve(cfg_.ring_capacity); }
 
-bool Collector::env_requested() {
-  const char* v = std::getenv("AFC_SIM_TRACE");
+namespace {
+bool env_flag(const char* name) {
+  const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
+}  // namespace
+
+bool Collector::env_requested() { return env_flag("AFC_SIM_TRACE"); }
+
+bool Collector::profile_requested() { return env_flag("AFC_SIM_PROFILE"); }
 
 Collector::StageId Collector::stage_id(const char* name) {
   return stages_.intern(name);

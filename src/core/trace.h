@@ -69,6 +69,9 @@ class Collector {
   static void install(Collector* c) { active_ = c; }
   /// True when the AFC_SIM_TRACE environment variable requests tracing.
   static bool env_requested();
+  /// True when AFC_SIM_PROFILE requests the event-loop profiler (not a
+  /// collector, but read by the same rule: set, non-empty and not "0").
+  static bool profile_requested();
 
   // --- span recording ----------------------------------------------------
   /// Intern a stage name (a string from common/stage_names.h) to its id.

@@ -17,14 +17,10 @@ Time SsdModel::latency_time(IoType type, std::uint64_t /*offset*/, std::uint64_t
   if (type == IoType::kFlush) return Time(200.0 * kMicrosecond * slow_factor_);
   if (!sustained_ && cfg_.clean_budget_bytes != 0) {
     clean_written_ += len;
-    if (clean_written_ >= cfg_.clean_budget_bytes) {
-      // The pre-erased pool is exhausted: GC from here on.
-      sustained_ = true;
-      sustained_since_ = sim_.now();
-    }
+    // The pre-erased pool is exhausted: GC from here on.
+    if (clean_written_ >= cfg_.clean_budget_bytes) sustained_ = true;
   }
   const bool hinted = stream != 0 && cfg_.stream_count != 0;
-  if (hinted) stream_writes_++;
   double t = double(cfg_.write_latency);
   if (sustained_) {
     // GC punishes small random writes (full read-modify-write of flash

@@ -54,11 +54,9 @@ class SsdModel : public Device {
 
   SsdModel(sim::Simulation& sim, std::string name, const Config& cfg);
 
-  void set_sustained(bool s) { sustained_ = s; }
   bool sustained() const { return sustained_; }
   std::uint64_t gc_stalls() const { return gc_stalls_; }
   std::uint64_t bytes_since_gc() const { return bytes_since_gc_; }
-  std::uint64_t stream_writes() const { return stream_writes_; }
 
   /// The daemon this drive backs crashed and came back (fault injection).
   /// The FTL idles through the downtime and catches up on its deferred
@@ -73,10 +71,6 @@ class SsdModel : public Device {
   /// latencies come from. Bandwidth is untouched: the outlier drive still
   /// moves bytes, it just responds late.
   void set_slow_factor(double f) { slow_factor_ = f; }
-  double slow_factor() const { return slow_factor_; }
-  /// Virtual time at which the clean->sustained transition happened (0 if
-  /// it has not).
-  Time sustained_since() const { return sustained_since_; }
 
  protected:
   Time latency_time(IoType type, std::uint64_t offset, std::uint64_t len,
@@ -90,8 +84,6 @@ class SsdModel : public Device {
   std::uint64_t bytes_since_gc_ = 0;
   std::uint64_t gc_stalls_ = 0;
   std::uint64_t clean_written_ = 0;
-  std::uint64_t stream_writes_ = 0;
-  Time sustained_since_ = 0;
 };
 
 }  // namespace afc::dev

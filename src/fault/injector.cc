@@ -7,16 +7,16 @@
 #include "common/stage_names.h"
 #include "core/trace.h"
 #include "ec/layout.h"
-#include "osd/recovery.h"
 
 namespace afc::fault {
 
 FaultInjector::FaultInjector(sim::Simulation& sim, cluster::ClusterMap& cmap,
-                             std::vector<osd::Osd*> osds, std::vector<dev::SsdModel*> ssds,
+                             mon::MembershipPlane& plane, std::vector<dev::SsdModel*> ssds,
                              std::vector<net::Messenger*> endpoints, std::uint64_t seed)
     : sim_(sim),
       cmap_(cmap),
-      osds_(std::move(osds)),
+      plane_(plane),
+      osds_(plane.roster()),
       ssds_(std::move(ssds)),
       endpoints_(std::move(endpoints)),
       seed_(seed) {}
@@ -37,18 +37,16 @@ void FaultInjector::install(const FaultPlan& plan) {
   }
 }
 
-void FaultInjector::trace_event(std::size_t idx) {
-  if (auto* tr = trace::Collector::active()) {
-    tr->instant(trace::Span{std::uint64_t(idx) + 1, trace::kFaultTrack},
-                tr->stage_id(stage::kFaultInject), sim_.now());
-  }
-}
-
 void FaultInjector::apply(std::size_t idx) {
   const FaultEvent& e = plan_.events[idx];
   if (e.osd >= osds_.size()) return;
   counters_.add(std::string("fault.") + kind_name(e.kind));
-  trace_event(idx);
+  if (auto* tr = trace::Collector::active()) {
+    tr->instant(trace::Span{std::uint64_t(idx) + 1, trace::kFaultTrack},
+                tr->stage_id(stage::kFaultInject), sim_.now());
+  }
+  // Seeded per event so two flips or tears in one plan pick independently.
+  const std::uint64_t s = seed_ ^ (0x9e3779b97f4a7c15ull * (idx + 1));
   switch (e.kind) {
     case FaultKind::kOsdCrash:
       do_crash(e.osd);
@@ -59,21 +57,13 @@ void FaultInjector::apply(std::size_t idx) {
     case FaultKind::kSsdSlow:
       ssds_[e.osd]->set_slow_factor(e.factor);
       break;
-    case FaultKind::kLinkDrop: {
-      net::Connection::Fault f;
-      f.drop_p = e.p;
-      set_link_fault(e.osd, e.peer, f);
-      break;
-    }
-    case FaultKind::kLinkDelay: {
-      net::Connection::Fault f;
-      f.added_delay = e.added_ns;
-      set_link_fault(e.osd, e.peer, f);
-      break;
-    }
+    case FaultKind::kLinkDrop:
+    case FaultKind::kLinkDelay:
     case FaultKind::kLinkPartition: {
       net::Connection::Fault f;
-      f.partitioned = true;
+      if (e.kind == FaultKind::kLinkDrop) f.drop_p = e.p;
+      if (e.kind == FaultKind::kLinkDelay) f.added_delay = e.added_ns;
+      f.partitioned = e.kind == FaultKind::kLinkPartition;
       set_link_fault(e.osd, e.peer, f);
       break;
     }
@@ -81,19 +71,12 @@ void FaultInjector::apply(std::size_t idx) {
       osds_[e.osd]->journal().stall_until(sim_.now() + e.duration);
       break;
     case FaultKind::kBitFlip: {
-      // Seeded per event so two flips in one plan pick independent victims.
-      const std::uint64_t s = seed_ ^ (0x9e3779b97f4a7c15ull * (idx + 1));
-      bool hit;
-      if (e.media == 1) {
-        hit = osds_[e.osd]->journal().corrupt_record(s);
-      } else {
-        hit = corrupt_audited_copy(e.osd, s, /*parity=*/e.media == 2);
-      }
+      const bool hit = e.media == 1 ? osds_[e.osd]->journal().corrupt_record(s)
+                                    : corrupt_audited_copy(e.osd, s, /*parity=*/e.media == 2);
       if (!hit) counters_.add("fault.bit_flip_noop");
       break;
     }
     case FaultKind::kTornWrite: {
-      const std::uint64_t s = seed_ ^ (0x9e3779b97f4a7c15ull * (idx + 1));
       const std::size_t torn = osds_[e.osd]->journal().inject_torn_write(s);
       if (torn > 0) counters_.add("fault.torn_entries", torn);
       // The tear is the last thing the daemon does: it dies mid-persist.
@@ -160,8 +143,8 @@ void FaultInjector::set_link_fault(std::uint32_t osd, std::uint32_t peer,
   net::Messenger* a = &osds_[osd]->messenger();
   net::Messenger* b = nullptr;
   if (peer == kMonPeer) {
-    if (mon_ == nullptr) return;
-    b = mon_;
+    b = plane_.messenger();
+    if (b == nullptr) return;
   } else if (peer != kAllPeers) {
     if (peer >= osds_.size()) return;
     b = &osds_[peer]->messenger();
@@ -185,71 +168,33 @@ void FaultInjector::set_link_fault(std::uint32_t osd, std::uint32_t peer,
 }
 
 void FaultInjector::do_crash(std::uint32_t osd) {
-  if (detected_) {
-    // Purely physical: the daemon dies — messenger blackholed, volatile
-    // state dropped. No CRUSH flip, no epoch bump, no retarget: peers must
-    // *notice* via heartbeats and the monitor must arbitrate the mark-down.
-    if (osds_[osd]->messenger().blackholed()) return;  // already dead
-    osds_[osd]->messenger().set_blackhole(true);
-    osds_[osd]->on_crash();
-    return;
-  }
-  if (!cmap_.crush().osds()[osd].up) return;  // already down
-  const osd::MapChange change(cmap_);
+  if (plane_.down(osd)) return;  // already dead
   osds_[osd]->messenger().set_blackhole(true);
   osds_[osd]->on_crash();
-  cmap_.crush().set_up(osd, false);
-  cmap_.bump_epoch();
-  retarget_pgs(change);
+  // The plane's crash handling completes without suspending.
+  sim::spawn_fn([this, osd]() -> sim::CoTask<void> {
+    count_recoveries(co_await plane_.on_crash(osd));
+  });
 }
 
 void FaultInjector::do_restart(std::uint32_t osd) {
-  if (detected_) {
-    if (!osds_[osd]->messenger().blackholed()) return;  // never crashed
-    if (osd < ssds_.size()) ssds_[osd]->note_daemon_restart();
-    sim::spawn_fn([this, osd]() -> sim::CoTask<void> {
-      // Replay first, exactly like the oracle path; then the boot beacon is
-      // the detected-mode mark-up — the monitor bumps the epoch, publishes,
-      // and the surviving primaries backfill what the daemon missed.
-      co_await osds_[osd]->on_restart();
-      osds_[osd]->messenger().set_blackhole(false);
-      osds_[osd]->membership()->announce_boot();
-    });
-    return;
-  }
-  if (cmap_.crush().osds()[osd].up) return;  // never crashed / already back
+  if (!plane_.down(osd)) return;  // never crashed / already back
   // The FTL idled through the downtime and caught up on deferred erase
   // work; the fresh daemon does not inherit the dead one's GC debt. (Wear
   // counters — gc_stalls, clean budget — survive: they are media state.)
   if (osd < ssds_.size()) ssds_[osd]->note_daemon_restart();
   sim::spawn_fn([this, osd]() -> sim::CoTask<void> {
     // Journal replay runs to completion while the daemon is still down
-    // (marked out, blackholed): locally durable writes come back from the
-    // ring before any client op or backfill push can land, so a replayed
-    // record can never clobber data written during the downtime — and
-    // backfill then covers strictly less.
+    // and blackholed: no client op or backfill push can land before every
+    // locally durable write is back.
     co_await osds_[osd]->on_restart();
-    if (cmap_.crush().osds()[osd].up) co_return;  // raced with another restart
-    const osd::MapChange change(cmap_);
     osds_[osd]->messenger().set_blackhole(false);
-    cmap_.crush().set_up(osd, true);
-    cmap_.bump_epoch();
-    retarget_pgs(change);
+    count_recoveries(co_await plane_.on_restart(osd));
   });
 }
 
-void FaultInjector::retarget_pgs(const osd::MapChange& change) {
-  for (const osd::PgRemap& r : change.remaps(osds_.front()->pg_backend())) {
-    osd::install_remap(osds_, r);
-    // Asynchronous recovery: the data path keeps running while the PG
-    // re-replicates (Ceph recovers in the background too).
-    for (unsigned pos : r.targets) {
-      counters_.add(r.decode ? "fault.ec_rebuilds" : "fault.backfills");
-      sim::spawn_fn([this, r, pos]() -> sim::CoTask<void> {
-        co_await osd::recover_target(osds_, r, pos);
-      });
-    }
-  }
+void FaultInjector::count_recoveries(std::uint64_t n) {
+  if (n > 0) counters_.add(cmap_.erasure() ? "fault.ec_rebuilds" : "fault.backfills", n);
 }
 
 }  // namespace afc::fault

@@ -6,8 +6,8 @@
 #include "common/stats.h"
 #include "device/ssd.h"
 #include "fault/plan.h"
+#include "mon/plane.h"
 #include "net/messenger.h"
-#include "osd/recovery.h"
 #include "sim/simulation.h"
 
 namespace afc::fault {
@@ -21,33 +21,26 @@ namespace afc::fault {
 /// map directly and never includes core/; core::ClusterSim offers the
 /// convenience wrapper `install_faults()` that builds one over its members.
 ///
-/// Crash semantics: the OSD's messenger is blackholed (sends and deliveries
-/// vanish, no CPU is charged for the dead daemon), the OSD is marked down
-/// in CRUSH and the epoch bumps, so clients and peers re-target. Every
-/// re-homed PG then goes through the recovery rule of osd/recovery.h:
-/// members get the new acting set, targets recover asynchronously. Restart
-/// reverses the blackhole + down-mark, and the same rule backfills the
-/// returned OSD, which may have missed writes while dead.
+/// Crash semantics are physical: the OSD's messenger is blackholed (sends
+/// and deliveries vanish, no CPU is charged for the dead daemon) and its
+/// RAM is dropped (Osd::on_crash). A restart replays the journal
+/// (Osd::on_restart) and lifts the blackhole. What the cluster learns from
+/// either is the membership plane's business (mon/plane.h, docs/FAULTS.md
+/// "injected vs detected"): the oracle marks the OSD down or up in CRUSH,
+/// bumps the epoch and re-homes PGs through the recovery rule; detected
+/// membership leaves detection to heartbeats and the monitor.
 class FaultInjector {
  public:
-  /// `osds[i]` must be the OSD with id i; `ssds[i]` its data device.
-  /// `endpoints` is every messenger whose connections may need link faults
-  /// (all OSD messengers and, for completeness, the clients').
-  FaultInjector(sim::Simulation& sim, cluster::ClusterMap& cmap,
-                std::vector<osd::Osd*> osds, std::vector<dev::SsdModel*> ssds,
-                std::vector<net::Messenger*> endpoints, std::uint64_t seed);
+  /// Faults address the OSDs of `plane.roster()` at construction;
+  /// `ssds[i]` is OSD i's data device. `endpoints` is every messenger whose
+  /// connections may need link faults (all OSD messengers and, for
+  /// completeness, the clients' and the monitor's).
+  FaultInjector(sim::Simulation& sim, cluster::ClusterMap& cmap, mon::MembershipPlane& plane,
+                std::vector<dev::SsdModel*> ssds, std::vector<net::Messenger*> endpoints,
+                std::uint64_t seed);
 
   /// Schedule every event of `plan` (callable once per injector).
   void install(const FaultPlan& plan);
-
-  /// Detected-mode membership (docs/FAULTS.md "injected vs detected"):
-  /// crashes and restarts become purely physical — blackhole the messenger
-  /// and drop volatile state, but never touch CRUSH, never bump the epoch,
-  /// never retarget PGs. Detection and map surgery belong to the heartbeat /
-  /// monitor pipeline. Default off: the oracle semantics above.
-  void set_detected(bool d) { detected_ = d; }
-  /// The monitor's messenger, for kMonPeer-directed link faults.
-  void set_monitor(net::Messenger* m) { mon_ = m; }
 
   Counters& counters() { return counters_; }
   const FaultPlan& plan() const { return plan_; }
@@ -65,14 +58,12 @@ class FaultInjector {
   /// Apply `f` to both directions of every connection matching (osd, peer);
   /// peer == kAllPeers matches every link touching `osd`.
   void set_link_fault(std::uint32_t osd, std::uint32_t peer, const net::Connection::Fault& f);
-  /// After a CRUSH up/down flip, apply the recovery rule (osd/recovery.h)
-  /// to every PG it re-placed: install the new acting sets and recover the
-  /// targets asynchronously.
-  void retarget_pgs(const osd::MapChange& change);
-  void trace_event(std::size_t idx);
+  /// Count the recoveries the plane launched for a crash or restart.
+  void count_recoveries(std::uint64_t n);
 
   sim::Simulation& sim_;
   cluster::ClusterMap& cmap_;
+  mon::MembershipPlane& plane_;
   std::vector<osd::Osd*> osds_;
   std::vector<dev::SsdModel*> ssds_;
   std::vector<net::Messenger*> endpoints_;
@@ -80,8 +71,6 @@ class FaultInjector {
   FaultPlan plan_;
   Counters counters_;
   bool installed_ = false;
-  bool detected_ = false;
-  net::Messenger* mon_ = nullptr;
 };
 
 }  // namespace afc::fault

@@ -116,12 +116,10 @@ sim::CoTask<void> FileStore::drain() {
 
 Time FileStore::count_syscalls(unsigned n) {
   syscalls_ += n;
-  if (counters_ != nullptr) counters_->add("fs.syscalls", n);
   return Time(double(cfg_.syscall_cpu) * n * cfg_.cpu_multiplier);
 }
 
 sim::CoTask<void> FileStore::read_cold_metadata(const ObjectId& /*oid*/) {
-  if (counters_ != nullptr) counters_->add("fs.metadata_reads");
   co_await dev_.submit(dev::IoType::kRead, 0, 4096);
 }
 

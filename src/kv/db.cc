@@ -134,7 +134,6 @@ sim::CoTask<void> Db::do_flush() {
   flush_bytes_ += table->data_bytes();
   levels_[0].insert(levels_[0].begin(), table);  // newest first
   imm_.reset();
-  wal_.reset();
   flushes_++;
   work_cv_.notify_all();  // maybe compaction is now needed
 }
@@ -192,7 +191,6 @@ sim::CoTask<void> Db::do_compaction(int level) {
     co_await dev_.submit(dev::IoType::kRead, done, chunk);
     done += chunk;
   }
-  compaction_read_bytes_ += read_bytes;
 
   std::vector<const std::vector<Entry>*> runs;  // newest first
   for (const auto& t : inputs) runs.push_back(&t->entries());

@@ -153,7 +153,6 @@ class Db {
   std::uint64_t user_bytes_ = 0;
   std::uint64_t flush_bytes_ = 0;
   std::uint64_t compaction_write_bytes_ = 0;
-  std::uint64_t compaction_read_bytes_ = 0;
   std::uint64_t stall_slowdowns_ = 0;
   std::uint64_t stall_stops_ = 0;
   std::uint64_t compactions_ = 0;

@@ -36,7 +36,6 @@ class SsTable {
   std::uint64_t id() const { return id_; }
   int level() const { return level_; }
   std::uint64_t data_bytes() const { return data_bytes_; }
-  std::size_t entry_count() const { return entries_.size(); }
   const std::string& min_key() const { return min_key_; }
   const std::string& max_key() const { return max_key_; }
 

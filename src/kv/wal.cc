@@ -5,8 +5,6 @@ namespace afc::kv {
 sim::CoTask<void> Wal::append(std::uint64_t payload_bytes) {
   const std::uint64_t record = payload_bytes + kRecordOverhead;
   pending_ += record;
-  live_bytes_ += record;
-  bytes_logged_ += record;
   if (pending_ >= buffer_bytes_) co_await sync();
 }
 

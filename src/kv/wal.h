@@ -24,12 +24,7 @@ class Wal {
   /// Force out whatever is buffered (memtable flush barrier).
   sim::CoTask<void> sync();
 
-  /// Logical truncate after a memtable flush (old records no longer needed).
-  void reset() { live_bytes_ = 0; }
-
-  std::uint64_t bytes_logged() const { return bytes_logged_; }
   std::uint64_t device_bytes() const { return device_bytes_; }
-  std::uint64_t live_bytes() const { return live_bytes_; }
 
  private:
   static constexpr std::uint64_t kRecordOverhead = 12;
@@ -38,8 +33,6 @@ class Wal {
   dev::Device& dev_;
   std::uint64_t buffer_bytes_;
   std::uint64_t pending_ = 0;
-  std::uint64_t live_bytes_ = 0;
-  std::uint64_t bytes_logged_ = 0;
   std::uint64_t device_bytes_ = 0;
   std::uint64_t write_pos_ = 0;
 };

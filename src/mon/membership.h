@@ -4,9 +4,10 @@
 
 namespace afc::mon {
 
-/// How the cluster learns about failures.
+/// How the cluster learns about failures; picks the membership plane
+/// (mon/plane.h).
 enum class MembershipMode {
-  /// The fault injector is an oracle: a crash instantly marks the OSD down
+  /// An oracle: a crash instantly marks the OSD down
   /// in CRUSH and bumps the epoch for everyone (the pre-membership
   /// behaviour; byte-identical to runs without the subsystem).
   kOracle,
@@ -60,9 +61,6 @@ struct MembershipConfig {
   Time laggy_op_age = 150 * kMillisecond;
   /// A laggy flag not refreshed by new reports expires after this.
   Time laggy_ttl = 500 * kMillisecond;
-  /// When set, clients route reads away from a laggy primary to the first
-  /// healthy acting member (writes always go to the primary).
-  bool shed_laggy_primary = false;
 
   bool detected() const { return mode == MembershipMode::kDetected; }
 };

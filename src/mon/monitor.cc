@@ -200,11 +200,9 @@ void Monitor::laggy_expire(std::uint32_t osd) {
 net::Message Monitor::make_delta() const {
   auto body = std::make_shared<osd::MapDeltaMsg>();
   body->epoch = cmap_.epoch();
-  for (std::uint32_t i = 0; i < state_.size(); i++) {
-    if (state_[i].down) body->down.push_back(i);
-    if (state_[i].out) body->out.push_back(i);
-    if (state_[i].laggy) body->laggy.push_back(i);
-  }
+  body->down = down_osds();
+  body->out = out_osds();
+  body->laggy = laggy_osds();
   net::Message m;
   m.type = osd::kMapDelta;
   m.size = delta_size(*body);
@@ -214,6 +212,10 @@ net::Message Monitor::make_delta() const {
 
 void Monitor::publish() {
   cmap_.bump_epoch();
+  announce();
+}
+
+void Monitor::announce() {
   counters_.add("mon.map_deltas");
   if (auto* tr = trace::Collector::active()) {
     tr->instant(trace::Span{cmap_.epoch(), trace::kMonTrack},
@@ -223,32 +225,10 @@ void Monitor::publish() {
   for (net::Connection* conn : client_subs_) conn->send(make_delta());
 }
 
-bool Monitor::is_down(std::uint32_t osd) const {
-  return osd < state_.size() && state_[osd].down;
-}
-bool Monitor::is_out(std::uint32_t osd) const {
-  return osd < state_.size() && state_[osd].out;
-}
-bool Monitor::is_laggy(std::uint32_t osd) const {
-  return osd < state_.size() && state_[osd].laggy;
-}
-
-std::vector<std::uint32_t> Monitor::down_osds() const {
+std::vector<std::uint32_t> Monitor::flagged(bool OsdState::*flag) const {
   std::vector<std::uint32_t> v;
   for (std::uint32_t i = 0; i < state_.size(); i++)
-    if (state_[i].down) v.push_back(i);
-  return v;
-}
-std::vector<std::uint32_t> Monitor::out_osds() const {
-  std::vector<std::uint32_t> v;
-  for (std::uint32_t i = 0; i < state_.size(); i++)
-    if (state_[i].out) v.push_back(i);
-  return v;
-}
-std::vector<std::uint32_t> Monitor::laggy_osds() const {
-  std::vector<std::uint32_t> v;
-  for (std::uint32_t i = 0; i < state_.size(); i++)
-    if (state_[i].laggy) v.push_back(i);
+    if (state_[i].*flag) v.push_back(i);
   return v;
 }
 

@@ -62,6 +62,10 @@ class Monitor : public net::Receiver {
   /// Beacon core (mark-up path), public for tests.
   void handle_beacon(std::uint32_t osd, bool boot);
 
+  /// Send the current map to every subscriber without bumping the epoch:
+  /// an operator's map change (decommission, expansion) bumped it already.
+  void announce();
+
   /// One monitor decision, for bench/test assertions on detection latency.
   struct Event {
     std::uint32_t osd = 0;
@@ -71,13 +75,13 @@ class Monitor : public net::Receiver {
   const std::vector<Event>& markups() const { return markups_; }
   const std::vector<Event>& markouts() const { return markouts_; }
 
-  bool is_down(std::uint32_t osd) const;
-  bool is_out(std::uint32_t osd) const;
-  bool is_laggy(std::uint32_t osd) const;
-  /// Down/out/laggy OSD ids in ascending order (health reporting).
-  std::vector<std::uint32_t> down_osds() const;
-  std::vector<std::uint32_t> out_osds() const;
-  std::vector<std::uint32_t> laggy_osds() const;
+  bool is_down(std::uint32_t osd) const { return flagged(osd, &OsdState::down); }
+  bool is_out(std::uint32_t osd) const { return flagged(osd, &OsdState::out); }
+  bool is_laggy(std::uint32_t osd) const { return flagged(osd, &OsdState::laggy); }
+  /// Down/out/laggy OSD ids in ascending order (health reporting, deltas).
+  std::vector<std::uint32_t> down_osds() const { return flagged(&OsdState::down); }
+  std::vector<std::uint32_t> out_osds() const { return flagged(&OsdState::out); }
+  std::vector<std::uint32_t> laggy_osds() const { return flagged(&OsdState::laggy); }
 
   const Counters& counters() const { return counters_; }
 
@@ -101,6 +105,10 @@ class Monitor : public net::Receiver {
     Time at = 0;
   };
 
+  bool flagged(std::uint32_t osd, bool OsdState::*flag) const {
+    return osd < state_.size() && state_[osd].*flag;
+  }
+  std::vector<std::uint32_t> flagged(bool OsdState::*flag) const;
   void mark_down(std::uint32_t osd);
   void mark_up(std::uint32_t osd);
   void mark_out(std::uint32_t osd);
@@ -108,8 +116,8 @@ class Monitor : public net::Receiver {
   void laggy_expire(std::uint32_t osd);
   /// Distinct fresh reporters for `target` after TTL pruning.
   unsigned fresh_reporters(std::vector<Report>& reports) const;
-  /// Bump the shared epoch and send the full membership state to every
-  /// subscriber (OSDs first, then clients, registration order).
+  /// Bump the shared epoch and announce() it: the full membership state
+  /// to every subscriber (OSDs first, then clients, registration order).
   void publish();
   net::Message make_delta() const;
 

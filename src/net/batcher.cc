@@ -12,13 +12,7 @@ Batcher::~Batcher() = default;
 void Batcher::add(Message m) {
   pending_bytes_ += m.size;
   pending_.push_back(std::move(m));
-  if (pending_bytes_ >= cfg_.batch_max_bytes) {
-    flushes_bytes_++;
-    flush();
-    return;
-  }
-  if (conn_.frames_in_flight() == 0) {
-    flushes_idle_++;
+  if (pending_bytes_ >= cfg_.batch_max_bytes || conn_.frames_in_flight() == 0) {
     flush();
     return;
   }
@@ -49,12 +43,6 @@ void Batcher::flush() {
   conn_.enqueue_frame(std::move(f));
 }
 
-void Batcher::on_pipeline_idle() {
-  if (closed_ || pending_.empty()) return;
-  flushes_idle_++;
-  flush();
-}
-
 void Batcher::close() {
   if (timer_armed_) {
     conn_.local().simulation().cancel(timer_);
@@ -76,8 +64,6 @@ void Batcher::arm_timer() {
 
 void Batcher::timer_fire() {
   timer_armed_ = false;
-  if (closed_) return;
-  flushes_delay_++;
   flush();
 }
 

@@ -35,20 +35,16 @@ class Batcher {
   /// Queue a message; may flush inline (bytes/idle triggers).
   void add(Message m);
 
-  /// Emit the pending batch as one frame now. No-op when empty.
+  /// Emit the pending batch as one frame now. No-op when empty or closed.
+  /// The connection calls it when its sender pipeline drains, rather than
+  /// let the batch sit on the delay timer.
   void flush();
-
-  /// Sender pipeline drained — flush rather than sit on the delay timer.
-  void on_pipeline_idle();
 
   /// Cancel the pending flush timer and discard pending messages (the
   /// connection is closing; parity with messages sitting in a closed tx
   /// queue). Nothing fires after close().
   void close();
 
-  std::uint64_t flushes_on_bytes() const { return flushes_bytes_; }
-  std::uint64_t flushes_on_idle() const { return flushes_idle_; }
-  std::uint64_t flushes_on_delay() const { return flushes_delay_; }
   std::size_t pending() const { return pending_.size(); }
 
  private:
@@ -62,9 +58,6 @@ class Batcher {
   sim::TimerToken timer_;
   bool timer_armed_ = false;
   bool closed_ = false;
-  std::uint64_t flushes_bytes_ = 0;
-  std::uint64_t flushes_idle_ = 0;
-  std::uint64_t flushes_delay_ = 0;
 };
 
 }  // namespace afc::net

@@ -23,7 +23,6 @@ Connection::~Connection() = default;
 void Connection::send(Message m) {
   if (local_.blackholed_) {
     // The sending daemon is "crashed": nothing leaves the node.
-    local_.blackholed_msgs_++;
     return;
   }
   sent_++;
@@ -57,7 +56,7 @@ void Connection::enqueue_frame(Frame f) {
 
 void Connection::frame_done() {
   frames_in_flight_--;
-  if (frames_in_flight_ == 0 && batcher_ != nullptr) batcher_->on_pipeline_idle();
+  if (frames_in_flight_ == 0 && batcher_ != nullptr) batcher_->flush();  // pipeline idle
 }
 
 void Connection::account_lost(const Frame& f) { inflight_ -= f.msgs.size(); }
@@ -175,7 +174,6 @@ sim::CoTask<void> Connection::deliver_frame(Frame f, bool via_shard) {
   if (remote_.blackholed_) {
     // The receiving daemon is "crashed": the frame reached the host but no
     // process consumes it. No CPU charged — dead daemons do no work.
-    remote_.blackholed_msgs_ += f.msgs.size();
     inflight_ -= f.msgs.size();
     co_return;
   }

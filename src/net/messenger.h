@@ -282,7 +282,6 @@ class Messenger {
   /// models the daemon restarting on the same messenger.
   void set_blackhole(bool dead) { blackholed_ = dead; }
   bool blackholed() const { return blackholed_; }
-  std::uint64_t blackholed_msgs() const { return blackholed_msgs_; }
 
   /// The connection *directions* this messenger initiated (both directions
   /// of every pair created by our connect()). The fault injector scans these
@@ -314,7 +313,6 @@ class Messenger {
   std::uint64_t next_rx_index_ = 0;  // stable per-endpoint connection index
   std::uint64_t delivered_ = 0;
   bool blackholed_ = false;
-  std::uint64_t blackholed_msgs_ = 0;
 };
 
 }  // namespace afc::net

@@ -49,7 +49,6 @@ class DebugLog {
   std::uint64_t emitted() const { return emitted_; }
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t written() const { return written_; }
-  Time writer_wait_ns() const { return writer_gate_.total_wait_ns(); }
 
  private:
   sim::CoTask<void> writer_loop();

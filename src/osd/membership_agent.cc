@@ -27,14 +27,15 @@ void send_msg(net::Connection& conn, int type, std::uint64_t size,
 }  // namespace
 
 MembershipAgent::MembershipAgent(Osd& osd, const mon::MembershipConfig& cfg,
-                                 net::Connection* mon_conn, std::vector<Osd*> roster,
+                                 net::Connection* mon_conn, const std::vector<Osd*>& roster,
                                  std::uint64_t seed)
     : sim_(osd.sim_),
       osd_(osd),
       cfg_(cfg),
       mon_conn_(mon_conn),
-      roster_(std::move(roster)),
+      roster_(roster),
       rng_(seed),
+      known_epoch_(osd.cmap_.epoch()),
       known_down_(osd.cmap_.crush().osd_count(), false) {}
 
 void MembershipAgent::start() {
@@ -239,7 +240,6 @@ void MembershipAgent::schedule_next() {
 }
 
 void MembershipAgent::report_failure(std::uint32_t target, bool laggy) {
-  if (mon_conn_ == nullptr) return;
   osd_.counters_.add(laggy ? "osd.laggy_reports" : "osd.failure_reports");
   auto body = std::make_shared<FailureReportMsg>();
   body->reporter = osd_.id();
@@ -249,7 +249,6 @@ void MembershipAgent::report_failure(std::uint32_t target, bool laggy) {
 }
 
 void MembershipAgent::send_beacon(bool boot) {
-  if (mon_conn_ == nullptr) return;
   osd_.counters_.add("osd.beacons");
   auto body = std::make_shared<MonBeaconMsg>();
   body->osd = osd_.id();
@@ -258,7 +257,7 @@ void MembershipAgent::send_beacon(bool boot) {
 }
 
 void MembershipAgent::request_map() {
-  if (mon_conn_ == nullptr || requested_epoch_ == known_epoch_) return;
+  if (requested_epoch_ == known_epoch_) return;
   requested_epoch_ = known_epoch_;  // one request per epoch we are stuck at
   osd_.counters_.add("osd.map_requests");
   send_msg(*mon_conn_, kMapRequest, 32, std::make_shared<MapRequestMsg>());

@@ -41,9 +41,11 @@ class MembershipAgent {
  public:
   /// Reports, beacons and map requests travel over `mon_conn` (deltas
   /// arrive on the monitor's own connection); `roster[i]` is the OSD with
-  /// id i, for delta-driven recovery.
+  /// id i, for delta-driven recovery: the membership plane's one roster,
+  /// shared by every agent, so OSDs added later are recovery targets too.
+  /// The agent starts out knowing the map's current epoch.
   MembershipAgent(Osd& osd, const mon::MembershipConfig& cfg, net::Connection* mon_conn,
-                  std::vector<Osd*> roster, std::uint64_t seed);
+                  const std::vector<Osd*>& roster, std::uint64_t seed);
 
   /// Baseline every peer at "seen now" and schedule the first tick.
   void start();
@@ -96,8 +98,8 @@ class MembershipAgent {
   sim::Simulation& sim_;
   Osd& osd_;
   mon::MembershipConfig cfg_;
-  net::Connection* mon_conn_;
-  std::vector<Osd*> roster_;
+  net::Connection* mon_conn_;  // never null
+  const std::vector<Osd*>& roster_;
   Rng rng_;
   std::vector<std::uint32_t> peers_;       // ascending CRUSH-adjacent ids
   std::map<std::uint32_t, PeerHb> state_;  // ordered: the tick iterates it
@@ -105,7 +107,7 @@ class MembershipAgent {
   sim::TimerToken tick_timer_;
   bool armed_ = false;
   bool running_ = false;
-  std::uint64_t known_epoch_ = 1;
+  std::uint64_t known_epoch_;
   std::uint64_t requested_epoch_ = 0;  // map-request dedup per stuck epoch
   std::vector<bool> known_down_;       // from the last applied delta
 };

@@ -883,8 +883,8 @@ sim::CoTask<void> Osd::recover_object(const fs::ObjectId& oid,
 }
 
 void Osd::attach_membership(const mon::MembershipConfig& cfg, net::Connection* mon_conn,
-                            std::vector<Osd*> roster, std::uint64_t seed) {
-  agent_ = std::make_unique<MembershipAgent>(*this, cfg, mon_conn, std::move(roster), seed);
+                            const std::vector<Osd*>& roster, std::uint64_t seed) {
+  agent_ = std::make_unique<MembershipAgent>(*this, cfg, mon_conn, roster, seed);
 }
 
 void Osd::on_crash() {

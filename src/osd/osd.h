@@ -147,9 +147,10 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
 
   // --- membership (MembershipMode::kDetected only) ----------------------
   /// Build this daemon's membership agent (it arms no timer until its
-  /// start()); an oracle-mode OSD never has one.
+  /// start()); only the detected plane (mon/plane.h) calls this, so an
+  /// oracle-mode OSD never has one. `roster` must outlive the agent.
   void attach_membership(const mon::MembershipConfig& cfg, net::Connection* mon_conn,
-                         std::vector<Osd*> roster, std::uint64_t seed);
+                         const std::vector<Osd*>& roster, std::uint64_t seed);
   /// The membership agent, or nullptr under kOracle.
   MembershipAgent* membership() { return agent_.get(); }
 

@@ -51,7 +51,6 @@ void QosScheduler::enqueue(WorkItem item, std::uint32_t tenant, std::uint64_t by
   t.q.push_back(Queued{std::move(item), sim_.now(), bytes});
   queued_++;
   stats_.enqueued++;
-  stats_.depth_hwm = std::max<std::uint64_t>(stats_.depth_hwm, queued_);
   pump();
 }
 

@@ -83,7 +83,6 @@ class QosScheduler {
     std::uint64_t reservation_grants = 0;  // phase-1 dispatches
     std::uint64_t weight_grants = 0;       // phase-2 dispatches
     std::uint64_t limit_deferrals = 0;     // pump passes that armed a timer
-    std::uint64_t depth_hwm = 0;           // max ops parked in tenant queues
   };
 
   /// `sink` receives each dispatched item together with its enqueue time

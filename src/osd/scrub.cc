@@ -22,7 +22,6 @@ class Scrubber {
       holders_ = position_holders(osds_, cmap_.acting(pg));
       const std::set<std::string> names = scheme_.census(holders_, pg);
       if (names.empty()) continue;
-      report_.pgs_scrubbed++;
       for (const std::string& name : names) {
         report_.objects_scrubbed++;
         const fs::ObjectId base{pg, name};

@@ -9,7 +9,6 @@ namespace afc::osd {
 
 /// What one deep scrub found and fixed, summed over every PG.
 struct ScrubReport {
-  std::uint64_t pgs_scrubbed = 0;
   std::uint64_t objects_scrubbed = 0;
   std::uint64_t inconsistent = 0;
   std::uint64_t missing = 0;

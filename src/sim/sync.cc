@@ -44,7 +44,6 @@ void Mutex::unlock() {
 
 bool Semaphore::try_acquire(std::uint64_t n) {
   if (!waiters_.empty() || available_ < n) return false;
-  acquires_++;
   available_ -= n;
   return true;
 }

@@ -200,7 +200,6 @@ class Semaphore {
    public:
     Acquire(Semaphore& s, std::uint64_t n) : s_(s), n_(n) {}
     bool await_ready() {
-      s_.acquires_++;
       if (s_.waiters_.empty() && s_.available_ >= n_) {
         s_.available_ -= n_;
         return true;
@@ -238,7 +237,6 @@ class Semaphore {
   std::uint64_t in_use() const { return capacity_ > available_ ? capacity_ - available_ : 0; }
   std::size_t waiters() const { return waiters_.size(); }
 
-  std::uint64_t total_acquires() const { return acquires_; }
   std::uint64_t blocked_acquires() const { return blocked_; }
   Time total_wait_ns() const { return total_wait_ns_; }
 
@@ -250,7 +248,6 @@ class Semaphore {
   std::uint64_t available_;
   std::uint64_t capacity_;
   WaitList<Acquire> waiters_;
-  std::uint64_t acquires_ = 0;
   std::uint64_t blocked_ = 0;
   Time total_wait_ns_ = 0;
 };
@@ -290,7 +287,6 @@ class OneShot {
     set_ = true;
     cv_.notify_all();
   }
-  bool is_set() const { return set_; }
 
  private:
   CondVar cv_;

@@ -1,7 +1,8 @@
 #include "solidfire/solidfire.h"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "core/trace.h"
 
 namespace afc::sf {
 
@@ -107,9 +108,7 @@ SolidFireCluster::Result SolidFireCluster::run(const client::WorkloadSpec& spec)
   Result out;
   if (ran_) return out;
   ran_ = true;
-  if (const char* v = std::getenv("AFC_SIM_PROFILE"); v != nullptr && v[0] != '\0' && v[0] != '0') {
-    sim_.enable_profiling();
-  }
+  if (trace::Collector::profile_requested()) sim_.enable_profiling();
   client::RunStats stats;
   stats.window_start = spec.warmup;
   stats.window_end = spec.warmup + spec.runtime;

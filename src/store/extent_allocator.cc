@@ -17,20 +17,16 @@ std::uint64_t ExtentAllocator::allocate(std::uint64_t len) {
     const std::uint64_t run = it->second;
     free_.erase(it);
     if (run > need) free_.emplace(off + need, run - need);
-    allocated_bytes_ += need;
     return off;
   }
   // Pool exhausted (or too fragmented for a contiguous run): overcommit.
-  overcommits_++;
   const std::uint64_t off = overcommit_pos_;
   overcommit_pos_ += need;
-  allocated_bytes_ += need;
   return off;
 }
 
 void ExtentAllocator::free(std::uint64_t off, std::uint64_t len) {
   const std::uint64_t bytes = round_up(len == 0 ? block_size_ : len);
-  allocated_bytes_ -= bytes < allocated_bytes_ ? bytes : allocated_bytes_;
   if (off >= pool_bytes_) return;  // overcommitted run: not pool-managed
   std::uint64_t start = off;
   std::uint64_t end = off + bytes;

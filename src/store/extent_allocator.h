@@ -10,8 +10,8 @@ namespace afc::store {
 /// Host-side bookkeeping only — the caller charges allocation CPU and the
 /// device writes. Never hard-fails: when the pool is exhausted (the model's
 /// device_bytes is a working-set bound, not a capacity simulation) it hands
-/// out monotonically growing offsets past the pool end and counts the
-/// overcommit, so a long bench degrades gracefully instead of wedging I/O.
+/// out monotonically growing offsets past the pool end, so a long bench
+/// degrades gracefully instead of wedging I/O.
 class ExtentAllocator {
  public:
   ExtentAllocator(std::uint64_t pool_bytes, std::uint64_t block_size);
@@ -26,10 +26,6 @@ class ExtentAllocator {
   /// free neighbours. Overcommitted (past-pool) runs are dropped silently.
   void free(std::uint64_t off, std::uint64_t len);
 
-  std::uint64_t allocated_bytes() const { return allocated_bytes_; }
-  std::uint64_t overcommits() const { return overcommits_; }
-  std::size_t fragments() const { return free_.size(); }
-
  private:
   std::uint64_t round_up(std::uint64_t len) const {
     return (len + block_size_ - 1) / block_size_ * block_size_;
@@ -38,9 +34,7 @@ class ExtentAllocator {
   std::uint64_t pool_bytes_;
   std::uint64_t block_size_;
   std::map<std::uint64_t, std::uint64_t> free_;  // offset -> run length
-  std::uint64_t allocated_bytes_ = 0;
   std::uint64_t overcommit_pos_;
-  std::uint64_t overcommits_ = 0;
 };
 
 }  // namespace afc::store

@@ -29,7 +29,6 @@ std::string FlashStore::onode_key(const fs::ObjectId& oid) {
 }
 
 sim::CoTask<void> FlashStore::read_cold_metadata(const fs::ObjectId& oid) {
-  if (counters_ != nullptr) counters_->add("flash.onode_reads");
   co_await kv_.get(onode_key(oid));
 }
 
@@ -277,7 +276,6 @@ sim::CoTask<bool> FlashStore::queue_transaction(fs::Transaction tx, std::uint64_
   if (has_deferred) {
     deferred_[seq].kv_pending = true;
     deferred_writes_++;
-    if (counters_ != nullptr) counters_->add("flash.deferred_writes");
   }
   meta_inflight_++;
   kv_queue_.push_back(std::move(meta));

@@ -373,9 +373,39 @@ TEST(OsdMechanism, SustainedClusterReadsPreexistingData) {
   });
 }
 
-TEST(OsdRecovery, DecommissionRereplicatesAndDataSurvives) {
-  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
+// decommission_osd and add_node run under both membership modes and must
+// move the same objects in both. Under detected membership the change also
+// reaches every agent and client as a monitor delta once the rebalance is
+// done; the epoch checks below fail if it does not.
+
+core::ClusterConfig recovery_cluster(mon::MembershipMode mode) {
+  auto cfg = tiny_cluster(core::Profile::afceph());
+  cfg.membership.mode = mode;
+  return cfg;
+}
+
+/// Under detected membership, every OSD has an agent, every live agent and
+/// every VM has learned the map's current epoch, and no agent re-ran the
+/// rebalance's recovery when the delta reached it.
+void expect_epoch_learned(core::ClusterSim& cluster) {
+  const std::uint64_t epoch = cluster.map().epoch();
+  for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+    const osd::MembershipAgent* agent = cluster.osd(i).membership();
+    ASSERT_NE(agent, nullptr) << "osd." << i;
+    if (cluster.osd(i).messenger().blackholed()) continue;  // a dead daemon learns nothing
+    EXPECT_EQ(agent->known_epoch(), epoch) << "osd." << i;
+    EXPECT_EQ(cluster.osd(i).counters().get("osd.map_backfills"), 0u) << "osd." << i;
+  }
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) {
+    EXPECT_EQ(cluster.vm(v).known_epoch(), epoch) << "vm." << v;
+  }
+}
+
+/// Decommission OSD 0 of a written cluster; returns the objects migrated.
+std::uint64_t decommission_case(mon::MembershipMode mode) {
+  core::ClusterSim cluster(recovery_cluster(mode));
   constexpr int kObjects = 48;
+  std::uint64_t migrated = 0;
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     for (int i = 0; i < kObjects; i++) {
@@ -384,8 +414,12 @@ TEST(OsdRecovery, DecommissionRereplicatesAndDataSurvives) {
     }
     co_await sim::delay(cluster.simulation(), 2 * kSecond);  // applies drain
 
-    const std::uint64_t migrated = co_await cluster.decommission_osd(0);
+    migrated = co_await cluster.decommission_osd(0);
     EXPECT_GT(migrated, 0u);
+    if (mode == mon::MembershipMode::kDetected) {
+      co_await sim::delay(cluster.simulation(), 100 * kMillisecond);  // the delta lands
+      expect_epoch_learned(cluster);
+    }
 
     // Placement no longer references OSD 0.
     for (std::uint32_t pg = 0; pg < cluster.config().pg_num; pg++) {
@@ -411,6 +445,16 @@ TEST(OsdRecovery, DecommissionRereplicatesAndDataSurvives) {
       }
     }
   });
+  return migrated;
+}
+
+TEST(OsdRecovery, DecommissionRereplicatesAndDataSurvives) {
+  decommission_case(mon::MembershipMode::kOracle);
+}
+
+TEST(OsdRecovery, DecommissionUnderDetectedMembership) {
+  EXPECT_EQ(decommission_case(mon::MembershipMode::kDetected),
+            decommission_case(mon::MembershipMode::kOracle));
 }
 
 TEST(OsdRecovery, BackfillSkipsACopyThatFailsItsCrc) {
@@ -442,8 +486,12 @@ TEST(OsdRecovery, BackfillSkipsACopyThatFailsItsCrc) {
   });
 }
 
-TEST(OsdRecovery, AddNodeRebalancesPgs) {
-  core::ClusterSim cluster(tiny_cluster(core::Profile::afceph()));
+/// Add a node to a written cluster; returns the objects migrated. Under
+/// detected membership a crash of an added OSD must then be detected like
+/// any other.
+std::uint64_t add_node_case(mon::MembershipMode mode) {
+  core::ClusterSim cluster(recovery_cluster(mode));
+  std::uint64_t migrated = 0;
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     for (int i = 0; i < 32; i++) {
@@ -452,7 +500,7 @@ TEST(OsdRecovery, AddNodeRebalancesPgs) {
     co_await sim::delay(cluster.simulation(), 2 * kSecond);
 
     const std::size_t before = cluster.osd_count();
-    co_await cluster.add_node();
+    migrated = co_await cluster.add_node();
     EXPECT_EQ(cluster.osd_count(), before + cluster.config().osds_per_node);
 
     // The new OSDs own a reasonable share of PGs.
@@ -472,6 +520,78 @@ TEST(OsdRecovery, AddNodeRebalancesPgs) {
                       .content_equals(Payload::pattern(4096, 70 + std::uint64_t(i))))
           << i;
     }
+    if (mode != mon::MembershipMode::kDetected) co_return;
+
+    // The added OSDs joined the membership plane: they have agents, they
+    // heartbeat, and everyone learned the expansion's epoch.
+    co_await sim::delay(cluster.simulation(), 200 * kMillisecond);
+    expect_epoch_learned(cluster);
+    for (std::size_t n = before; n < cluster.osd_count(); n++) {
+      EXPECT_GT(cluster.osd(n).counters().get("osd.hb_sent"), 0u) << "osd." << n;
+    }
+
+    // A crash of an added OSD is detected within hb_grace + 2*hb_interval.
+    const auto victim = std::uint32_t(before);
+    const Time crash_at = cluster.simulation().now() + 50 * kMillisecond;
+    cluster.install_faults(fault::FaultPlan{}.crash(crash_at, victim));
+    co_await sim::delay(cluster.simulation(), 500 * kMillisecond);
+    const mon::MembershipConfig& m = cluster.config().membership;
+    const auto& downs = cluster.monitor()->markdowns();
+    EXPECT_EQ(downs.size(), 1u);
+    if (downs.empty()) co_return;
+    EXPECT_EQ(downs[0].osd, victim);
+    EXPECT_GT(downs[0].at, crash_at);
+    EXPECT_LE(downs[0].at, crash_at + m.hb_grace + 2 * m.hb_interval);
+  });
+  return migrated;
+}
+
+TEST(OsdRecovery, AddNodeRebalancesPgs) { add_node_case(mon::MembershipMode::kOracle); }
+
+TEST(OsdRecovery, AddNodeUnderDetectedMembership) {
+  EXPECT_EQ(add_node_case(mon::MembershipMode::kDetected),
+            add_node_case(mon::MembershipMode::kOracle));
+}
+
+// After a mark-out, the EC member that filled the vacated position ranks
+// last in placement, so an expansion can drop it while it is still the
+// PG's recovery source (the first up member of the old set). The awaited
+// rebalance rebuilds its positions on the new OSD; the monitor delta that
+// follows must not make the dropped member rebuild them a second time.
+TEST(OsdRecovery, AddNodeAfterMarkOutRebuildsEachPositionOnce) {
+  core::ClusterConfig cfg = recovery_cluster(mon::MembershipMode::kDetected);
+  cfg.osd_nodes = 7;
+  cfg.osds_per_node = 1;
+  cfg.pg_num = 32;
+  cfg.ec_pool = true;
+  cfg.image_size = 512 * kMiB;
+  cfg.membership.down_out_interval = 1 * kSecond;
+  core::ClusterSim cluster(cfg);
+  const auto rebuilds = [&cluster] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+      n += cluster.osd(i).counters().get("osd.map_rebuilds");
+    }
+    return n;
+  };
+  drive(cluster, [&]() -> sim::CoTask<void> {
+    for (int i = 0; i < 32; i++) {
+      co_await cluster.vm(0).write_once(std::uint64_t(i) * 4 * kMiB,
+                                        Payload::pattern(16384, 70 + std::uint64_t(i)));
+    }
+    co_await sim::delay(cluster.simulation(), 2 * kSecond);
+    cluster.install_faults(
+        fault::FaultPlan{}.crash(cluster.simulation().now() + 50 * kMillisecond, 0));
+    co_await sim::delay(cluster.simulation(), 3 * kSecond);  // down, out, rebuilt
+    EXPECT_EQ(cluster.monitor()->markouts().size(), 1u);
+    const std::uint64_t before = rebuilds();
+    EXPECT_GT(before, 0u);
+
+    const std::uint64_t migrated = co_await cluster.add_node();
+    EXPECT_GT(migrated, 0u);
+    co_await sim::delay(cluster.simulation(), 200 * kMillisecond);
+    EXPECT_EQ(rebuilds(), before);
+    expect_epoch_learned(cluster);
   });
 }
 
