@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Heap-at-peak attribution for one perfbench workload.
 #
-#   scripts/heap_peak.sh <workload> [seconds] [top]
+#   scripts/heap_peak.sh <workload> [seconds] [top] [depth]
 #   scripts/heap_peak.sh rw4k-file 5 25
+#   scripts/heap_peak.sh rr4k-16n 3 20 2
 #
 # Builds scripts/heap_peak.c into an LD_PRELOAD shim with the system C
 # compiler, builds perfbench with debug info (RelWithDebInfo, so addr2line
@@ -11,7 +12,11 @@
 # re-arms the shim and writes its own heap-at-peak snapshot; the script
 # reports the repetition with the largest peak: its live heap at that peak,
 # then the `top` call sites by live bytes, each as its allocating frames
-# resolved through addr2line (innermost first).
+# resolved through addr2line (innermost first). With `depth` (1 to the
+# shim's 6 frames), sites whose innermost `depth` frames match are summed
+# into one entry with their total bytes and allocation count, and only
+# those frames print: thousands of identical allocations reached through
+# different callers then read as one line.
 #
 # The shim's 16-byte header and its unwinding slow the run several-fold and
 # raise its RSS, so read only the attribution from it, never wall time or
@@ -22,6 +27,7 @@ cd "$(dirname "$0")/.."
 WORKLOAD=${1:?usage: scripts/heap_peak.sh <workload> [seconds] [top]}
 SECONDS_ARG=${2:-5}
 TOP=${3:-25}
+DEPTH=${4:-0}
 OUT=.heap_peak
 BENCH=$OUT/build
 
@@ -39,11 +45,20 @@ HEAP_PEAK_OUT="$PWD/$OUT/snapshot" LD_PRELOAD="$PWD/$OUT/heap_peak.so" \
 best=$(grep -H '^peak ' "$OUT"/snapshot.* | sort -t' ' -k2,2n | tail -n 1 | cut -d: -f1)
 [ -n "$best" ] || { echo "heap_peak: no snapshot written" >&2; exit 1; }
 
-awk -v top="$TOP" '
+awk -v top="$TOP" -v depth="$DEPTH" '
+  # A site (or, with depth, the group of sites sharing their innermost
+  # frames) is keyed by its frames; bytes and counts add up per key.
+  function flush() {
+    if (!open) return
+    if (!(key in slot)) { n++; slot[key] = n; frames[n] = key }
+    bytes[slot[key]] += b; count[slot[key]] += c
+    open = 0
+  }
   $1 == "peak" { printf "live heap at peak: %.1f MiB\n", $2 / 1048576; next }
-  $1 == "site" { n++; bytes[n] = $2; count[n] = $3; frames[n] = ""; next }
-  $1 == "frame" { frames[n] = frames[n] $2 " " $3 "\n"; next }
+  $1 == "site" { flush(); open = 1; b = $2; c = $3; nf = 0; key = ""; next }
+  $1 == "frame" { if (depth == 0 || nf < depth) key = key $2 " " $3 "\n"; nf++; next }
   END {
+    flush()
     for (i = 1; i <= n; i++) order[i] = i;
     for (i = 1; i <= n && i <= top; i++)  # selection sort of the top entries
       for (j = i + 1; j <= n; j++)

@@ -9,15 +9,20 @@ namespace afc {
 
 /// Log-linear latency histogram (HdrHistogram-style): values are bucketed
 /// into power-of-two magnitude groups, each split into `kSubBuckets` linear
-/// sub-buckets, giving ~1.5% relative error across the full 64-bit range
-/// with a few KiB of memory. Used for all latency reporting.
+/// sub-buckets, giving ~1.5% relative error across the full 64-bit range.
+/// Used for all latency reporting.
+///
+/// Storage holds only the window [lo_, hi_) of whole 64-bucket groups
+/// between the smallest and largest magnitude recorded (512 bytes per
+/// group, at most 59 groups or 29.5 KiB), grown on demand. A histogram that
+/// never records allocates nothing, so the many per-OSD and per-device
+/// histograms a workload never touches cost only the object itself.
 class Histogram {
  public:
-  Histogram();
-
   void record(std::uint64_t value);
   void record_n(std::uint64_t value, std::uint64_t count);
   void merge(const Histogram& other);
+  /// Forget every value and release the storage.
   void clear();
 
   std::uint64_t count() const { return count_; }
@@ -38,8 +43,12 @@ class Histogram {
 
   static std::size_t bucket_index(std::uint64_t value);
   static std::uint64_t bucket_midpoint(std::size_t index);
+  /// Widen the stored window to include groups [lo, hi).
+  void cover(std::uint32_t lo, std::uint32_t hi);
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // bucket i at buckets_[i - lo_ * kSubBuckets]
+  std::uint32_t lo_ = 0;                // stored groups [lo_, hi_); empty when equal
+  std::uint32_t hi_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = ~0ull;

@@ -268,10 +268,12 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
   add_server();
   const std::size_t first_new = osds_.size();
   for (unsigned k = 0; k < cfg_.osds_per_node; k++) add_osd(node_index);
-  // Wire the new OSDs to everyone (existing OSDs and all VMs).
+  // Wire the new OSDs to everyone (existing OSDs and all VMs). A new OSD
+  // initiates to every existing one, and a pair of new OSDs is connected
+  // once, lower id first, as the constructor does.
   for (std::size_t n = first_new; n < osds_.size(); n++) {
     for (std::size_t o = 0; o < osds_.size(); o++) {
-      if (o == n) continue;
+      if (o == n || (o >= first_new && o < n)) continue;
       net::Connection* conn = osds_[n]->messenger().connect(osds_[o]->messenger(), cluster_net_);
       osds_[n]->add_peer(std::uint32_t(o), conn);
       osds_[o]->add_peer(std::uint32_t(n), conn->reverse());
@@ -283,6 +285,7 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
   }
   for (std::size_t n = first_new; n < osds_.size(); n++) {
     plane_->attach_osd(*osds_[n], cluster_net_);
+    if (injector_ != nullptr) injector_->attach_osd(*ssds_[n], osds_[n]->messenger());
   }
   plane_->start();
   co_return co_await plane_->rebalance(change);

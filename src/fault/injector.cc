@@ -37,6 +37,11 @@ void FaultInjector::install(const FaultPlan& plan) {
   }
 }
 
+void FaultInjector::attach_osd(dev::SsdModel& ssd, net::Messenger& messenger) {
+  ssds_.push_back(&ssd);
+  endpoints_.push_back(&messenger);
+}
+
 void FaultInjector::apply(std::size_t idx) {
   const FaultEvent& e = plan_.events[idx];
   if (e.osd >= osds_.size()) return;

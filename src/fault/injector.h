@@ -31,16 +31,21 @@ namespace afc::fault {
 /// membership leaves detection to heartbeats and the monitor.
 class FaultInjector {
  public:
-  /// Faults address the OSDs of `plane.roster()` at construction;
-  /// `ssds[i]` is OSD i's data device. `endpoints` is every messenger whose
-  /// connections may need link faults (all OSD messengers and, for
-  /// completeness, the clients' and the monitor's).
+  /// Faults address the OSDs of `plane.roster()`, read when each fault
+  /// fires; `ssds[i]` is OSD i's data device. `endpoints` is every
+  /// messenger whose connections may need link faults (all OSD messengers
+  /// and, for completeness, the clients' and the monitor's).
   FaultInjector(sim::Simulation& sim, cluster::ClusterMap& cmap, mon::MembershipPlane& plane,
                 std::vector<dev::SsdModel*> ssds, std::vector<net::Messenger*> endpoints,
                 std::uint64_t seed);
 
   /// Schedule every event of `plan` (callable once per injector).
   void install(const FaultPlan& plan);
+
+  /// Register an OSD added after construction (ClusterSim::add_node): its
+  /// data device and its messenger, whose connections then take link
+  /// faults. The OSD itself joins through the plane's roster.
+  void attach_osd(dev::SsdModel& ssd, net::Messenger& messenger);
 
   Counters& counters() { return counters_; }
   const FaultPlan& plan() const { return plan_; }
@@ -64,7 +69,7 @@ class FaultInjector {
   sim::Simulation& sim_;
   cluster::ClusterMap& cmap_;
   mon::MembershipPlane& plane_;
-  std::vector<osd::Osd*> osds_;
+  const std::vector<osd::Osd*>& osds_;  // the plane's roster
   std::vector<dev::SsdModel*> ssds_;
   std::vector<net::Messenger*> endpoints_;
   std::uint64_t seed_;

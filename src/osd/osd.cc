@@ -311,8 +311,7 @@ sim::CoTask<void> Osd::run_item_pending_queue(WorkItem item) {
   pg->busy = true;
   co_await process_item(item);
   while (!pg->pending.empty()) {
-    WorkItem next = std::move(pg->pending.front());
-    pg->pending.pop_front();
+    WorkItem next = pg->pending.pop_front();
     // The park counts as PG ordering wait, same stage as the community
     // scheme's lock wait — the two profiles stay comparable in a trace.
     if (next.trace_parked != 0) pg->trace_wait(item_span(next, id_), next.trace_parked, sim_.now());

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "osd/op.h"
 #include "sim/sync.h"
 
@@ -32,7 +32,7 @@ class Pg {
 
   // --- AFCeph pending queue (Fig. 5) ---------------------------------
   bool busy = false;
-  std::deque<WorkItem> pending;
+  RingQueue<WorkItem> pending;
   std::uint64_t pending_defers = 0;  // ops parked instead of blocking a worker
 
   // --- PG log ----------------------------------------------------------

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "sim/sync.h"
-#include "sim/task.h"
 
 namespace afc::sim {
 
@@ -17,66 +17,77 @@ namespace afc::sim {
 /// once the channel is closed and drained, which is how worker coroutines
 /// shut down cleanly at the end of a run.
 ///
-/// Storage is a power-of-two ring that stays unallocated until the first
-/// push and doubles when full, so an idle channel costs nothing and a busy
-/// one allocates nothing once it has reached its working depth.
+/// Storage is a RingQueue, so an idle channel costs nothing. push, pop and
+/// pop_all are CondVar::Until awaiters: a parked producer or consumer lives
+/// in its caller's coroutine frame and allocates nothing.
 template <class T>
 class Channel {
+  /// `pop()`: ready once an item is queued or the channel closed.
+  struct PopOne {
+    Channel* ch;
+    bool ready() const { return !ch->q_.empty() || ch->closed_; }
+    std::optional<T> resume() {
+      if (ch->q_.empty()) return std::nullopt;
+      std::optional<T> v(ch->q_.pop_front());
+      ch->not_full_.notify_one();
+      return v;
+    }
+  };
+  /// `pop_all()`: the same wait, then the whole backlog.
+  struct PopAll {
+    Channel* ch;
+    bool ready() const { return !ch->q_.empty() || ch->closed_; }
+    std::vector<T> resume() {
+      std::vector<T> out = ch->take_all();
+      if (!out.empty()) ch->not_full_.notify_all();
+      return out;
+    }
+  };
+  /// `push(v)`: ready while there is room; each check that finds the
+  /// channel full counts one blocked push.
+  struct PushOne {
+    Channel* ch;
+    T v;
+    bool ready() {
+      if (ch->capacity_ != 0 && ch->q_.size() >= ch->capacity_ && !ch->closed_) {
+        ch->blocked_pushes_++;
+        return false;
+      }
+      return true;
+    }
+    void resume() {
+      if (ch->closed_) std::abort();
+      ch->enqueue(std::move(v));
+    }
+  };
+
  public:
   Channel(Simulation& sim, std::size_t capacity = 0)
       : capacity_(capacity), not_empty_(sim), not_full_(sim) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-  ~Channel() {
-    while (size_ != 0) pop_front();
-    release();
-  }
 
   /// Blocking push (suspends while full). Pushing to a closed channel is a
   /// programming error and aborts.
-  CoTask<void> push(T v) {
-    while (capacity_ != 0 && size_ >= capacity_ && !closed_) {
-      blocked_pushes_++;
-      co_await not_full_.wait();
-    }
-    if (closed_) std::abort();
-    push_back(std::move(v));
-    pushes_++;
-    if (size_ > max_depth_) max_depth_ = size_;
-    not_empty_.notify_one();
-  }
+  CondVar::Until<PushOne> push(T v) { return not_full_.until(PushOne{this, std::move(v)}); }
 
   /// Non-blocking push; returns false when full or closed.
   bool try_push(T v) {
     if (closed_) return false;
-    if (capacity_ != 0 && size_ >= capacity_) return false;
-    push_back(std::move(v));
-    pushes_++;
-    if (size_ > max_depth_) max_depth_ = size_;
-    not_empty_.notify_one();
+    if (capacity_ != 0 && q_.size() >= capacity_) return false;
+    enqueue(std::move(v));
     return true;
   }
 
   /// Blocking pop; nullopt when closed and empty.
-  CoTask<std::optional<T>> pop() {
-    while (size_ == 0 && !closed_) co_await not_empty_.wait();
-    if (size_ == 0) co_return std::nullopt;
-    T v = pop_front();
-    not_full_.notify_one();
-    co_return std::optional<T>(std::move(v));
-  }
+  CondVar::Until<PopOne> pop() { return not_empty_.until(PopOne{this}); }
 
   /// Blocking drain: suspends until at least one item is queued (or the
   /// channel closes), then returns everything queued at that moment. One
   /// wakeup serves the whole backlog — the sharded-dispatch receive model,
   /// where a shard worker amortizes its wakeup cost over every frame that
   /// arrived while it slept. An empty result means closed-and-drained.
-  CoTask<std::vector<T>> pop_all() {
-    while (size_ == 0 && !closed_) co_await not_empty_.wait();
-    std::vector<T> out = take_all();
-    if (!out.empty()) not_full_.notify_all();
-    co_return out;
-  }
+  CondVar::Until<PopAll> pop_all() { return not_empty_.until(PopAll{this}); }
 
   /// Drain everything currently queued without blocking.
   std::vector<T> drain() {
@@ -85,6 +96,8 @@ class Channel {
     return out;
   }
 
+  /// Close the channel: every parked consumer, then every parked producer,
+  /// wakes in FIFO order.
   void close() {
     closed_ = true;
     not_empty_.notify_all();
@@ -92,10 +105,10 @@ class Channel {
   }
 
   bool closed() const { return closed_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return q_.size(); }
+  bool empty() const { return q_.empty(); }
   /// Slots the ring has allocated (0 until the first push).
-  std::size_t ring_slots() const { return slots_; }
+  std::size_t ring_slots() const { return q_.slots(); }
   std::size_t capacity() const { return capacity_; }
 
   std::uint64_t total_pushes() const { return pushes_; }
@@ -103,50 +116,24 @@ class Channel {
   std::size_t max_depth() const { return max_depth_; }
 
  private:
-  void push_back(T v) {
-    if (size_ == slots_) grow();
-    std::construct_at(&ring_[(head_ + size_) & (slots_ - 1)], std::move(v));
-    size_++;
-  }
-  T pop_front() {
-    T& slot = ring_[head_];
-    T v = std::move(slot);
-    std::destroy_at(&slot);
-    head_ = (head_ + 1) & (slots_ - 1);
-    size_--;
-    return v;
+  void enqueue(T v) {
+    q_.push_back(std::move(v));
+    pushes_++;
+    if (q_.size() > max_depth_) max_depth_ = q_.size();
+    not_empty_.notify_one();
   }
   std::vector<T> take_all() {
     std::vector<T> out;
-    out.reserve(size_);
-    while (size_ != 0) out.push_back(pop_front());
+    out.reserve(q_.size());
+    while (!q_.empty()) out.push_back(q_.pop_front());
     return out;
-  }
-  void grow() {
-    const std::size_t n = slots_ == 0 ? 4 : slots_ * 2;
-    T* bigger = std::allocator<T>().allocate(n);
-    for (std::size_t i = 0; i < size_; i++) {
-      T& from = ring_[(head_ + i) & (slots_ - 1)];
-      std::construct_at(&bigger[i], std::move(from));
-      std::destroy_at(&from);
-    }
-    release();
-    ring_ = bigger;
-    slots_ = n;
-    head_ = 0;
-  }
-  void release() {
-    if (ring_ != nullptr) std::allocator<T>().deallocate(ring_, slots_);
   }
 
   std::size_t capacity_;
-  T* ring_ = nullptr;  // slots_ entries; [head_, head_ + size_) mod slots_ are live
-  std::size_t slots_ = 0;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  RingQueue<T> q_;
   bool closed_ = false;
-  CondVar not_empty_;
-  CondVar not_full_;
+  CondVar not_empty_;  // parked pop / pop_all awaiters
+  CondVar not_full_;   // parked push awaiters
   std::uint64_t pushes_ = 0;
   std::uint64_t blocked_pushes_ = 0;
   std::size_t max_depth_ = 0;

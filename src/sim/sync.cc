@@ -8,6 +8,12 @@ void CondVar::notify_one() {
   // A timed waiter's deadline event is dropped off the wheel right here,
   // instead of executing as a tombstone at the deadline.
   if (n->deadline != nullptr) sim_.cancel(*n->deadline);
+  if (n->on_wake != nullptr) {
+    // An Until re-checks its condition when the event runs; it lives in its
+    // suspended caller's frame until then.
+    sim_.schedule_after(0, [n] { n->on_wake(n); }, "sync.cv_notify");
+    return;
+  }
   const auto h = n->handle;
   sim_.schedule_after(0, [h] { h.resume(); }, "sync.cv_notify");
 }
@@ -83,10 +89,6 @@ void WaitGroup::done() {
     outstanding_--;
     if (outstanding_ == 0) cv_.notify_all();
   }
-}
-
-CoTask<void> WaitGroup::wait() {
-  while (outstanding_ > 0) co_await cv_.wait();
 }
 
 }  // namespace afc::sim

@@ -2,6 +2,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -23,10 +24,45 @@ class CondVar {
   struct Node : WaitLink {
     std::coroutine_handle<> handle;
     TimerToken* deadline = nullptr;  // a timed waiter's timeout event; null for wait()
+    void (*on_wake)(Node*) = nullptr;  // an Until's re-check; null resumes `handle`
   };
 
  public:
   explicit CondVar(Simulation& sim) : sim_(sim) {}
+
+  /// `co_await cv.until(cond)` is `while (!cond.ready()) co_await cv.wait();`
+  /// followed by `cond.resume()`, the await's result, without the coroutine
+  /// frame such a loop needs: the awaiter parks in its caller's frame. A
+  /// notify unlinks it and schedules the same zero-delay "sync.cv_notify"
+  /// event a plain waiter gets; when that event runs and `ready()` is false
+  /// again (another coroutine got there first), the awaiter re-links at the
+  /// tail without resuming, exactly where the loop's next wait() would
+  /// queue. `ready()` runs once before the first suspension and once per
+  /// wake, as the loop's condition does. See docs/MODEL.md ("Simulator
+  /// core").
+  template <class Cond>
+  class [[nodiscard]] Until : Node {
+   public:
+    Until(CondVar& cv, Cond cond) : cv_(cv), cond_(std::move(cond)) {}
+    bool await_ready() { return cond_.ready(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      on_wake = [](Node* n) { static_cast<Until*>(n)->wake(); };
+      cv_.waiters_.push_back(this);
+    }
+    decltype(auto) await_resume() { return cond_.resume(); }
+
+   private:
+    void wake() {
+      if (cond_.ready()) {
+        handle.resume();
+      } else {
+        cv_.waiters_.push_back(this);
+      }
+    }
+    CondVar& cv_;
+    Cond cond_;
+  };
 
   class Waiter : Node {
    public:
@@ -75,6 +111,12 @@ class CondVar {
 
   /// Suspend until notified or `timeout` ns pass; see TimedWaiter.
   TimedWaiter wait_for(Time timeout) { return TimedWaiter(*this, timeout); }
+
+  /// Suspend until `cond.ready()` holds after a notify; see Until.
+  template <class Cond>
+  Until<Cond> until(Cond cond) {
+    return Until<Cond>(*this, std::move(cond));
+  }
 
   void notify_one();
   void notify_all();
@@ -255,12 +297,18 @@ class Semaphore {
 /// Fork/join helper: add() before spawning, done() in each task, and
 /// `co_await wg.wait()` to join.
 class WaitGroup {
+  struct Joined {
+    const WaitGroup* wg;
+    bool ready() const { return wg->outstanding_ == 0; }
+    void resume() const {}
+  };
+
  public:
   explicit WaitGroup(Simulation& sim) : cv_(sim) {}
 
   void add(std::uint64_t n = 1) { outstanding_ += n; }
   void done();
-  CoTask<void> wait();
+  CondVar::Until<Joined> wait() { return cv_.until(Joined{this}); }
   std::uint64_t outstanding() const { return outstanding_; }
 
  private:
@@ -271,18 +319,29 @@ class WaitGroup {
 /// One-shot event: wait() suspends until set() is called (then never blocks
 /// again). Used for per-op completion signalling.
 class OneShot {
+  struct IsSet {
+    const OneShot* o;
+    bool ready() const { return o->set_; }
+    void resume() const {}
+  };
+
  public:
+  /// A timed wait that does not suspend once set() has been called.
+  class TimedWait : public CondVar::TimedWaiter {
+   public:
+    TimedWait(OneShot& o, Time timeout) : TimedWaiter(o.cv_, timeout), o_(o) {}
+    bool await_ready() const noexcept { return o_.set_; }
+
+   private:
+    const OneShot& o_;
+  };
+
   explicit OneShot(Simulation& sim) : cv_(sim) {}
-  CoTask<void> wait() {
-    while (!set_) co_await cv_.wait();
-  }
+  CondVar::Until<IsSet> wait() { return cv_.until(IsSet{this}); }
   /// Wait with a deadline: TimedOut::kNo if set() arrived within `timeout`
   /// ns, TimedOut::kYes otherwise. Only set() notifies, so a single timed
   /// wait suffices (no spurious wakeups).
-  CoTask<TimedOut> wait_for(Time timeout) {
-    if (!set_) co_await cv_.wait_for(timeout);
-    co_return set_ ? TimedOut::kNo : TimedOut::kYes;
-  }
+  TimedWait wait_for(Time timeout) { return TimedWait(*this, timeout); }
   void set() {
     set_ = true;
     cv_.notify_all();

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -14,6 +17,7 @@
 #include "common/histogram.h"
 #include "common/interned.h"
 #include "common/payload.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -170,6 +174,200 @@ TEST(Histogram, HugeValues) {
   const std::uint64_t big = 1ull << 62;
   h.record(big);
   EXPECT_NEAR(double(h.percentile(0.5)), double(big), double(big) / 32.0);
+}
+
+// The histogram as it was before it stored only its recorded groups: every
+// bucket of every magnitude group, zero-filled at construction.
+class DenseHistogram {
+ public:
+  void record_n(std::uint64_t value, std::uint64_t n) {
+    if (n == 0) return;
+    buckets_[index(value)] += n;
+    count_ += n;
+    sum_ += value * n;
+    if (value < min_) min_ = value;
+    if (value > max_) max_ = value;
+  }
+  void merge(const DenseHistogram& o) {
+    for (std::size_t i = 0; i < buckets_.size(); i++) buckets_[i] += o.buckets_[i];
+    count_ += o.count_;
+    sum_ += o.sum_;
+    if (o.count_) {
+      if (o.min_ < min_) min_ = o.min_;
+      if (o.max_ > max_) max_ = o.max_;
+    }
+  }
+  void clear() { *this = DenseHistogram(); }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t min() const { return count_ ? min_ : 0; }
+  std::uint64_t max() const { return max_; }
+  double mean() const { return count_ ? double(sum_) / double(count_) : 0.0; }
+  std::uint64_t percentile(double q) const {
+    if (count_ == 0) return 0;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const auto target = std::uint64_t(q * double(count_ - 1)) + 1;
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); i++) {
+      seen += buckets_[i];
+      if (seen >= target) return midpoint(i);
+    }
+    return max_;
+  }
+
+ private:
+  static std::size_t index(std::uint64_t v) {
+    if (v < 64) return std::size_t(v);
+    const int magnitude = std::bit_width(v) - 6;
+    return std::size_t(magnitude) * 64 + std::size_t(v >> magnitude);
+  }
+  static std::uint64_t midpoint(std::size_t i) {
+    const std::size_t magnitude = i / 64;
+    const std::uint64_t sub = i % 64;
+    if (magnitude == 0) return sub;
+    return (sub << magnitude) + ((1ull << magnitude) >> 1);
+  }
+  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(59 * 64, 0);
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = ~0ull;
+  std::uint64_t max_ = 0;
+};
+
+// Storing only the recorded groups changes no answer: records across the
+// whole 64-bit range, merges of disjoint and overlapping windows in both
+// directions, self-merges and clears, each checked against the dense
+// histogram at many quantiles.
+TEST(Histogram, LazyGroupsMatchDenseReference) {
+  constexpr int kHists = 3;
+  Histogram lazy[kHists];
+  DenseHistogram dense[kHists];
+  Rng rng(25);
+  std::vector<double> qs = {0.0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0};
+  for (int i = 0; i < 40; i++) qs.push_back(rng.uniform());
+  int step = 0;
+  const auto check = [&] {
+    step++;
+    for (int h = 0; h < kHists; h++) {
+      ASSERT_EQ(lazy[h].count(), dense[h].count()) << "step " << step << " hist " << h;
+      ASSERT_EQ(lazy[h].min(), dense[h].min()) << "step " << step;
+      ASSERT_EQ(lazy[h].max(), dense[h].max()) << "step " << step;
+      ASSERT_EQ(lazy[h].mean(), dense[h].mean()) << "step " << step;
+      for (double q : qs) {
+        ASSERT_EQ(lazy[h].percentile(q), dense[h].percentile(q)) << "step " << step << " q " << q;
+      }
+    }
+  };
+  // A value of magnitude group in [lo, hi] (group 0 holds 0..63).
+  const auto value_in = [&](unsigned lo, unsigned hi) -> std::uint64_t {
+    const auto g = unsigned(rng.uniform_int(lo, hi));
+    if (g == 0) return rng.uniform_int(0, 63);
+    return (rng.next() | (1ull << 63)) >> (58 - g);
+  };
+  const auto record = [&](int h, std::uint64_t v, std::uint64_t n) {
+    lazy[h].record_n(v, n);
+    dense[h].record_n(v, n);
+  };
+  const auto merge = [&](int into, int from) {
+    lazy[into].merge(lazy[from]);
+    dense[into].merge(dense[from]);
+  };
+  const auto clear = [&](int h) {
+    lazy[h].clear();
+    dense[h].clear();
+  };
+
+  check();  // empty histograms
+  merge(0, 1);  // empty into empty
+  check();
+  // Disjoint windows, the lower merged into the higher and back.
+  for (int i = 0; i < 50; i++) record(0, value_in(2, 6), 1);
+  for (int i = 0; i < 50; i++) record(1, value_in(30, 40), 1 + rng.uniform_int(0, 3));
+  check();
+  merge(1, 0);  // widens downwards
+  check();
+  for (int i = 0; i < 50; i++) record(2, value_in(50, 58), 1);
+  merge(0, 2);  // widens upwards past a gap
+  check();
+  // Overlapping windows in both directions, then self-merges.
+  for (int i = 0; i < 50; i++) record(2, value_in(35, 55), 2);
+  merge(2, 1);
+  check();
+  merge(1, 2);
+  check();
+  merge(1, 1);
+  check();
+  clear(0);
+  check();
+  merge(2, 0);  // an empty histogram merged in
+  check();
+  merge(0, 2);  // into a cleared one
+  check();
+
+  for (int round = 0; round < 2000; round++) {
+    const int h = int(rng.uniform_int(0, kHists - 1));
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+        merge(h, int(rng.uniform_int(0, kHists - 1)));
+        break;
+      case 1:
+        if (rng.chance(0.2)) clear(h);
+        break;
+      case 2:
+        record(h, rng.next(), rng.uniform_int(0, 4));
+        break;
+      default: {
+        const auto lo = unsigned(rng.uniform_int(0, 58));
+        record(h, value_in(lo, std::min(58u, lo + 6)), 1);
+      }
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  record(0, 0, 1);
+  record(0, ~0ull, 1);
+  check();
+}
+
+// Random pushes and pops against std::deque: bursts grow the ring while
+// its live range wraps, and a drained ring keeps its slots.
+TEST(RingQueue, MatchesDequeAcrossWrapAndGrowth) {
+  RingQueue<std::string> q;
+  EXPECT_EQ(q.slots(), 0u);  // nothing allocated before the first push
+  std::deque<std::string> ref;
+  q.push_back("first");
+  ref.push_back("first");
+  EXPECT_EQ(q.slots(), 1u);  // then one slot, doubling when full
+  Rng rng(31);
+  int next = 0;
+  std::size_t max_size = 0;
+  for (int round = 0; round < 2000; round++) {
+    const auto pushes = rng.uniform_int(0, round % 97 == 96 ? 60 : 5);
+    for (std::uint64_t i = 0; i < pushes; i++) {
+      const std::string n = std::to_string(next++);
+      const std::string v = "item-" + n;
+      q.push_back(v);
+      ref.push_back(v);
+    }
+    max_size = std::max(max_size, ref.size());
+    const auto pops = rng.uniform_int(0, 6);
+    for (std::uint64_t i = 0; i < pops && !ref.empty(); i++) {
+      ASSERT_EQ(q.pop_front(), ref.front());
+      ref.pop_front();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+  }
+  const std::size_t slots = q.slots();
+  EXPECT_GE(slots, max_size);
+  EXPECT_LT(slots, 2 * max_size);        // doubles only when full
+  EXPECT_EQ(slots & (slots - 1), 0u);  // a power of two
+  while (!ref.empty()) {
+    ASSERT_EQ(q.pop_front(), ref.front());
+    ref.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slots(), slots);
 }
 
 TEST(TimeSeries, RatesPerInterval) {

@@ -553,6 +553,50 @@ TEST(OsdRecovery, AddNodeUnderDetectedMembership) {
             add_node_case(mon::MembershipMode::kOracle));
 }
 
+// Every OSD pair has one connection pair, added nodes included: the
+// OSD messengers hold two directions per pair, and each OSD receives from
+// its peers and the VMs once each.
+TEST(OsdRecovery, AddNodeConnectsEachNewPairOnce) {
+  core::ClusterSim cluster(recovery_cluster(mon::MembershipMode::kOracle));
+  drive(cluster, [&]() -> sim::CoTask<void> { co_await cluster.add_node(); });
+  const std::size_t n = cluster.osd_count();
+  ASSERT_EQ(n, 6u);
+  std::size_t directions = 0;
+  for (std::size_t i = 0; i < n; i++) directions += cluster.osd(i).messenger().connections().size();
+  EXPECT_EQ(directions, n * (n - 1));
+  for (std::size_t i = 0; i < n; i++) {
+    EXPECT_EQ(cluster.osd(i).messenger().rx_connections(), (n - 1) + cluster.vm_count())
+        << "osd." << i;
+  }
+}
+
+// A plan installed before add_node reaches the added OSDs: a crash of one
+// blackholes it and runs the crash path (the oracle marks it down), and a
+// partition between two of them finds the connection the first initiated.
+TEST(OsdRecovery, FaultPlanReachesOsdsAddedLater) {
+  core::ClusterSim cluster(recovery_cluster(mon::MembershipMode::kOracle));
+  const std::uint32_t victim = std::uint32_t(cluster.osd_count());
+  const std::uint32_t peer = victim + 1;
+  const Time at = cluster.simulation().now() + 1 * kSecond;
+  auto& injector = cluster.install_faults(
+      fault::FaultPlan{}.crash(at, victim).link_partition(at, peer, victim, 10 * kSecond));
+  std::size_t faulted = 0;
+  drive(cluster, [&]() -> sim::CoTask<void> {
+    co_await cluster.add_node();
+    EXPECT_LT(cluster.simulation().now(), at);
+    co_await sim::delay(cluster.simulation(), at + 100 * kMillisecond - cluster.simulation().now());
+    for (const auto& c : cluster.osd(victim).messenger().connections()) {
+      if (&c->remote() == &cluster.osd(peer).messenger() && c->fault().any()) faulted++;
+    }
+  });
+  ASSERT_EQ(cluster.osd_count(), std::size_t(peer) + 1);
+  EXPECT_EQ(injector.counters().get("fault.osd_crash"), 1u);
+  EXPECT_TRUE(cluster.osd(victim).messenger().blackholed());
+  EXPECT_FALSE(cluster.map().crush().osds()[victim].up);
+  EXPECT_EQ(injector.counters().get("fault.link_partition"), 1u);
+  EXPECT_EQ(faulted, 1u);  // the partition was still in force
+}
+
 // After a mark-out, the EC member that filled the vacated position ranks
 // last in placement, so an expansion can drop it while it is still the
 // PG's recovery source (the first up member of the old set). The awaited

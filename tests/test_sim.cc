@@ -524,6 +524,102 @@ TEST(Channel, RingMatchesDequeAcrossWrapGrowthAndDrains) {
   EXPECT_EQ(ch.total_pushes(), std::uint64_t(next));
 }
 
+// A consumer woken by a push loses the item to an inline pop before its
+// wake event runs; it must park again at the tail, behind the consumers
+// that were already waiting. Returns the resume log: "<who>@<time>=<items>".
+std::vector<std::string> lost_wakeup_log() {
+  Simulation sim;
+  Channel<int> ch(sim);
+  std::vector<std::string> log;
+  const auto note = [&](const std::string& who, const std::string& what) {
+    log.push_back(who + "@" + std::to_string(sim.now()) + "=" + what);
+  };
+  const auto consumer = [&](std::string who) -> CoTask<void> {
+    for (;;) {
+      auto v = co_await ch.pop();
+      note(who, v ? std::to_string(*v) : "end");
+      if (!v) break;
+    }
+  };
+  const auto batch_consumer = [&](std::string who) -> CoTask<void> {
+    for (;;) {
+      auto batch = co_await ch.pop_all();
+      std::string items;
+      for (int v : batch) items += std::to_string(v) + ",";
+      note(who, batch.empty() ? "end" : items);
+      if (batch.empty()) break;
+    }
+  };
+  const auto thief = [&]() -> CoTask<void> {
+    auto v = co_await ch.pop();
+    note("thief", v ? std::to_string(*v) : "end");
+  };
+  spawn(consumer("a"));
+  spawn(consumer("b"));
+  spawn(consumer("c"));
+  spawn(batch_consumer("d"));
+  sim.schedule_after(10, [&] {
+    ch.try_push(1);  // wakes a
+    spawn(thief());  // takes 1 before a's wake event runs
+  });
+  sim.schedule_after(20, [&] {
+    ch.try_push(2);
+    ch.try_push(3);
+  });
+  sim.schedule_after(30, [&] {
+    ch.try_push(4);
+    spawn(thief());
+    ch.try_push(5);
+    ch.try_push(6);
+  });
+  sim.schedule_after(40, [&] {
+    ch.try_push(7);
+    spawn(thief());
+  });
+  sim.schedule_after(50, [&] { ch.close(); });
+  sim.run();
+  return log;
+}
+
+// The log was captured from the channel whose pop() was a coroutine looping
+// on a CondVar; the frame-free awaiters must resume in the same order.
+TEST(Channel, LostWakeupReparksAtTailLikeTheWaitLoop) {
+  const std::vector<std::string> golden = {
+      "thief@10=1", "b@20=2",  "b@20=3",  "thief@30=4", "d@30=5,6,",
+      "thief@40=7", "d@50=end", "a@50=end", "b@50=end",  "c@50=end",
+  };
+  EXPECT_EQ(lost_wakeup_log(), golden);
+}
+
+// close() wakes every parked pop() and pop_all() consumer with an empty
+// result, in the order they parked.
+TEST(Channel, CloseWakesEveryParkedConsumerInFifoOrder) {
+  Simulation sim;
+  Channel<int> ch(sim);
+  std::vector<std::string> woke;
+  const auto pop = [&](std::string who) -> CoTask<void> {
+    auto v = co_await ch.pop();
+    EXPECT_FALSE(v.has_value()) << who;
+    EXPECT_EQ(sim.now(), 5u) << who;
+    woke.push_back(who);
+  };
+  const auto pop_all = [&](std::string who) -> CoTask<void> {
+    auto batch = co_await ch.pop_all();
+    EXPECT_TRUE(batch.empty()) << who;
+    EXPECT_EQ(sim.now(), 5u) << who;
+    woke.push_back(who);
+  };
+  spawn(pop("p1"));
+  spawn(pop_all("q1"));
+  spawn(pop("p2"));
+  spawn(pop("p3"));
+  spawn(pop_all("q2"));
+  sim.schedule_after(5, [&] { ch.close(); });
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<std::string>{"p1", "q1", "p2", "p3", "q2"}));
+  EXPECT_TRUE(ch.empty());
+}
+
 TEST(Channel, StatsTrackDepthAndPushes) {
   Simulation sim;
   Channel<int> ch(sim);
