@@ -3,13 +3,14 @@
 #
 # Builds <base-ref> in a git worktree under build/perf_ab and the working
 # tree beside it (both Release), then runs the identity set on each side:
-# the benches fig01, fig03, fig09, fig10, fig11, fig12, fig15, fig16, fig17
-# and chaos (the whole mode matrix), and the examples failure_recovery and
-# cluster_expansion, with all AFC_* variables cleared. Each
-# program's stdout is compared with cmp, and both sides' wall seconds and
-# peak RSS (MiB, the process's ru_maxrss read through python3's resource
-# module) are printed. Exits non-zero when any stdout differs or any
-# program fails.
+# the benches fig01, fig03, fig09, fig10, fig11, fig12, fig13, fig14, fig15,
+# fig16, fig17 and chaos (the whole mode matrix), and the examples
+# failure_recovery and cluster_expansion, with all AFC_* variables cleared.
+# fig13 is the only figure that drives sharded receive, batching and the
+# bypass transport at 16 OSDs. Each program's stdout is compared with cmp,
+# and both sides' wall seconds and peak RSS (MiB, the process's ru_maxrss
+# read through python3's resource module) are printed. Exits non-zero when
+# any stdout differs or any program fails.
 #
 # Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
 set -euo pipefail
@@ -20,7 +21,8 @@ root="$PWD"
 out="$root/build/perf_ab"
 # Paths under a build tree; each file name is also its CMake target.
 programs=(bench/fig01_baseline bench/fig03_latency_breakdown bench/fig09_ladder
-          bench/fig10_vm_sweep bench/fig11_solidfire bench/fig12_scaleout bench/fig15_ec
+          bench/fig10_vm_sweep bench/fig11_solidfire bench/fig12_scaleout
+          bench/fig13_transport bench/fig14_qos bench/fig15_ec
           bench/fig16_store bench/fig17_membership bench/chaos
           examples/failure_recovery examples/cluster_expansion)
 targets=("${programs[@]##*/}")

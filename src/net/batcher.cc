@@ -4,15 +4,14 @@
 
 namespace afc::net {
 
-Batcher::Batcher(Connection& conn, const Connection::Config& cfg)
-    : conn_(conn), cfg_(cfg) {}
+Batcher::Batcher(Connection& conn) : conn_(conn) {}
 
 Batcher::~Batcher() = default;
 
 void Batcher::add(Message m) {
   pending_bytes_ += m.size;
   pending_.push_back(std::move(m));
-  if (pending_bytes_ >= cfg_.batch_max_bytes || conn_.frames_in_flight() == 0) {
+  if (pending_bytes_ >= conn_.config().batch_max_bytes || conn_.frames_in_flight() == 0) {
     flush();
     return;
   }
@@ -38,7 +37,7 @@ void Batcher::flush() {
       }
     }
   }
-  f.wire_size = pending_bytes_ + cfg_.frame_header_bytes;
+  f.wire_size = pending_bytes_ + conn_.config().frame_header_bytes;
   pending_bytes_ = 0;
   conn_.enqueue_frame(std::move(f));
 }
@@ -59,7 +58,7 @@ void Batcher::close() {
 void Batcher::arm_timer() {
   timer_armed_ = true;
   timer_ = conn_.local().simulation().schedule_after(
-      cfg_.batch_max_delay, [b = this] { b->timer_fire(); }, "net.batch_flush");
+      conn_.config().batch_max_delay, [b = this] { b->timer_fire(); }, "net.batch_flush");
 }
 
 void Batcher::timer_fire() {

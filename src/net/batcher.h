@@ -27,7 +27,7 @@ namespace afc::net {
 ///              the Nagle timer).
 class Batcher {
  public:
-  Batcher(Connection& conn, const Connection::Config& cfg);
+  explicit Batcher(Connection& conn);
   ~Batcher();
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
@@ -52,7 +52,6 @@ class Batcher {
   void timer_fire();
 
   Connection& conn_;
-  const Connection::Config& cfg_;
   std::vector<Message> pending_;
   std::uint64_t pending_bytes_ = 0;
   sim::TimerToken timer_;

@@ -1,21 +1,32 @@
 #include "net/messenger.h"
 
 #include <algorithm>
+#include <unordered_map>
 
+#include "common/rng.h"
 #include "common/stage_names.h"
 #include "net/batcher.h"
 #include "net/shard.h"
 
 namespace afc::net {
 
+/// Everything only an injected link fault needs, off the hot object: most
+/// directions never see a fault.
+struct Connection::FaultState {
+  Fault fault;
+  Rng rng{0};
+  /// Retransmissions waiting out their RTO, cancellable by close().
+  struct PendingResend {
+    Frame frame;
+    sim::TimerToken token;
+  };
+  std::unordered_map<std::uint64_t, PendingResend> pending_resends;
+  std::uint64_t next_resend_id = 1;
+};
+
 Connection::Connection(Messenger& local, Messenger& remote, const Config& cfg)
-    : local_(local),
-      remote_(remote),
-      cfg_(cfg),
-      tx_(local.simulation()),
-      rx_(local.simulation()),
-      nagle_timer_(local.simulation()) {
-  if (cfg_.batch) batcher_ = std::make_unique<Batcher>(*this, cfg_);
+    : local_(local), remote_(remote), cfg_(&cfg), nagle_timer_(local.simulation()) {
+  if (cfg.batch) batcher_ = std::make_unique<Batcher>(*this);
 }
 
 Connection::~Connection() = default;
@@ -51,7 +62,33 @@ void Connection::enqueue_frame(Frame f) {
     if (n > max_batch_) max_batch_ = n;
   }
   frames_in_flight_++;
-  tx_.try_push(std::move(f));  // tx_ is unbounded; try_push never fails while open
+  push_tx(std::move(f));  // refused only after close(), like the frame's messages
+}
+
+// A push onto a stopped pipeline starts it with one zero-delay event, the
+// event a notify to the pipeline parked on its empty queue would schedule.
+// Each queue has one consumer, so the started pipeline always finds the
+// frame: event order is that of the parked-thread model (docs/MODEL.md).
+bool Connection::push_tx(Frame f) {
+  if (closed_) return false;
+  tx_.push_back(std::move(f));
+  if (!tx_running_) {
+    tx_running_ = true;
+    local_.simulation().schedule_after(0, [c = this] { sim::spawn(c->sender_loop()); },
+                                       "net.tx_start");
+  }
+  return true;
+}
+
+bool Connection::push_rx(Frame f) {
+  if (closed_) return false;
+  rx_.push_back(std::move(f));
+  if (!rx_running_) {
+    rx_running_ = true;
+    local_.simulation().schedule_after(0, [c = this] { sim::spawn(c->receiver_loop()); },
+                                       "net.rx_start");
+  }
+  return true;
 }
 
 void Connection::frame_done() {
@@ -62,8 +99,18 @@ void Connection::frame_done() {
 void Connection::account_lost(const Frame& f) { inflight_ -= f.msgs.size(); }
 
 void Connection::set_fault(const Fault& f, std::uint64_t seed) {
-  fault_ = f;
-  fault_rng_.reseed(seed);
+  if (faults_ == nullptr) faults_ = std::make_unique<FaultState>();
+  faults_->fault = f;
+  faults_->rng.reseed(seed);
+}
+
+void Connection::clear_fault() {
+  if (faults_ != nullptr) faults_->fault = Fault{};
+}
+
+const Connection::Fault& Connection::fault() const {
+  static const Fault kNone{};
+  return faults_ != nullptr ? faults_->fault : kNone;
 }
 
 void Connection::schedule_resend(Frame f) {
@@ -75,19 +122,21 @@ void Connection::schedule_resend(Frame f) {
   // event is cancellable so close() can drop a resend in flight, exactly
   // like the Nagle stall.
   resends_++;
-  const std::uint64_t id = next_resend_id_++;
-  auto [it, inserted] = pending_resends_.emplace(id, PendingResend{std::move(f), {}});
+  const std::uint64_t id = faults_->next_resend_id++;
+  auto [it, inserted] =
+      faults_->pending_resends.emplace(id, FaultState::PendingResend{std::move(f), {}});
   it->second.token = local_.simulation().schedule_after(
-      cfg_.retransmit_delay, [c = this, id] { c->resend_fire(id); }, "net.retransmit");
+      cfg_->retransmit_delay, [c = this, id] { c->resend_fire(id); }, "net.retransmit");
 }
 
 void Connection::resend_fire(std::uint64_t id) {
-  auto it = pending_resends_.find(id);
-  if (it == pending_resends_.end()) return;  // close() raced the wheel: nothing to do
+  auto& pending = faults_->pending_resends;
+  auto it = pending.find(id);
+  if (it == pending.end()) return;  // close() raced the wheel: nothing to do
   Frame f = std::move(it->second.frame);
-  pending_resends_.erase(it);
+  pending.erase(it);
   const std::uint64_t lost = f.msgs.size();
-  if (tx_.try_push(std::move(f))) {
+  if (push_tx(std::move(f))) {
     frames_in_flight_++;
   } else {
     inflight_ -= lost;  // connection closed meanwhile
@@ -95,32 +144,33 @@ void Connection::resend_fire(std::uint64_t id) {
 }
 
 sim::CoTask<void> Connection::sender_loop() {
-  for (;;) {
-    auto f = co_await tx_.pop();
-    if (!f) break;
+  const Config& cfg = *cfg_;
+  while (!tx_.empty()) {
+    Frame f = tx_.pop_front();
     // Injected link faults: decide this transmission's fate before it costs
     // anything (the drop models loss in the fabric; the partitioned case
     // retries nothing — silence until the fault clears).
-    if (fault_.partitioned) {
+    const Fault& fault = this->fault();
+    if (fault.partitioned) {
       dropped_++;
-      account_lost(*f);
+      account_lost(f);
       frame_done();
       continue;
     }
-    if (fault_.drop_p > 0.0 && fault_rng_.chance(fault_.drop_p)) {
+    if (fault.drop_p > 0.0 && faults_->rng.chance(fault.drop_p)) {
       dropped_++;
       if (auto* tr = trace::Collector::active(); tr != nullptr) {
-        for (const auto& m : f->msgs) {
+        for (const auto& m : f.msgs) {
           if (m.trace.valid()) {
             tr->instant(m.trace, tr->stage_id(stage::kNetLinkDrop), local_.simulation().now());
           }
         }
       }
-      if (f->resend_attempts < cfg_.max_resends) {
-        f->resend_attempts++;
-        schedule_resend(std::move(*f));
+      if (f.resend_attempts < cfg.max_resends) {
+        f.resend_attempts++;
+        schedule_resend(std::move(f));
       } else {
-        account_lost(*f);  // give up: loss surfaces to the timeout/retry layers
+        account_lost(f);  // give up: loss surfaces to the timeout/retry layers
       }
       frame_done();
       continue;
@@ -133,41 +183,41 @@ sim::CoTask<void> Connection::sender_loop() {
     // the pipe full and are unaffected. Only kernel sockets stall: batching
     // supersedes it (the batcher is the application-level Nagle) and the
     // bypass transport has no socket to stall.
-    const bool can_nagle =
-        cfg_.nagle && cfg_.transport == Transport::kTcp && batcher_ == nullptr;
-    const bool runt = (f->wire_size < cfg_.mss) ||
-                      (f->wire_size <= cfg_.nagle_max_size && (f->wire_size % cfg_.mss) != 0);
+    const bool can_nagle = cfg.nagle && cfg.transport == Transport::kTcp && batcher_ == nullptr;
+    const bool runt = (f.wire_size < cfg.mss) ||
+                      (f.wire_size <= cfg.nagle_max_size && (f.wire_size % cfg.mss) != 0);
     if (can_nagle && runt && inflight_ <= 1) {
       nagle_stalls_++;
       // Cancellable stall: close() drops the 3 ms deadline event off the
       // timing wheel and wakes us to exit, instead of the old behaviour of
       // sleeping through the stall on a dead connection.
-      if (!co_await nagle_timer_.sleep(cfg_.nagle_stall)) break;
+      if (!co_await nagle_timer_.sleep(cfg.nagle_stall)) break;
     }
     // One send_cpu per frame — batching's sender-side amortization — plus a
     // small per-extra-message packing cost.
-    co_await local_.node().cpu().consume(
-        cfg_.send_cpu + cfg_.batch_pack_cpu * Time(f->msgs.size() - 1));
-    co_await local_.node().nic_transmit(f->wire_size);
-    const Time prop = cfg_.prop_latency + fault_.added_delay;
+    co_await local_.node().cpu().consume(cfg.send_cpu +
+                                         cfg.batch_pack_cpu * Time(f.msgs.size() - 1));
+    co_await local_.node().nic_transmit(f.wire_size);
+    const Time prop = cfg.prop_latency + this->fault().added_delay;  // read after the awaits
     co_await sim::delay(local_.simulation(), prop, "net.propagation");
     if (rx_target_ != nullptr) {
-      rx_target_->push(rx_shard_, this, std::move(*f));
+      rx_target_->push(rx_shard_, this, std::move(f));
     } else {
-      // Unbounded: try_push only fails after close(), so a frame still on
-      // the wire when the connection closes vanishes, as on the sharded path.
-      rx_.try_push(std::move(*f));
+      // A frame still on the wire when the connection closes vanishes here,
+      // as on the sharded path.
+      push_rx(std::move(f));
     }
     frame_done();
   }
+  tx_running_ = false;
 }
 
 sim::CoTask<void> Connection::receiver_loop() {
-  for (;;) {
-    auto f = co_await rx_.pop();
-    if (!f) break;
-    co_await deliver_frame(std::move(*f), /*via_shard=*/false);
+  while (!rx_.empty()) {
+    Frame f = rx_.pop_front();
+    co_await deliver_frame(std::move(f), /*via_shard=*/false);
   }
+  rx_running_ = false;
 }
 
 sim::CoTask<void> Connection::deliver_frame(Frame f, bool via_shard) {
@@ -181,9 +231,9 @@ sim::CoTask<void> Connection::deliver_frame(Frame f, bool via_shard) {
   // per-extra-message unpack cost, and — only in the per-connection
   // pipeline model — the O(rx_connections) SimpleMessenger tax. Sharded
   // delivery already paid its amortized wakeup cost in the shard worker.
-  Time cpu = cfg_.recv_cpu + cfg_.batch_unpack_cpu * Time(f.msgs.size() - 1);
+  Time cpu = cfg_->recv_cpu + cfg_->batch_unpack_cpu * Time(f.msgs.size() - 1);
   if (!via_shard) {
-    cpu += Time(cfg_.per_conn_recv_cpu) * remote_.rx_connections();
+    cpu += Time(cfg_->per_conn_recv_cpu) * remote_.rx_connections();
   }
   co_await remote_.node().cpu().consume(cpu);
   for (auto& m : f.msgs) {
@@ -203,18 +253,18 @@ sim::CoTask<void> Connection::deliver_frame(Frame f, bool via_shard) {
 }
 
 void Connection::close() {
-  tx_.close();
-  rx_.close();
+  closed_ = true;
   nagle_timer_.cancel();
   if (batcher_ != nullptr) batcher_->close();
+  if (faults_ == nullptr) return;
   // Cancel retransmissions waiting out their RTO: nothing fires after
   // close(). (Determinism note: cancelling only tombstones wheel slots;
   // event order keys on schedule sequence, not slot reuse.)
-  for (auto& [id, pr] : pending_resends_) {
+  for (auto& [id, pr] : faults_->pending_resends) {
     local_.simulation().cancel(pr.token);
     account_lost(pr.frame);
   }
-  pending_resends_.clear();
+  faults_->pending_resends.clear();
 }
 
 void NetStats::merge(const NetStats& o) {
@@ -243,13 +293,21 @@ RxShards* Messenger::ensure_rx_shards(unsigned shards, Time wakeup_cpu) {
   return rx_shards_.get();
 }
 
+const Connection::Config* Messenger::intern(const Connection::Config& cfg) {
+  for (const auto& c : configs_) {
+    if (*c == cfg) return c.get();
+  }
+  configs_.push_back(std::make_unique<Connection::Config>(cfg));
+  return configs_.back().get();
+}
+
 Connection* Messenger::connect(Messenger& remote, const Connection::Config& cfg) {
-  auto fwd = std::make_unique<Connection>(*this, remote, cfg);
+  auto fwd = std::make_unique<Connection>(*this, remote, *intern(cfg));
   // The reply direction never applies Nagle (Ceph sets TCP_NODELAY on the
   // sockets it owns; the paper's problem is the KRBD client side).
   Connection::Config back_cfg = cfg;
   back_cfg.nagle = false;
-  auto back = std::make_unique<Connection>(remote, *this, back_cfg);
+  auto back = std::make_unique<Connection>(remote, *this, *intern(back_cfg));
   fwd->reverse_ = back.get();
   back->reverse_ = fwd.get();
   remote.rx_connections_++;
@@ -275,10 +333,6 @@ Connection* Messenger::connect(Messenger& remote, const Connection::Config& cfg)
     });
   }
   Connection* out = fwd.get();
-  sim::spawn(fwd->sender_loop());
-  sim::spawn(fwd->receiver_loop());
-  sim::spawn(back->sender_loop());
-  sim::spawn(back->receiver_loop());
   conns_.push_back(std::move(fwd));
   conns_.push_back(std::move(back));
   return out;

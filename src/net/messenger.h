@@ -3,13 +3,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
+#include "common/ring_queue.h"
 #include "core/trace.h"
 #include "net/link.h"
-#include "sim/channel.h"
 #include "sim/task.h"
 
 namespace afc::net {
@@ -65,9 +63,19 @@ class Receiver {
 /// dedicated receiver pipeline per connection, in-order delivery, and
 /// per-message CPU charged to both endpoints (plus a per-registered-
 /// connection receive tax — the thread-per-connection context-switch cost
-/// behind Fig. 12's 16-node ceiling). Optionally applies a TCP-Nagle stall
-/// to small messages when the direction is otherwise idle (the KRBD
+/// behind Fig. 12's 16-node ceiling; `per_conn_recv_cpu` still counts every
+/// registered connection, busy or idle). Optionally applies a TCP-Nagle
+/// stall to small messages when the direction is otherwise idle (the KRBD
 /// behaviour the paper's system tuning disables).
+///
+/// The pipelines model threads, but the simulator runs them on demand: a
+/// direction is two frame queues, and a pipeline is a coroutine that starts
+/// when a frame lands on its stopped queue and ends when it finds the queue
+/// empty, where a thread would block. The start is one zero-delay event
+/// ("net.tx_start" / "net.rx_start") in the place a parked pipeline's wakeup
+/// would be, so event order is the thread model's; an idle direction holds
+/// no coroutine frame and schedules nothing (docs/MODEL.md, "Connection
+/// pipelines start on demand").
 ///
 /// Three post-SimpleMessenger mechanisms stack on top, each independently
 /// toggleable (see net::NetProfile for the named rungs; all default off):
@@ -77,7 +85,7 @@ class Receiver {
 ///     connections map to shards by stable hash, per-connection FIFO order
 ///     is preserved, and the O(rx_connections) `per_conn_recv_cpu` tax is
 ///     replaced by a per-shard wakeup cost amortized over every frame the
-///     wakeup drains.
+///     wakeup drains. Such a direction never starts its receive pipeline.
 ///   * egress batching (`batch`): small same-direction messages coalesce
 ///     into one wire frame. A frame flushes when it reaches
 ///     `batch_max_bytes`, when `batch_max_delay` expires, or as soon as the
@@ -86,6 +94,10 @@ class Receiver {
 ///   * bypass transport (`transport = kBypass`): RDMA-like cost structure —
 ///     near-zero per-message CPU, a one-time per-connection `setup_cpu`,
 ///     and no Nagle ever (there is no kernel socket to stall).
+///
+/// A direction's Config is interned by the messenger that created it (one
+/// copy per distinct config), and the fault-injection state lives off the
+/// object until the first set_fault().
 class Connection {
  public:
   enum class Transport {
@@ -131,6 +143,8 @@ class Connection {
     std::uint64_t frame_header_bytes = 48;  // per batched frame, on the wire
     Time batch_pack_cpu = 1 * kMicrosecond;  // sender, per message beyond the first
     Time batch_unpack_cpu = 1500;            // receiver, per message beyond the first
+
+    bool operator==(const Config&) const = default;
   };
 
   /// Injected link fault state (set by fault::FaultInjector, default off).
@@ -146,6 +160,7 @@ class Connection {
     bool any() const { return drop_p > 0.0 || added_delay != 0 || partitioned; }
   };
 
+  /// `cfg` must outlive the connection (Messenger::connect interns it).
   Connection(Messenger& local, Messenger& remote, const Config& cfg);
   ~Connection();
 
@@ -155,13 +170,19 @@ class Connection {
   Connection* reverse() const { return reverse_; }
   Messenger& local() { return local_; }
   Messenger& remote() { return remote_; }
-  const Config& config() const { return cfg_; }
+  const Config& config() const { return *cfg_; }
 
   /// Install / clear an injected link fault on this direction. `seed` feeds
-  /// the drop coin-flip stream (deterministic per connection).
+  /// the drop coin-flip stream (deterministic per connection). Clearing
+  /// keeps retransmissions already waiting out their RTO: they still fire.
   void set_fault(const Fault& f, std::uint64_t seed);
-  void clear_fault() { fault_ = Fault{}; }
-  const Fault& fault() const { return fault_; }
+  void clear_fault();
+  const Fault& fault() const;
+
+  /// Neither pipeline is running: this direction holds no coroutine frame.
+  /// True from connect() until the first send, and again once every frame
+  /// sent has been delivered, dropped or handed to a receive shard.
+  bool idle() const { return !tx_running_ && !rx_running_; }
 
   std::uint64_t sent() const { return sent_; }
   std::uint64_t nagle_stalls() const { return nagle_stalls_; }
@@ -176,9 +197,12 @@ class Connection {
   /// the batcher flushes eagerly whenever this hits zero.
   std::uint64_t frames_in_flight() const { return frames_in_flight_; }
 
-  /// Stop the pipelines once drained (for clean shutdown). Cancels a
-  /// pending Nagle stall, a pending batch-flush timer, and any scheduled
-  /// retransmissions of dropped frames — nothing fires after close().
+  /// Refuse further frames (for clean shutdown). A running pipeline still
+  /// drains what is queued, but a frame finishing its propagation after
+  /// close() is dropped at the receive queue. Cancels a pending Nagle
+  /// stall, a pending batch-flush timer, and any scheduled retransmissions
+  /// of dropped frames — nothing fires after close(), and an idle
+  /// direction schedules nothing at all.
   void close();
 
   /// Deliver one frame to the remote receiver, charging receive-side CPU.
@@ -189,8 +213,15 @@ class Connection {
  private:
   friend class Messenger;
   friend class Batcher;
+  struct FaultState;
+  /// The pipelines: each drains its queue and returns when it finds it
+  /// empty. Started only by push_tx / push_rx.
   sim::CoTask<void> sender_loop();
   sim::CoTask<void> receiver_loop();
+  /// Queue a frame for the sender / receiver pipeline, starting a stopped
+  /// pipeline with one zero-delay event. False (frame refused) after close().
+  bool push_tx(Frame f);
+  bool push_rx(Frame f);
   /// Hand a completed frame to the sender pipeline (from send() or the
   /// batcher's flush).
   void enqueue_frame(Frame f);
@@ -203,23 +234,18 @@ class Connection {
 
   Messenger& local_;
   Messenger& remote_;
-  Config cfg_;
+  const Config* cfg_;
   Connection* reverse_ = nullptr;
-  sim::Channel<Frame> tx_;
-  sim::Channel<Frame> rx_;
-  sim::Timer nagle_timer_;  // cancellable: close() drops a stall in flight
-  std::unique_ptr<Batcher> batcher_;  // non-null iff cfg_.batch
-  RxShards* rx_target_ = nullptr;     // non-null iff the remote endpoint shards
+  RingQueue<Frame> tx_;
+  RingQueue<Frame> rx_;
+  bool tx_running_ = false;
+  bool rx_running_ = false;
+  bool closed_ = false;
   unsigned rx_shard_ = 0;             // stable-hash shard at the remote endpoint
-  Fault fault_;
-  Rng fault_rng_{0};
-  /// Retransmissions waiting out their RTO, cancellable by close().
-  struct PendingResend {
-    Frame frame;
-    sim::TimerToken token;
-  };
-  std::unordered_map<std::uint64_t, PendingResend> pending_resends_;
-  std::uint64_t next_resend_id_ = 1;
+  RxShards* rx_target_ = nullptr;     // non-null iff the remote endpoint shards
+  sim::Timer nagle_timer_;  // cancellable: close() drops a stall in flight
+  std::unique_ptr<Batcher> batcher_;  // non-null iff config().batch
+  std::unique_ptr<FaultState> faults_;  // created by the first set_fault()
   std::uint64_t inflight_ = 0;  // messages in this direction's pipelines
   std::uint64_t frames_in_flight_ = 0;
   std::uint64_t sent_ = 0;
@@ -298,6 +324,9 @@ class Messenger {
   void close_all();
 
  private:
+  /// The messenger's copy of `cfg`: one per distinct config.
+  const Connection::Config* intern(const Connection::Config& cfg);
+
   friend class Connection;
   /// Create the shard set on first sharded registration; later connects
   /// reuse it (the first shard count wins per endpoint).
@@ -307,6 +336,8 @@ class Messenger {
   Node& node_;
   Receiver& rx_;
   std::string name_;
+  // Declared before conns_ so every connection dies before its config.
+  std::vector<std::unique_ptr<Connection::Config>> configs_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::unique_ptr<RxShards> rx_shards_;
   unsigned rx_connections_ = 0;

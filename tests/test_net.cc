@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stats.h"
 #include "net/messenger.h"
+#include "net/profile.h"
 
 namespace afc::net {
 namespace {
@@ -211,15 +213,21 @@ TEST(Messenger, DroppedMessageIsRetransmittedOnce) {
   // succeeds. Exactly one delivery, one drop, one resend — deterministic.
   NetFixture f;
   Connection* c = f.ma.connect(f.mb, Connection::Config{});
+  EXPECT_FALSE(c->fault().any());
   c->set_fault(Connection::Fault{.drop_p = 1.0}, /*seed=*/1);
+  EXPECT_TRUE(c->fault().any());
   c->send(msg(5, 4096));
   f.sim.run_until(100 * kMicrosecond);  // first attempt drops; resend pending
   EXPECT_EQ(c->dropped(), 1u);
   EXPECT_TRUE(f.rx_b.types.empty());
+  EXPECT_TRUE(c->idle());  // the resend waits on the wheel, not in a pipeline
+  // Clearing the fault keeps the pending resend: it fires at the RTO.
   c->clear_fault();
+  EXPECT_FALSE(c->fault().any());
   f.sim.run();
   ASSERT_EQ(f.rx_b.types.size(), 1u);
   EXPECT_EQ(f.rx_b.types[0], 5);
+  EXPECT_GT(f.rx_b.at[0], Connection::Config{}.retransmit_delay);
   EXPECT_EQ(c->resends(), 1u);
 }
 
@@ -271,6 +279,125 @@ TEST(Messenger, CloseCancelsNagleStallInFlight) {
   f.sim.run();
   EXPECT_TRUE(f.rx_b.types.empty());          // the message never went out
   EXPECT_LT(f.sim.now(), 3 * kMillisecond);   // and we never slept to the deadline
+}
+
+// ---------------------------------------------------------------------------
+// On-demand pipelines: an idle direction holds no coroutine and schedules
+// nothing.
+// ---------------------------------------------------------------------------
+
+TEST(Messenger, ConnectionIdleAfterConnectAndAfterBurstDrains) {
+  NetFixture f;
+  Connection* c = f.ma.connect(f.mb, Connection::Config{});
+  EXPECT_TRUE(c->idle());
+  EXPECT_TRUE(c->reverse()->idle());
+  EXPECT_EQ(f.sim.pending_events(), 0u);  // connect() starts no pipeline
+  for (int i = 0; i < 5; i++) c->send(msg(i, 4096));
+  EXPECT_FALSE(c->idle());
+  f.sim.run_until(80 * kMicrosecond);  // first frame delivered, the rest in flight
+  EXPECT_FALSE(c->idle());
+  f.sim.run();
+  ASSERT_EQ(f.rx_b.types.size(), 5u);
+  EXPECT_TRUE(c->idle());
+  EXPECT_TRUE(c->reverse()->idle());
+}
+
+std::uint64_t site_count(const sim::Simulation& sim, const std::string& site) {
+  Counters c;
+  sim.profile_into(c);
+  return c.get("sim.site." + site);
+}
+
+TEST(Messenger, ShardedDirectionNeverStartsReceivePipeline) {
+  // Under sharded dispatch the remote's shard workers deliver, so the
+  // direction's own receive pipeline must never start, not even once.
+  NetFixture f;
+  f.sim.enable_profiling();
+  f.rx_b.handler_delay = 50 * kMicrosecond;
+  Connection* c = f.ma.connect(f.mb, NetProfile::sharded());
+  for (int i = 0; i < 4; i++) c->send(msg(i, 4096));
+  f.sim.run_until(150 * kMicrosecond);
+  ASSERT_FALSE(f.rx_b.types.empty());
+  ASSERT_LT(f.rx_b.types.size(), 4u);  // a shard is still delivering
+  EXPECT_FALSE(c->idle());             // the sender still runs
+  f.sim.run();
+  ASSERT_EQ(f.rx_b.types.size(), 4u);
+  EXPECT_TRUE(c->idle());
+  EXPECT_GT(site_count(f.sim, "net.tx_start"), 0u);
+  EXPECT_EQ(site_count(f.sim, "net.rx_start"), 0u);
+
+  // The per-connection model starts it for the same traffic.
+  NetFixture g;
+  g.sim.enable_profiling();
+  Connection* d = g.ma.connect(g.mb, Connection::Config{});
+  for (int i = 0; i < 4; i++) d->send(msg(i, 4096));
+  g.sim.run();
+  EXPECT_GT(site_count(g.sim, "net.rx_start"), 0u);
+}
+
+TEST(Messenger, DirectionsShareOneConfigPerDistinctConfig) {
+  // A messenger keeps one copy of each distinct config; the reply
+  // direction's no-Nagle copy is a config of its own.
+  NetFixture f;
+  Connection::Config nagle;
+  nagle.nagle = true;
+  Connection* c1 = f.ma.connect(f.mb, nagle);
+  Connection* c2 = f.ma.connect(f.mb, nagle);
+  Connection* c3 = f.ma.connect(f.mb, Connection::Config{});
+  EXPECT_EQ(&c1->config(), &c2->config());
+  EXPECT_TRUE(c1->config().nagle);
+  EXPECT_FALSE(c1->reverse()->config().nagle);
+  EXPECT_EQ(&c1->reverse()->config(), &c2->reverse()->config());
+  EXPECT_EQ(&c3->config(), &c1->reverse()->config());  // both the default config
+  EXPECT_EQ(&c3->reverse()->config(), &c3->config());
+}
+
+TEST(Messenger, ConnectionObjectStaysSmall) {
+  // Thousands of directions sit idle in a 16-node cluster; keep each one
+  // lean (it was 720 bytes with a Config copy and two Channels inside).
+  EXPECT_LE(sizeof(Connection), 288u);
+}
+
+// ---------------------------------------------------------------------------
+// close()
+// ---------------------------------------------------------------------------
+
+TEST(Messenger, CloseDeliversQueuedFrameAndDropsFrameOnWire) {
+  // Three 4K frames at t=0: the first reaches the receiver at ~75us and
+  // holds it for 100us, the second waits in the receive queue from ~150us,
+  // and the third is still propagating at 170us, when the connection closes.
+  NetFixture f;
+  f.rx_b.handler_delay = 100 * kMicrosecond;
+  Connection* c = f.ma.connect(f.mb, Connection::Config{});
+  for (int i = 1; i <= 3; i++) c->send(msg(i, 4096));
+  f.sim.run_until(170 * kMicrosecond);
+  ASSERT_EQ(f.rx_b.types, std::vector<int>{1});
+  f.ma.close_all();
+  f.sim.run();
+  EXPECT_EQ(f.rx_b.types, (std::vector<int>{1, 2}));  // the queued frame still arrives
+  EXPECT_TRUE(c->idle());
+  c->send(msg(4, 4096));  // refused after close
+  f.sim.run();
+  EXPECT_EQ(f.rx_b.types.size(), 2u);
+}
+
+TEST(Messenger, CloseOfIdleConnectionSchedulesNothing) {
+  NetFixture f;
+  Connection* c = f.ma.connect(f.mb, Connection::Config{});
+  f.ma.close_all();
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+
+  // Nor after a burst has drained.
+  NetFixture g;
+  c = g.ma.connect(g.mb, Connection::Config{});
+  for (int i = 0; i < 3; i++) c->send(msg(i, 4096));
+  g.sim.run();
+  ASSERT_EQ(g.rx_b.types.size(), 3u);
+  const std::uint64_t executed = g.sim.executed_events();
+  g.ma.close_all();
+  EXPECT_EQ(g.sim.pending_events(), 0u);
+  g.sim.run();
+  EXPECT_EQ(g.sim.executed_events(), executed);
 }
 
 }  // namespace
