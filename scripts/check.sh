@@ -13,7 +13,8 @@
 # the suite and every chaos invocation under a wall-clock limit), then run
 # the afceph_rt (src/rt/) concurrency stress harness natively and under
 # ThreadSanitizer.
-# Also compiles the scripts/heap_peak.sh allocation shim so it does not rot.
+# Also compiles the scripts/heap_peak.sh allocation shim and the
+# scripts/wall_profile.sh sampling shim so they do not rot.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -44,6 +45,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 echo
 echo "=== scripts/heap_peak.c (heap attribution shim still compiles) ==="
 cc -O2 -shared -fPIC -Wall -Wextra -Werror -o "$BUILD_DIR/heap_peak.so" scripts/heap_peak.c
+
+echo
+echo "=== scripts/wall_profile.c (CPU-time sampling shim still compiles) ==="
+cc -O2 -shared -fPIC -Wall -Wextra -Werror -o "$BUILD_DIR/wall_profile.so" scripts/wall_profile.c
 
 echo
 echo "=== perfbench self-test (untraced and traced repetitions agree) ==="

@@ -7,15 +7,21 @@
 # fig16, fig17 and chaos (the whole mode matrix), and the examples
 # failure_recovery and cluster_expansion, with all AFC_* variables cleared.
 # fig13 is the only figure that drives sharded receive, batching and the
-# bypass transport at 16 OSDs. Each program's stdout is compared with cmp,
-# and both sides' wall seconds and peak RSS (MiB, the process's ru_maxrss
-# read through python3's resource module) are printed. Exits non-zero when
-# any stdout differs or any program fails.
+# bypass transport at 16 OSDs. Each program runs `runs` times per side
+# (default 1), alternating which side goes first so that a drift in host
+# load falls on both; every run's stdout is compared with cmp against the
+# base side's first run. Printed per program: each side's median wall
+# seconds, its largest peak RSS (MiB, the process's ru_maxrss read through
+# python3's resource module) and the stdout verdict. One run per side cannot
+# resolve a wall change of less than about 10%. Exits non-zero when any
+# stdout differs or any program fails.
 #
-# Usage: scripts/perf_ab.sh <base-ref>        e.g. scripts/perf_ab.sh HEAD~
+# Usage: scripts/perf_ab.sh <base-ref> [runs]   e.g. scripts/perf_ab.sh HEAD~ 5
 set -euo pipefail
 
-base_ref="${1:?usage: scripts/perf_ab.sh <base-ref>}"
+base_ref="${1:?usage: scripts/perf_ab.sh <base-ref> [runs]}"
+runs="${2:-1}"
+[[ "$runs" =~ ^[1-9][0-9]*$ ]] || { echo "perf_ab: runs must be a positive integer" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 root="$PWD"
 out="$root/build/perf_ab"
@@ -52,8 +58,8 @@ for v in $(compgen -e); do
   case "$v" in AFC_*) unset "$v" ;; esac
 done
 
-run() {  # <side> <program path>; prints "wall_s peak_rss_mib", returns its status
-  python3 - "$out/$1/$2" "$out/$1/${2##*/}.out" << 'EOF'
+run() {  # <side> <program path> <stdout file>; prints "wall_s peak_rss_mib", returns its status
+  python3 - "$out/$1/$2" "$3" << 'EOF'
 import resource, subprocess, sys, time
 t0 = time.monotonic()
 with open(sys.argv[2], "wb") as out:
@@ -65,20 +71,49 @@ sys.exit(rc)
 EOF
 }
 
+median() {  # the median of the arguments
+  printf '%s\n' "$@" | sort -n |
+    awk '{ v[NR] = $1 } END { printf "%.1f", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+largest() {  # the largest of the arguments
+  printf '%s\n' "$@" | sort -n | tail -n 1
+}
+
 status=0
 printf '%-26s %9s %9s %9s %9s  %s\n' program base_s head_s base_MiB head_MiB stdout
 for p in "${programs[@]}"; do
   b="${p##*/}"
-  base_r=$(run base "$p") || { echo "FAIL: base $b exited non-zero" >&2; status=1; continue; }
-  head_r=$(run head "$p") || { echo "FAIL: head $b exited non-zero" >&2; status=1; continue; }
-  read -r base_s base_mib <<< "$base_r"
-  read -r head_s head_mib <<< "$head_r"
-  if cmp -s "$out/base/$b.out" "$out/head/$b.out"; then
-    verdict=identical
-  else
-    verdict=DIFFERS
+  reference="$out/base/$b.out"  # the base side's first run, which runs first of all
+  base_s=() head_s=() base_mib=() head_mib=()
+  verdict=identical
+  failed=0
+  for ((r = 0; r < runs; r++)); do
+    sides=(base head)
+    ((r % 2 == 0)) || sides=(head base)
+    for side in "${sides[@]}"; do
+      file="$out/$side/$b.out"
+      ((r == 0)) || file="$out/$side/$b.out.$r"
+      if ! result=$(run "$side" "$p" "$file"); then
+        echo "FAIL: $side $b exited non-zero (run $((r + 1)))" >&2
+        failed=1
+        break 2
+      fi
+      read -r wall_s rss_mib <<< "$result"
+      if [[ "$side" == base ]]; then
+        base_s+=("$wall_s") base_mib+=("$rss_mib")
+      else
+        head_s+=("$wall_s") head_mib+=("$rss_mib")
+      fi
+      cmp -s "$reference" "$file" || verdict=DIFFERS
+    done
+  done
+  if ((failed)); then
     status=1
+    continue
   fi
-  printf '%-26s %9s %9s %9s %9s  %s\n' "$b" "$base_s" "$head_s" "$base_mib" "$head_mib" "$verdict"
+  [[ "$verdict" == identical ]] || status=1
+  printf '%-26s %9s %9s %9s %9s  %s\n' "$b" "$(median "${base_s[@]}")" \
+    "$(median "${head_s[@]}")" "$(largest "${base_mib[@]}")" "$(largest "${head_mib[@]}")" "$verdict"
 done
 exit "$status"

@@ -43,6 +43,7 @@ VmClient::VmClient(sim::Simulation& sim, net::Node& node, cluster::ClusterMap& c
 VmClient::~VmClient() = default;
 
 void VmClient::add_osd_conn(std::uint32_t osd_id, net::Connection* conn) {
+  if (osd_id >= osd_conns_.size()) osd_conns_.resize(osd_id + 1, nullptr);
   osd_conns_[osd_id] = conn;
 }
 
@@ -71,10 +72,10 @@ sim::CoTask<void> VmClient::on_message(net::Message m) {
   }
   if (m.type != osd::kWriteReply && m.type != osd::kReadReply) co_return;
   auto reply = std::static_pointer_cast<osd::IoReplyMsg>(m.body);
-  auto it = pending_.find(reply->op_id);
-  if (it == pending_.end()) co_return;
-  PendingOp* p = it->second;
-  pending_.erase(it);
+  PendingOp* const* found = pending_.find(reply->op_id);
+  if (found == nullptr) co_return;
+  PendingOp* p = *found;
+  pending_.erase(reply->op_id);
   if (reply->fenced) {
     // Stale-epoch rejection: the op was never admitted. Adopt the rejecting
     // OSD's epoch (the delta itself may still be in flight to us) and let
@@ -106,7 +107,7 @@ std::uint32_t VmClient::resolve_primary(std::uint32_t pg) {
   // under its current epoch; only a learned epoch (delta or fence, through
   // learn_epoch) clears it. A partitioned client keeps routing on
   // yesterday's map — which is exactly what epoch fencing exists to catch.
-  if (auto it = primary_cache_.find(pg); it != primary_cache_.end()) return it->second;
+  if (const std::uint32_t* cached = primary_cache_.find(pg)) return *cached;
   const std::uint32_t primary = cmap_.primary(pg);
   primary_cache_[pg] = primary;
   return primary;
@@ -182,8 +183,8 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
     // Primary recomputed per attempt: an OSD crash bumps the map epoch, and
     // the retry targets whichever OSD CRUSH now elects for this PG.
     const std::uint32_t primary = resolve_primary(msg->pg);
-    auto conn_it = osd_conns_.find(primary);
-    if (conn_it == osd_conns_.end()) {
+    net::Connection* conn = osd_conn(primary);
+    if (conn == nullptr) {
       p.ok = false;
       break;
     }
@@ -205,7 +206,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
     wire.size = (is_write ? msg->data.size() : 0) + 150;
     wire.body = std::move(msg);
     wire.trace = span;
-    conn_it->second->send(std::move(wire));
+    conn->send(std::move(wire));
 
     if (op_timeout_ == 0) {
       co_await done.wait();

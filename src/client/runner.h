@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -9,6 +8,7 @@
 #include "client/workload.h"
 #include "cluster/map.h"
 #include "common/histogram.h"
+#include "common/id_map.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
 #include "osd/op.h"
@@ -59,6 +59,10 @@ class VmClient : public net::Receiver {
 
   /// Cluster wiring: register the connection to an OSD.
   void add_osd_conn(std::uint32_t osd_id, net::Connection* conn);
+  /// The connection to OSD `osd_id`; nullptr when there is none.
+  net::Connection* osd_conn(std::uint32_t osd_id) const {
+    return osd_id < osd_conns_.size() ? osd_conns_[osd_id] : nullptr;
+  }
 
   /// Client-side CPU charged per I/O (fio + KRBD + dispatch).
   void set_op_cpu(Time cpu) { op_cpu_ = cpu; }
@@ -157,8 +161,8 @@ class VmClient : public net::Receiver {
   Rng rng_;
   Time op_cpu_ = 0;
   net::Messenger msgr_;
-  std::unordered_map<std::uint32_t, net::Connection*> osd_conns_;
-  std::unordered_map<std::uint64_t, PendingOp*> pending_;
+  std::vector<net::Connection*> osd_conns_;  // by OSD id; nullptr: no connection
+  IdMap<PendingOp*> pending_;                // by op id
   std::unordered_set<std::uint64_t> written_offsets_;  // verify mode
   std::uint64_t next_seq_ = 1;
   std::uint64_t issued_ = 0;
@@ -175,7 +179,7 @@ class VmClient : public net::Receiver {
   bool detected_ = false;
   std::uint64_t known_epoch_ = 1;
   // pg -> osd, filled under known_epoch_
-  std::unordered_map<std::uint32_t, std::uint32_t> primary_cache_;
+  IdMap<std::uint32_t> primary_cache_;
   std::uint64_t fenced_replies_ = 0;
   std::uint64_t map_updates_ = 0;
 };

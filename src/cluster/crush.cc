@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace afc::cluster {
 
@@ -83,16 +82,24 @@ std::vector<std::uint32_t> Crush::place(std::uint32_t pool, std::uint32_t pg,
     return a.osd->id < b.osd->id;
   });
 
-  std::unordered_set<std::uint32_t> hosts;
-  for (const auto& s : scored) hosts.insert(s.osd->host);
+  // Host separation holds only when at least `size` distinct hosts draw;
+  // counting stops there, so both host lists stay at most `size` long.
+  std::vector<std::uint32_t> hosts;
+  const auto seen = [](const std::vector<std::uint32_t>& v, std::uint32_t h) {
+    return std::find(v.begin(), v.end(), h) != v.end();
+  };
+  for (const auto& s : scored) {
+    if (hosts.size() >= size) break;
+    if (!seen(hosts, s.osd->host)) hosts.push_back(s.osd->host);
+  }
   const bool enforce_hosts = hosts.size() >= size;
 
   std::vector<std::uint32_t> acting;
-  std::unordered_set<std::uint32_t> used_hosts;
+  std::vector<std::uint32_t> used_hosts;
   for (const auto& s : scored) {
     if (acting.size() >= size) break;
-    if (enforce_hosts && used_hosts.count(s.osd->host)) continue;
-    used_hosts.insert(s.osd->host);
+    if (enforce_hosts && seen(used_hosts, s.osd->host)) continue;
+    used_hosts.push_back(s.osd->host);
     acting.push_back(s.osd->id);
   }
   // If host separation left us short (all remaining share hosts), relax it.

@@ -5,13 +5,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/probe_table.h"
+
 namespace afc {
 
 /// Bounded LRU map from K to V — the flat core under LruSet (the page
 /// cache and the KV block cache) and the OSD's MetaCache. Allocation-free
 /// once warm apart from what K and V own: one node vector holds each key
-/// and value once, with uint32_t recency links and a free list, and an
-/// open-addressing index (linear probing, power-of-two size, backward-shift
+/// and value once, with uint32_t recency links and a free list, and a
+/// ProbeTable index (linear probing, power-of-two size, backward-shift
 /// delete) maps a key to its node by `Hash` and exact key equality. The
 /// index doubles at 3/4 load and is never sized to the capacity up front,
 /// so a large cache that stays mostly empty costs only what it holds.
@@ -41,12 +43,11 @@ class LruMap {
       return;
     }
     if (capacity_ == 0) return;
-    if (size_ >= capacity_) evict(tail_);
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    if (size() >= capacity_) evict(tail_);
+    const std::uint32_t h = hash(k);
     const std::uint32_t n = alloc_node(k, std::move(v));
     link_front(n);
-    place(Slot{n, hash(k)});
-    size_++;
+    index_.claim(h) = Slot{n, h};
   }
 
   /// Drop `k` if present.
@@ -55,7 +56,7 @@ class LruMap {
     if (n != kNil) evict(n);
   }
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return capacity_; }
 
  private:
@@ -69,57 +70,32 @@ class LruMap {
   };
   struct Slot {
     std::uint32_t node = kNil;  // kNil: empty
-    std::uint32_t hash = 0;     // home slot is hash & mask_
+    std::uint32_t hash = 0;     // the key's Hash, kept so probes skip most key compares
+  };
+  struct SlotTraits {
+    static bool empty(const Slot& s) { return s.node == kNil; }
+    static std::uint32_t hash(const Slot& s) { return s.hash; }
   };
 
   static std::uint32_t hash(const K& k) { return std::uint32_t(Hash{}(k)); }
 
   std::uint32_t find(const K& k) const {
-    if (size_ == 0) return kNil;
     const std::uint32_t h = hash(k);
-    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.node == kNil) return kNil;
-      if (s.hash == h && nodes_[s.node].key == k) return s.node;
-    }
-  }
-
-  void place(Slot s) {
-    std::size_t i = s.hash & mask_;
-    while (slots_[i].node != kNil) i = (i + 1) & mask_;
-    slots_[i] = s;
-  }
-
-  void grow() {
-    std::vector<Slot> old(slots_.empty() ? 16 : slots_.size() * 2);
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.node != kNil) place(s);
-    }
+    const std::size_t i = index_.find(
+        h, [&](const Slot& s) { return s.hash == h && nodes_[s.node].key == k; });
+    return i == index_.npos ? kNil : index_[i].node;
   }
 
   /// Drop node `n` from the index, the recency list and the map.
   void evict(std::uint32_t n) {
-    std::size_t i = hash(nodes_[n].key) & mask_;
-    while (slots_[i].node != n) i = (i + 1) & mask_;
-    // Backward-shift delete: pull later members of the probe run into the
-    // hole unless their home slot lies cyclically in (hole, j].
-    for (std::size_t j = (i + 1) & mask_; slots_[j].node != kNil; j = (j + 1) & mask_) {
-      const std::size_t home = slots_[j].hash & mask_;
-      if (((j - home) & mask_) >= ((j - i) & mask_)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i] = Slot{};
+    index_.erase_at(
+        index_.find(hash(nodes_[n].key), [n](const Slot& s) { return s.node == n; }));
     unlink(n);
     // Release what the key and value own now, not when the node is reused.
     nodes_[n].key = K{};
     nodes_[n].value = V{};
     nodes_[n].next = free_;
     free_ = n;
-    size_--;
   }
 
   std::uint32_t alloc_node(const K& k, V v) {
@@ -162,10 +138,8 @@ class LruMap {
   }
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
   std::vector<Node> nodes_;
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
+  ProbeTable<Slot, SlotTraits> index_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   std::uint32_t free_ = kNil;

@@ -149,6 +149,7 @@ bool MembershipAgent::may_abandon(const std::vector<OpCtx::SubOp>& waiting) cons
 }
 
 void MembershipAgent::refresh_peers() {
+  // Any order over pgs_ gives the same set.
   std::set<std::uint32_t> adjacent;
   for (const auto& [pgid, pg] : osd_.pgs_) {
     for (std::uint32_t m : pg->acting()) {
@@ -186,11 +187,11 @@ void MembershipAgent::tick() {
   const Time now = sim_.now();
   for (std::uint32_t peer : peers_) {
     PeerHb& st = state_[peer];
-    if (auto conn = osd_.peers_.find(peer); conn != osd_.peers_.end()) {
+    if (net::Connection* conn = osd_.peer(peer)) {
       auto ping = std::make_shared<HbPingMsg>();
       ping->from_osd = osd_.id();
       ping->sent_at = now;
-      send_msg(*conn->second, kHbPing, kPingBytes, std::move(ping));
+      send_msg(*conn, kHbPing, kPingBytes, std::move(ping));
       osd_.counters_.add("osd.hb_sent");
     }
     if (now - st.last_seen > cfg_.hb_grace) {
@@ -213,7 +214,7 @@ void MembershipAgent::tick() {
   }
   // Self check: heartbeats can stay crisp while the data path is wedged
   // (slow SSD, journal stall). An op in flight too long self-reports laggy.
-  Time oldest = 0;
+  Time oldest = 0;  // a minimum: any order over inflight_ finds the same one
   for (const auto& [op_id, op] : osd_.inflight_) {
     const Time t = op->ts[kStRecv];
     if (t != 0 && (oldest == 0 || t < oldest)) oldest = t;

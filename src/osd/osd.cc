@@ -100,11 +100,14 @@ void Osd::create_pg(std::uint32_t pgid, std::vector<std::uint32_t> acting) {
 }
 
 Pg* Osd::find_pg(std::uint32_t pgid) {
-  auto it = pgs_.find(pgid);
-  return it == pgs_.end() ? nullptr : it->second.get();
+  std::unique_ptr<Pg>* pg = pgs_.find(pgid);
+  return pg == nullptr ? nullptr : pg->get();
 }
 
-void Osd::add_peer(std::uint32_t osd_id, net::Connection* conn) { peers_[osd_id] = conn; }
+void Osd::add_peer(std::uint32_t osd_id, net::Connection* conn) {
+  if (osd_id >= peers_.size()) peers_.resize(osd_id + 1, nullptr);
+  peers_[osd_id] = conn;
+}
 
 void Osd::shard_push(WorkItem item) {
   const unsigned shard = item.pg % cfg_.shards;
@@ -215,9 +218,9 @@ void Osd::qos_op_done() {
 }
 
 sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
-  auto it = inflight_.find(msg->op_id);
-  if (it == inflight_.end()) co_return;
-  OpRef op = it->second;
+  const OpRef* found = inflight_.find(msg->op_id);
+  if (found == nullptr) co_return;
+  OpRef op = *found;
   if (msg->fenced) {
     // Only a detected-mode replica fences, and then this OSD has an agent.
     agent_->on_rep_fenced(*op, *msg);
@@ -407,12 +410,12 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   // and remote) has committed.
   op->commits_needed = 1;
   for (unsigned p = 0; p < unsigned(acting.size()); p++) {
-    const std::uint32_t peer = acting[p];
-    if (peer == id_ || peer == cluster::ClusterMap::kNoOsd) continue;
-    if (peers_.find(peer) == peers_.end()) continue;  // unreachable (degraded test setups)
+    const std::uint32_t member = acting[p];
+    if (member == id_ || member == cluster::ClusterMap::kNoOsd) continue;
+    if (peer(member) == nullptr) continue;  // unreachable (degraded test setups)
     op->commits_needed++;
-    send_rep_op(*op, {peer, p});
-    op->waiting_peers.push_back({peer, p});
+    send_rep_op(*op, {member, p});
+    op->waiting_peers.push_back({member, p});
   }
   op->commits_planned = op->commits_needed;
   op->min_commits = backend_->min_commits(op->commits_needed);
@@ -587,8 +590,8 @@ void Osd::handle_commit_recorded(OpRef& op) {
 // ---------------------------------------------------------------------------
 
 void Osd::send_rep_op(OpCtx& op, OpCtx::SubOp sub) {
-  auto it = peers_.find(sub.peer);
-  if (it == peers_.end()) return;
+  net::Connection* conn = peer(sub.peer);
+  if (conn == nullptr) return;
   const OpCtx::ShardRef shard = op.shard(sub.pos);
   auto rep = std::make_shared<RepOpMsg>();
   rep->op_id = op.msg->op_id;
@@ -604,7 +607,7 @@ void Osd::send_rep_op(OpCtx& op, OpCtx::SubOp sub) {
   wire.size = rep->data.size() + cfg_.repop_header_bytes;
   wire.body = std::move(rep);
   wire.trace = op.span;
-  it->second->send(std::move(wire));
+  conn->send(std::move(wire));
 }
 
 void Osd::arm_rep_timer(OpRef& op) {
@@ -621,9 +624,9 @@ void Osd::disarm_rep_timer(OpCtx& op) {
 }
 
 void Osd::on_rep_timeout(std::uint64_t op_id) {
-  auto it = inflight_.find(op_id);
-  if (it == inflight_.end()) return;
-  OpRef op = it->second;
+  const OpRef* found = inflight_.find(op_id);
+  if (found == nullptr) return;
+  OpRef op = *found;
   op->rep_timer_armed = false;
   if (op->acked || op->failed || op->waiting_peers.empty()) return;
   if (op->rep_retries < cfg_.rep_retries) {
@@ -921,6 +924,8 @@ void Osd::close() {
   msgr_.close_all();
 }
 
+// The three sums below visit pgs_ in table order; integer sums do not
+// depend on it.
 std::uint64_t Osd::pending_defers() const {
   std::uint64_t total = 0;
   for (const auto& [id, pg] : pgs_) total += pg->pending_defers;

@@ -7,6 +7,7 @@
 
 #include "cluster/map.h"
 #include "common/histogram.h"
+#include "common/id_map.h"
 #include "common/stats.h"
 #include "core/profile.h"
 #include "fs/filestore.h"
@@ -113,12 +114,18 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   const net::Messenger& messenger() const { return msgr_; }
   net::Node& node() { return node_; }
 
-  /// Instantiate a PG this OSD serves (primary or replica).
+  /// Instantiate a PG this OSD serves (primary or replica); a PG it
+  /// already holds is left alone.
   void create_pg(std::uint32_t pgid, std::vector<std::uint32_t> acting);
+  /// The PG this OSD holds under `pgid`; nullptr when it holds none.
   Pg* find_pg(std::uint32_t pgid);
 
   /// Record the connection to a peer OSD (cluster wiring).
   void add_peer(std::uint32_t osd_id, net::Connection* conn);
+  /// The connection to peer OSD `osd_id`; nullptr when there is none.
+  net::Connection* peer(std::uint32_t osd_id) const {
+    return osd_id < peers_.size() ? peers_[osd_id] : nullptr;
+  }
 
   sim::CoTask<void> on_message(net::Message m) override;
 
@@ -300,13 +307,13 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   std::unique_ptr<QosScheduler> qos_;  // null unless cfg_.qos.enabled
   std::unique_ptr<PgBackend> backend_;
   std::unique_ptr<MembershipAgent> agent_;  // null under kOracle
-  std::unordered_map<std::uint32_t, std::unique_ptr<Pg>> pgs_;
-  std::unordered_map<std::uint32_t, net::Connection*> peers_;
+  IdMap<std::unique_ptr<Pg>> pgs_;       // sparse: ~pg_num * size / osds of pg_num ids
+  std::vector<net::Connection*> peers_;  // by OSD id; nullptr: no connection
   std::vector<std::unique_ptr<sim::Channel<WorkItem>>> shard_queues_;
   sim::Channel<CompletionEvent> finisher_q_;
   sim::Channel<CompletionEvent> completion_q_;
 
-  std::unordered_map<std::uint64_t, OpRef> inflight_;
+  IdMap<OpRef> inflight_;  // by op id
 
   // Ordered-ack delivery (per client): op ids outstanding and acks held
   // back until their predecessors complete.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
+#include "common/id_map.h"
 #include "common/stage_names.h"
 #include "ec/codec.h"
 #include "ec/layout.h"
@@ -477,8 +477,8 @@ class EcBackend final : public PgBackend {
       }
       // A CRUSH-down holder is skipped immediately; only a *silently*
       // unreachable one (partition: up but blackholed) costs ec_read_timeout.
-      auto conn = osd_.peers_.find(holder);
-      if (conn == osd_.peers_.end() || !osd_.cmap_.crush().is_up(holder)) {
+      net::Connection* conn = osd_.peer(holder);
+      if (conn == nullptr || !osd_.cmap_.crush().is_up(holder)) {
         g.bad.insert(p);
         return;
       }
@@ -494,7 +494,7 @@ class EcBackend final : public PgBackend {
       wire.size = 200;
       wire.body = std::move(req);
       wire.trace = op->span;
-      conn->second->send(std::move(wire));
+      conn->send(std::move(wire));
       g.waiting.insert(p);
     };
 
@@ -628,9 +628,9 @@ class EcBackend final : public PgBackend {
   }
 
   void route_shard_reply(std::shared_ptr<ShardReadReplyMsg> msg) {
-    auto it = shard_gathers_.find(msg->rid);
-    if (it == shard_gathers_.end()) return;  // gather finished, timed out, or crashed
-    ShardGather& g = *it->second;
+    ShardGather* const* found = shard_gathers_.find(msg->rid);
+    if (found == nullptr) return;  // gather finished, timed out, or crashed
+    ShardGather& g = **found;
     if (g.waiting.erase(msg->shard) == 0) return;  // duplicate or already given up on
     if (msg->ok) {
       g.good[msg->shard] = GatherChunk{msg->data_len, std::move(msg->data)};
@@ -654,7 +654,7 @@ class EcBackend final : public PgBackend {
     std::set<unsigned> bad;                // missing / corrupt / unreachable
     std::set<unsigned> waiting;            // requests not yet answered
   };
-  std::unordered_map<std::uint64_t, ShardGather*> shard_gathers_;
+  IdMap<ShardGather*> shard_gathers_;
   std::uint64_t next_shard_rid_ = 1;
 };
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cluster/map.h"
 
@@ -286,6 +287,43 @@ TEST(ClusterMap, EcRemapPositionalStabilityRapidBumps) {
       EXPECT_EQ(m.acting(pg), baseline[pg]) << "returning shard lost its position, pg " << pg;
     }
   }
+}
+
+// FNV-1a over every PG's acting set (its size, then its members), so any
+// change of placement, order or size changes the digest.
+std::uint64_t acting_digest(ClusterMap& m) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (std::uint32_t pg = 0; pg < m.pool().pg_num; pg++) {
+    const std::vector<std::uint32_t>& acting = m.acting(pg);
+    mix(acting.size());
+    for (std::uint32_t osd : acting) mix(osd);
+  }
+  return h;
+}
+
+ClusterMap make_map(ClusterMap::PoolConfig pool, unsigned nodes, unsigned osds_per_node) {
+  ClusterMap m(pool);
+  for (unsigned i = 0; i < nodes * osds_per_node; i++) m.crush().add_osd(i, i / osds_per_node);
+  return m;
+}
+
+TEST(Crush, PlacementMatchesGoldenDigest) {
+  // Captured from the hash-set implementation of Crush::place; placement
+  // must never change silently. 16 nodes x 4 OSDs as in rr4k-16n.
+  ClusterMap replicated = make_map(ClusterMap::PoolConfig{4096, 2}, 16, 4);
+  EXPECT_EQ(acting_digest(replicated), 0x627aeac8feaf5cd1ull);
+
+  ClusterMap::PoolConfig ec{4096, 2};
+  ec.scheme = ClusterMap::Scheme::kErasure;
+  ec.ec_k = 4;
+  ec.ec_m = 2;
+  ClusterMap erasure = make_map(ec, 16, 4);
+  EXPECT_EQ(acting_digest(erasure), 0x2918ad87d9612b54ull);
+
+  // Fewer hosts than shards: placement relaxes host separation.
+  ClusterMap scarce = make_map(ec, 4, 4);
+  EXPECT_EQ(acting_digest(scarce), 0x4536cf8744c4b2d7ull);
 }
 
 TEST(ClusterMap, SmallestPgNum) {

@@ -8,13 +8,16 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "common/flat_map.h"
 #include "common/histogram.h"
+#include "common/id_map.h"
 #include "common/interned.h"
 #include "common/payload.h"
 #include "common/ring_queue.h"
@@ -690,6 +693,145 @@ TEST(FlatMap, MatchesStdMapOnRandomOps) {
     flat_map_matches_std_map<std::uint64_t>(seed, [](std::uint64_t i) { return i * 4096; });
     flat_map_matches_std_map<std::string>(seed, [](std::uint64_t i) { return std::to_string(i); });
   }
+}
+
+// Every entry of `m` equals `ref`, and iteration visits each exactly once.
+template <class V>
+void expect_id_map_equals(const IdMap<V>& m, const std::unordered_map<std::uint64_t, V>& ref) {
+  ASSERT_EQ(m.size(), ref.size());
+  std::size_t visited = 0;
+  for (const auto& [k, v] : m) {
+    auto it = ref.find(k);
+    ASSERT_NE(it, ref.end()) << "key " << k;
+    ASSERT_EQ(v, it->second) << "key " << k;
+    visited++;
+  }
+  ASSERT_EQ(visited, ref.size());
+  for (const auto& [k, v] : ref) {
+    const V* found = m.find(k);
+    ASSERT_NE(found, nullptr) << "key " << k;
+    ASSERT_EQ(*found, v) << "key " << k;
+  }
+}
+
+// IdMap against std::unordered_map on random op sequences over a small key
+// space (hits, misses, overwrites and erases all occur), crossing growth.
+TEST(IdMap, MatchesStdUnorderedMapOnRandomOps) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    IdMap<int> m;
+    std::unordered_map<std::uint64_t, int> ref;
+    Rng rng(seed);
+    const std::uint64_t span = seed == 3 ? 400 : 40;
+    for (int step = 0; step < 4000; step++) {
+      // Sparse keys: op-id-like values (client << 24 | seq) and small ids.
+      const std::uint64_t raw = rng.uniform_int(0, span);
+      const std::uint64_t k = (raw % 2 == 0) ? raw : ((raw % 7) << 24) | raw;
+      const int v = int(rng.uniform_int(0, 1000));
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // emplace never overwrites
+          ASSERT_EQ(m.emplace(k, v), ref.emplace(k, v).second);
+          break;
+        case 1:
+          m[k] = v;
+          ref[k] = v;
+          break;
+        case 2:
+          ASSERT_EQ(m.erase(k), ref.erase(k) == 1);
+          break;
+        default:
+          ASSERT_EQ(m.find(k) != nullptr, ref.count(k) == 1);
+          break;
+      }
+      ASSERT_EQ(m.size(), ref.size()) << "step " << step;
+      if (step % 97 == 0) expect_id_map_equals(m, ref);
+    }
+    expect_id_map_equals(m, ref);
+    m.clear();
+    ref.clear();
+    expect_id_map_equals(m, ref);
+    m[7] = 1;  // usable after clear
+    EXPECT_EQ(*m.find(7), 1);
+  }
+}
+
+// Keys chosen so their home slots (in the first, 16-slot table) are 14, 15
+// and 0: they share homes and their probe run wraps past the table's end.
+// Every erase order must leave every remaining key reachable, which only
+// holds if backward-shift delete moves the right entries into each hole.
+TEST(IdMap, SharedHomesAndWrappedRunsSurviveEveryEraseOrder) {
+  std::vector<std::uint64_t> keys;
+  const auto pick = [&keys](std::uint32_t home, int count) {
+    for (std::uint64_t k = 0; count > 0; k++) {
+      if ((IdMap<int>::hash(k) & 15u) == home &&
+          std::find(keys.begin(), keys.end(), k) == keys.end()) {
+        keys.push_back(k);
+        count--;
+      }
+    }
+  };
+  pick(15, 4);
+  pick(14, 2);
+  pick(0, 3);
+  pick(1, 2);
+  ASSERT_EQ(keys.size(), 11u);  // 11 of 16 slots: still below 3/4 load, no growth
+
+  for (std::uint64_t seed = 1; seed <= 200; seed++) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<std::uint64_t> order = keys;
+    for (std::size_t i = order.size(); i > 1; i--) {
+      std::swap(order[i - 1], order[rng.uniform_int(0, i - 1)]);
+    }
+    IdMap<int> m;
+    std::unordered_map<std::uint64_t, int> ref;
+    for (std::uint64_t k : order) {  // insertion order decides who sits where
+      m[k] = int(k % 1000);
+      ref[k] = int(k % 1000);
+    }
+    expect_id_map_equals(m, ref);
+    for (std::size_t i = order.size(); i > 1; i--) {
+      std::swap(order[i - 1], order[rng.uniform_int(0, i - 1)]);
+    }
+    for (std::uint64_t k : order) {
+      ASSERT_TRUE(m.erase(k));
+      ASSERT_FALSE(m.erase(k));
+      ref.erase(k);
+      expect_id_map_equals(m, ref);
+      ASSERT_EQ(m.find(k), nullptr);
+    }
+  }
+}
+
+// Growth moves entries: move-only values must arrive intact, and erase
+// releases what a value owns.
+TEST(IdMap, GrowsWhileHoldingMoveOnlyValues) {
+  IdMap<std::unique_ptr<std::uint64_t>> m;
+  auto alive = std::make_shared<int>(0);
+  for (std::uint64_t k = 0; k < 3000; k++) {
+    ASSERT_TRUE(m.emplace(k * 4096, std::make_unique<std::uint64_t>(k)));
+    ASSERT_FALSE(m.emplace(k * 4096, std::make_unique<std::uint64_t>(k + 1)));
+  }
+  ASSERT_EQ(m.size(), 3000u);
+  for (std::uint64_t k = 0; k < 3000; k++) {
+    const std::unique_ptr<std::uint64_t>* v = m.find(k * 4096);
+    ASSERT_NE(v, nullptr);
+    ASSERT_EQ(**v, k);
+  }
+  for (std::uint64_t k = 0; k < 3000; k += 2) ASSERT_TRUE(m.erase(k * 4096));
+  std::uint64_t sum = 0;
+  for (const auto& [k, v] : m) {
+    ASSERT_EQ(k, *v * 4096);
+    sum += *v;
+  }
+  EXPECT_EQ(sum, 1500ull * 1500ull);  // 1 + 3 + ... + 2999
+  EXPECT_EQ(m.find(0), nullptr);
+
+  IdMap<std::shared_ptr<int>> owners;
+  owners[1] = alive;
+  EXPECT_EQ(alive.use_count(), 2);
+  owners.erase(1);
+  EXPECT_EQ(alive.use_count(), 1);
 }
 
 }  // namespace

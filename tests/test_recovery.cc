@@ -325,6 +325,17 @@ TEST(ClientWriteRules, OpForUnheldPgFailsAndReleasesThrottles) {
   osd::Osd& target = cluster.osd(0);
   const std::uint32_t unknown_pg = 1000;
   ASSERT_EQ(target.find_pg(unknown_pg), nullptr);
+  // Ids past every entry created: the PG table, the peer table and the
+  // client's connection table all answer "none".
+  EXPECT_EQ(target.find_pg(1u << 30), nullptr);
+  EXPECT_EQ(target.peer(0), nullptr);  // no connection to itself
+  EXPECT_NE(target.peer(1), nullptr);
+  EXPECT_EQ(target.peer(std::uint32_t(cluster.osd_count())), nullptr);
+  EXPECT_EQ(target.peer(kNoOsd), nullptr);
+  client::VmClient& vm = cluster.vm(0);
+  EXPECT_NE(vm.osd_conn(0), nullptr);
+  EXPECT_EQ(vm.osd_conn(std::uint32_t(cluster.osd_count())), nullptr);
+  EXPECT_EQ(vm.osd_conn(kNoOsd), nullptr);
   ProbeClient probe(cluster, 0);
   probe.write(unknown_pg, "orphan");
   cluster.simulation().run();
@@ -335,6 +346,18 @@ TEST(ClientWriteRules, OpForUnheldPgFailsAndReleasesThrottles) {
   EXPECT_EQ(target.throttles().messages.in_use(), 0u);
   EXPECT_EQ(target.throttles().message_bytes.in_use(), 0u);
   EXPECT_EQ(target.counters().get("osd.write_failures"), 1u);
+
+  // Wiring an id beyond the table's end grows it; the ids skipped stay empty.
+  net::Connection* to_one = target.peer(1);
+  target.add_peer(70, to_one);
+  EXPECT_EQ(target.peer(70), to_one);
+  EXPECT_EQ(target.peer(69), nullptr);
+  EXPECT_EQ(target.peer(1), to_one);
+  net::Connection* vm_to_one = vm.osd_conn(1);
+  vm.add_osd_conn(70, vm_to_one);
+  EXPECT_EQ(vm.osd_conn(70), vm_to_one);
+  EXPECT_EQ(vm.osd_conn(69), nullptr);
+  EXPECT_EQ(vm.osd_conn(1), vm_to_one);
 
   probe.msgr.close_all();
   cluster.close_all();
