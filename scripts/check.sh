@@ -13,7 +13,8 @@
 # the suite and every chaos invocation under a wall-clock limit), then run
 # the afceph_rt (src/rt/) concurrency stress harness natively and under
 # ThreadSanitizer.
-# Also compiles the scripts/heap_peak.sh allocation shim and the
+# Also prints the source line counts (scripts/loc.sh) after the unit tests,
+# and compiles the scripts/heap_peak.sh allocation shim and the
 # scripts/wall_profile.sh sampling shim so they do not rot.
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -41,6 +42,10 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo
+echo "=== scripts/loc.sh (source line counts, informational: never fails the gate) ==="
+scripts/loc.sh || true
 
 echo
 echo "=== scripts/heap_peak.c (heap attribution shim still compiles) ==="

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/byte_arena.h"
+#include "common/probe_table.h"
 
 namespace afc {
 
@@ -16,9 +17,10 @@ namespace afc {
 /// string construction.
 ///
 /// Append-only. The bytes of every string sit in a ByteArena, so a view
-/// returned by lookup() stays valid for the pool's lifetime. An
-/// open-addressing index (linear probing, power-of-two size) maps bytes to
-/// ids; each record caches std::hash<std::string_view> of its bytes, so
+/// returned by lookup() stays valid for the pool's lifetime. Ids are
+/// positions in a dense record array, in insertion order; a DenseIndex
+/// (the ProbeTable shared with LruMap and MemTable) maps bytes to ids. Each
+/// record caches the full std::hash<std::string_view> of its bytes, so
 /// hash(id) costs no rehash. Lookups take a string_view and build no
 /// std::string. Not thread-safe: callers that share a pool across threads
 /// lock around it.
@@ -42,21 +44,17 @@ class InternPool {
   std::uint64_t misses() const { return misses_; }
 
  private:
-  static constexpr Id kNil = ~Id(0);
-
   struct Record {
     std::size_t hash;
     std::string_view bytes;  // in arena_
   };
 
-  /// The slot holding `s`, or the empty slot that ends its probe run.
-  std::size_t probe(std::string_view s, std::size_t h) const;
-  void grow_index();
+  /// The id of `s`, whose hash is `h`; IndexSlot::kNil when absent.
+  Id find_id(std::string_view s, std::size_t h) const;
 
   ByteArena arena_{64 * 1024};
   std::vector<Record> records_;
-  std::vector<Id> slots_;   // record ids; kNil: empty
-  std::size_t mask_ = 0;
+  DenseIndex index_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

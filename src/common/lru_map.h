@@ -13,8 +13,8 @@ namespace afc {
 /// cache and the KV block cache) and the OSD's MetaCache. Allocation-free
 /// once warm apart from what K and V own: one node vector holds each key
 /// and value once, with uint32_t recency links and a free list, and a
-/// ProbeTable index (linear probing, power-of-two size, backward-shift
-/// delete) maps a key to its node by `Hash` and exact key equality. The
+/// DenseIndex (ProbeTable's linear probing and backward-shift delete over
+/// IndexSlots) maps a key to its node by `Hash` and exact key equality. The
 /// index doubles at 3/4 load and is never sized to the capacity up front,
 /// so a large cache that stays mostly empty costs only what it holds.
 template <class K, class V, class Hash>
@@ -47,7 +47,7 @@ class LruMap {
     const std::uint32_t h = hash(k);
     const std::uint32_t n = alloc_node(k, std::move(v));
     link_front(n);
-    index_.claim(h) = Slot{n, h};
+    index_.claim(h) = IndexSlot{n, h};
   }
 
   /// Drop `k` if present.
@@ -60,7 +60,7 @@ class LruMap {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+  static constexpr std::uint32_t kNil = IndexSlot::kNil;
 
   struct Node {
     K key;
@@ -68,28 +68,17 @@ class LruMap {
     std::uint32_t prev;  // towards the most recently used; kNil at head_
     std::uint32_t next;  // towards the least recently used; free-list link when free
   };
-  struct Slot {
-    std::uint32_t node = kNil;  // kNil: empty
-    std::uint32_t hash = 0;     // the key's Hash, kept so probes skip most key compares
-  };
-  struct SlotTraits {
-    static bool empty(const Slot& s) { return s.node == kNil; }
-    static std::uint32_t hash(const Slot& s) { return s.hash; }
-  };
 
   static std::uint32_t hash(const K& k) { return std::uint32_t(Hash{}(k)); }
 
   std::uint32_t find(const K& k) const {
-    const std::uint32_t h = hash(k);
-    const std::size_t i = index_.find(
-        h, [&](const Slot& s) { return s.hash == h && nodes_[s.node].key == k; });
-    return i == index_.npos ? kNil : index_[i].node;
+    return find_pos(index_, hash(k), [&](std::uint32_t n) { return nodes_[n].key == k; });
   }
 
   /// Drop node `n` from the index, the recency list and the map.
   void evict(std::uint32_t n) {
     index_.erase_at(
-        index_.find(hash(nodes_[n].key), [n](const Slot& s) { return s.node == n; }));
+        index_.find(hash(nodes_[n].key), [n](const IndexSlot& s) { return s.pos == n; }));
     unlink(n);
     // Release what the key and value own now, not when the node is reused.
     nodes_[n].key = K{};
@@ -139,7 +128,7 @@ class LruMap {
 
   std::size_t capacity_;
   std::vector<Node> nodes_;
-  ProbeTable<Slot, SlotTraits> index_;
+  DenseIndex index_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   std::uint32_t free_ = kNil;

@@ -7,15 +7,15 @@
 
 namespace afc {
 
-/// The open-addressing slot array under LruMap's index and IdMap: linear
-/// probing over a power-of-two table, backward-shift delete (no
-/// tombstones), doubling at 3/4 load. It owns no storage until the first
-/// claim. `Traits` names a slot's state: `empty(s)`, and `hash(s)`, whose
-/// low bits give the slot's home; `Slot{}` is an empty slot. The table
-/// never compares keys: callers find a slot with their own predicate and
-/// fill the slot that `claim` hands them. Slots move on growth and on
-/// erase, so a reference into the table lasts only until the next claim
-/// or erase.
+/// The one open-addressing slot array in the simulator, under IdMap and
+/// every DenseIndex (LruMap, InternPool, MemTable): linear probing over a
+/// power-of-two table, backward-shift delete (no tombstones), doubling at
+/// 3/4 load. It owns no storage until the first claim. `Traits` names a
+/// slot's state: `empty(s)`, and `hash(s)`, whose low bits give the slot's
+/// home; `Slot{}` is an empty slot. The table never compares keys: callers
+/// find a slot with their own predicate and fill the slot that `claim`
+/// hands them. Slots move on growth and on erase, so a reference into the
+/// table lasts only until the next claim or erase.
 template <class Slot, class Traits>
 class ProbeTable {
  public:
@@ -89,5 +89,34 @@ class ProbeTable {
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
+
+/// The index slot of a table that keeps its entries in a dense array of its
+/// own (LruMap's nodes, InternPool's records, MemTable's entries): the
+/// entry's position in that array, and the low 32 bits of its key's hash,
+/// kept so a probe skips most key compares and growth rehashes no key.
+struct IndexSlot {
+  static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+  std::uint32_t pos = kNil;  // kNil: empty
+  std::uint32_t hash = 0;
+
+  struct Traits {
+    static bool empty(const IndexSlot& s) { return s.pos == kNil; }
+    static std::uint32_t hash(const IndexSlot& s) { return s.hash; }
+  };
+};
+
+/// An index from keys to positions in a dense array. Add an entry with
+/// `claim(h) = IndexSlot{pos, h}`.
+using DenseIndex = ProbeTable<IndexSlot, IndexSlot::Traits>;
+
+/// The position indexed under hash `h` whose key `is_key(pos)` accepts, or
+/// IndexSlot::kNil when there is none.
+template <class IsKey>
+std::uint32_t find_pos(const DenseIndex& index, std::uint32_t h, IsKey is_key) {
+  const std::size_t i =
+      index.find(h, [&](const IndexSlot& s) { return s.hash == h && is_key(s.pos); });
+  return i == DenseIndex::npos ? IndexSlot::kNil : index[i].pos;
+}
 
 }  // namespace afc

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -27,7 +26,9 @@ bool Collector::env_requested() { return env_flag("AFC_SIM_TRACE"); }
 bool Collector::profile_requested() { return env_flag("AFC_SIM_PROFILE"); }
 
 Collector::StageId Collector::stage_id(const char* name) {
-  return stages_.intern(name);
+  const StageId id = stages_.intern(name);
+  if (id == hists_.size()) hists_.emplace_back();
+  return id;
 }
 
 void Collector::record(const Span& span, StageId stage, Time begin, Time dur) {
@@ -81,28 +82,22 @@ void Collector::name_track(std::uint32_t track, std::string name) {
 const Histogram& Collector::stage_histogram(const char* name) const {
   static const Histogram kEmpty;
   InternPool::Id id;
-  if (!stages_.find(name, id)) return kEmpty;
-  auto it = hists_.find(id);
-  return it == hists_.end() ? kEmpty : it->second;
+  return stages_.find(name, id) ? hists_[id] : kEmpty;
 }
 
 void Collector::export_chrome_json(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[256];
-  // Track labels first (metadata events are position-independent, but a
-  // stable order keeps the export byte-deterministic).
-  {
-    std::map<std::uint32_t, const std::string*> ordered;
-    for (const auto& [track, name] : track_names_) ordered.emplace(track, &name);
-    for (const auto& [track, name] : ordered) {
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,\"tid\":0,"
-                    "\"args\":{\"name\":\"%s\"}}",
-                    first ? "" : ",", track, name->c_str());
-      os << buf;
-      first = false;
-    }
+  // Track labels first, by track (metadata events are position-independent,
+  // but a stable order keeps the export byte-deterministic).
+  for (const auto& [track, name] : track_names_) {
+    std::snprintf(buf, sizeof(buf),
+                  "%s\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,\"tid\":0,"
+                  "\"args\":{\"name\":\"%s\"}}",
+                  first ? "" : ",", track, name.c_str());
+    os << buf;
+    first = false;
   }
   // Completed spans, oldest first. ts/dur are microseconds (Chrome's unit);
   // three decimals keep full nanosecond precision exactly.
@@ -142,12 +137,12 @@ std::string Collector::summary() const {
   std::ostringstream os;
   char buf[160];
   os << "stage                             count      mean (ms)\n";
-  for (StageId id = 0; id < StageId(stages_.size()); id++) {
-    auto it = hists_.find(id);
-    if (it == hists_.end() || it->second.count() == 0) continue;
+  for (StageId id = 0; id < StageId(hists_.size()); id++) {
+    const Histogram& h = hists_[id];
+    if (h.count() == 0) continue;
     const std::string_view stage = stages_.lookup(id);
     std::snprintf(buf, sizeof(buf), "%-32.*s %7llu %12.3f\n", int(stage.size()), stage.data(),
-                  static_cast<unsigned long long>(it->second.count()), it->second.mean_ms());
+                  static_cast<unsigned long long>(h.count()), h.mean_ms());
     os << buf;
   }
   return os.str();

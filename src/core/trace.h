@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -149,8 +150,8 @@ class Collector {
   std::size_t ring_next_ = 0;
   bool ring_wrapped_ = false;
   std::unordered_map<OpenKey, Time, OpenKeyHash> open_;
-  std::unordered_map<StageId, Histogram> hists_;
-  std::unordered_map<std::uint32_t, std::string> track_names_;
+  std::vector<Histogram> hists_;                      // by StageId, one per interned stage
+  std::map<std::uint32_t, std::string> track_names_;  // by track, the export's order
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t mismatched_ = 0;

@@ -7,14 +7,6 @@
 
 namespace afc::kv {
 
-namespace {
-
-std::uint32_t key_hash(std::string_view key) {
-  return std::uint32_t(std::hash<std::string_view>{}(key));
-}
-
-}  // namespace
-
 Value Value::real(std::string_view d) {
   Value v;
   if (d.empty()) return v;
@@ -24,40 +16,23 @@ Value Value::real(std::string_view d) {
   return v;
 }
 
-std::size_t MemTable::probe(std::string_view key, std::uint32_t h) const {
-  std::size_t i = h & mask_;
-  while (slots_[i].entry != kNil && !(slots_[i].hash == h && at(slots_[i].entry).key() == key)) {
-    i = (i + 1) & mask_;
-  }
-  return i;
+std::uint32_t MemTable::find(std::string_view key, std::uint32_t h) const {
+  return find_pos(index_, h, [&](std::uint32_t i) { return at(i).key() == key; });
 }
 
 MemEntry& MemTable::find_or_append(std::string_view key, bool& appended) {
-  if ((count_ + 1) * 4 > slots_.size() * 3) grow_index();
-  const std::uint32_t h = key_hash(key);
-  const std::size_t i = probe(key, h);
-  appended = slots_[i].entry == kNil;
-  if (!appended) return at(slots_[i].entry);
-  const auto idx = std::uint32_t(count_++);
+  const auto h = std::uint32_t(std::hash<std::string_view>{}(key));
+  const std::uint32_t found = find(key, h);
+  appended = found == IndexSlot::kNil;
+  if (!appended) return at(found);
+  const auto idx = std::uint32_t(index_.size());
   if ((idx & kChunkMask) == 0) chunks_.push_back(std::make_unique<MemEntry[]>(kChunkMask + 1));
-  slots_[i] = Slot{idx, h};
+  index_.claim(h) = IndexSlot{idx, h};
   MemEntry& e = at(idx);
   const std::string_view stored = keys_.copy(key);
   e.key_data = stored.data();
   e.key_len = std::uint32_t(stored.size());
   return e;
-}
-
-void MemTable::grow_index() {
-  std::vector<Slot> old(slots_.empty() ? 16 : slots_.size() * 2);
-  old.swap(slots_);
-  mask_ = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.entry == kNil) continue;
-    std::size_t i = s.hash & mask_;
-    while (slots_[i].entry != kNil) i = (i + 1) & mask_;
-    slots_[i] = s;
-  }
 }
 
 void MemTable::write(std::string_view key, Value v, std::uint64_t seq, EntryType type) {
@@ -79,15 +54,14 @@ void MemTable::del(std::string_view key, std::uint64_t seq) {
 }
 
 const MemEntry* MemTable::get(std::string_view key) const {
-  if (count_ == 0) return nullptr;
-  const std::size_t i = probe(key, key_hash(key));
-  return slots_[i].entry == kNil ? nullptr : &at(slots_[i].entry);
+  const std::uint32_t i = find(key, std::uint32_t(std::hash<std::string_view>{}(key)));
+  return i == IndexSlot::kNil ? nullptr : &at(i);
 }
 
 void MemTable::sort_pending() const {
   const std::size_t merged = sorted_.size();
-  if (merged == count_) return;
-  for (std::size_t i = merged; i < count_; i++) sorted_.push_back(std::uint32_t(i));
+  if (merged == count()) return;
+  for (std::size_t i = merged; i < count(); i++) sorted_.push_back(std::uint32_t(i));
   const auto by_key = [this](std::uint32_t x, std::uint32_t y) {
     return at(x).key() < at(y).key();
   };
@@ -99,7 +73,7 @@ void MemTable::sort_pending() const {
 std::vector<Entry> MemTable::dump() const {
   sort_pending();
   std::vector<Entry> out;
-  out.reserve(count_);
+  out.reserve(count());
   for (std::uint32_t i : sorted_) {
     const MemEntry& e = at(i);
     out.push_back(Entry{std::string(e.key()), e.value, e.seq, e.type});

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/byte_arena.h"
+#include "common/probe_table.h"
 
 namespace afc::kv {
 
@@ -103,15 +104,15 @@ static_assert(sizeof(MemEntry) == 40, "a memtable entry stays 40 bytes");
 ///
 /// Entries live in fixed-size chunks in insertion order, so their addresses
 /// never change. Each new key is appended to the table's byte arena and its
-/// entry points at it, so no put allocates per entry. An open-addressing
-/// hash index over each entry's own key serves put / get / del with one
-/// probe sequence. Key order is built only
-/// when asked for (dump, seek, next): the entries added since the last such
-/// call are sorted and merged into a cached sorted view.
+/// entry points at it, so no put allocates per entry. A DenseIndex (the
+/// ProbeTable shared with LruMap and InternPool) maps a key to its entry's
+/// position and serves put / get / del with one probe sequence. Key order
+/// is built only when asked for (dump, seek, next): the entries added since
+/// the last such call are sorted and merged into a cached sorted view.
 class MemTable {
  public:
-  /// `seed` is ignored — the table has no randomness. It stays so callers
-  /// that pass one keep compiling.
+  /// `seed` is ignored — the table has no randomness. It stays because
+  /// perfbench's memtable probe passes one.
   explicit MemTable(std::uint64_t /*seed*/ = 1) {}
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -134,36 +135,28 @@ class MemTable {
   const MemEntry* next(const MemEntry* e) const;
 
   std::uint64_t approximate_bytes() const { return bytes_; }
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  std::size_t count() const { return index_.size(); }
+  bool empty() const { return count() == 0; }
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t(0);
   static constexpr unsigned kChunkBits = 8;  // 256 entries per chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
 
-  struct Slot {
-    std::uint32_t entry = kNil;  // kNil: empty
-    std::uint32_t hash = 0;      // home slot is hash & mask_
-  };
-
   MemEntry& at(std::uint32_t i) const { return chunks_[i >> kChunkBits][i & kChunkMask]; }
-  /// The slot holding `key`, or the empty slot that ends its probe run.
-  std::size_t probe(std::string_view key, std::uint32_t h) const;
+  /// The position of `key`'s entry, whose hash is `h`; IndexSlot::kNil when
+  /// absent.
+  std::uint32_t find(std::string_view key, std::uint32_t h) const;
   /// The entry for `key`, appended (empty, unaccounted) if it is new.
   MemEntry& find_or_append(std::string_view key, bool& appended);
   void write(std::string_view key, Value v, std::uint64_t seq, EntryType type);
-  void grow_index();
   /// Merge the entries appended since the last call into sorted_.
   void sort_pending() const;
 
   std::vector<std::unique_ptr<MemEntry[]>> chunks_;
   ByteArena keys_{16 * 1024};
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
+  DenseIndex index_;  // entry positions, in insertion order
   mutable std::vector<std::uint32_t> sorted_;  // entries [0, sorted_.size()) in key order
   std::uint64_t bytes_ = 0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace afc::kv

@@ -666,13 +666,7 @@ void Osd::fail_op(OpRef op) {
     auto& st = ack_state_[msg.client_id];
     st.outstanding.erase(msg.op_id);
     st.held.erase(msg.op_id);
-    while (!st.held.empty() && !st.outstanding.empty() &&
-           st.held.begin()->first == *st.outstanding.begin()) {
-      OpRef next = st.held.begin()->second;
-      st.held.erase(st.held.begin());
-      st.outstanding.erase(st.outstanding.begin());
-      send_reply_message(next);
-    }
+    send_ready_acks(st);
   }
   auto reply = std::make_shared<IoReplyMsg>();
   reply->ok = false;
@@ -787,6 +781,10 @@ void Osd::deliver_ack(OpRef op) {
     return;
   }
   st.held.emplace(op->msg->op_id, op);
+  send_ready_acks(st);
+}
+
+void Osd::send_ready_acks(ClientAckState& st) {
   while (!st.held.empty() && !st.outstanding.empty() &&
          st.held.begin()->first == *st.outstanding.begin()) {
     OpRef next = st.held.begin()->second;

@@ -279,7 +279,16 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
   void fast_ack_now(OpRef op);
 
   // --- ack delivery -------------------------------------------------------
+  // Ordered-ack delivery (per client): op ids outstanding and acks held
+  // back until their predecessors complete.
+  struct ClientAckState {
+    std::set<std::uint64_t> outstanding;
+    std::map<std::uint64_t, OpRef> held;
+  };
   void deliver_ack(OpRef op);
+  /// Send `st`'s held acks, lowest op id first, while each is the oldest
+  /// outstanding op.
+  void send_ready_acks(ClientAckState& st);
   void send_reply_message(OpRef& op);
 
   /// Occupy one node core for `cost`, scaled by the profile's allocator
@@ -315,13 +324,7 @@ class Osd : public net::Receiver, private store::ObjectStore::Hooks {
 
   IdMap<OpRef> inflight_;  // by op id
 
-  // Ordered-ack delivery (per client): op ids outstanding and acks held
-  // back until their predecessors complete.
-  struct ClientAckState {
-    std::set<std::uint64_t> outstanding;
-    std::map<std::uint64_t, OpRef> held;
-  };
-  std::unordered_map<std::uint64_t, ClientAckState> ack_state_;
+  std::unordered_map<std::uint64_t, ClientAckState> ack_state_;  // by client id
 
   Histogram stage_hist_[kStageCount];
   Histogram write_total_;

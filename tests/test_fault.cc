@@ -1,11 +1,13 @@
 // Tests for the fault-injection subsystem: FaultPlan construction and
 // seeded generation, injector crash/restart semantics against a live
-// cluster, the primary-side replication watchdog, and client-side
-// timeout/resubmit. The chaos soak (bench/chaos.cc) covers the long
-// randomized runs; these are the targeted unit checks.
+// cluster, the primary-side replication watchdog, client-side
+// timeout/resubmit, and ordered acks across a failed write. The chaos soak
+// (bench/chaos.cc) covers the long randomized runs; these are the targeted
+// unit checks.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "afceph.h"
@@ -251,6 +253,56 @@ TEST(ClientRetry, TimeoutResubmitsUntilResolved) {
   EXPECT_EQ(r.pending, 0u);
   EXPECT_EQ(r.below_min, 0u);
   EXPECT_GT(r.retries, 0u);  // some ops needed a second attempt
+}
+
+TEST(OrderedAcks, FailedWriteReleasesLaterHeldAck) {
+  core::ClusterConfig cfg = small_cluster(42);
+  cfg.profile.ordered_acks = true;
+  cfg.min_size = 0;  // = replication: a write whose replica stays silent fails
+  cfg.osd.rep_timeout = 20 * kMillisecond;
+  cfg.osd.rep_retries = 1;
+  core::ClusterSim cluster(cfg);
+  client::VmClient& vm = cluster.vm(0);
+  const cluster::ClusterMap& map = cluster.map();
+
+  // Two objects with one primary and different replicas: cutting the link
+  // to the first one's replica fails its write, while the second commits.
+  const auto pg_at = [&](std::uint64_t off) {
+    return map.pg_of(vm.image().map(off).object_name);
+  };
+  const std::uint64_t a_off = 0;
+  const std::uint32_t primary = map.primary(pg_at(a_off));
+  const std::uint32_t lost_replica = map.acting(pg_at(a_off))[1];
+  std::uint64_t b_off = 0;
+  for (std::uint64_t off = 4 * kMiB; off < cfg.image_size && b_off == 0; off += 4 * kMiB) {
+    const std::uint32_t pg = pg_at(off);
+    if (map.primary(pg) == primary && map.acting(pg)[1] != lost_replica) b_off = off;
+  }
+  ASSERT_NE(b_off, 0u) << "no object shares the primary with a different replica";
+
+  fault::FaultPlan plan;
+  plan.link_partition(0, primary, lost_replica, 10 * kSecond);
+  cluster.install_faults(plan);
+
+  // The first write is the ledger's head while the second commits, so the
+  // second's ack is held until the first resolves, here as a failure.
+  std::optional<bool> a_ok;
+  std::optional<bool> b_ok;
+  sim::spawn_fn([&]() -> sim::CoTask<void> {
+    const bool ok = co_await vm.write_once(a_off, Payload::pattern(4096, 1));
+    a_ok = ok;
+  });
+  sim::spawn_fn([&]() -> sim::CoTask<void> {
+    const bool ok = co_await vm.write_once(b_off, Payload::pattern(4096, 2));
+    b_ok = ok;
+  });
+  cluster.simulation().run_until(kSecond);
+
+  ASSERT_TRUE(a_ok.has_value());
+  EXPECT_FALSE(*a_ok);
+  EXPECT_EQ(cluster.osd(primary).counters().get("osd.write_failures"), 1u);
+  ASSERT_TRUE(b_ok.has_value()) << "the later write's ack stayed held behind the failed write";
+  EXPECT_TRUE(*b_ok);
 }
 
 TEST(FaultInjector, SsdSlowAndJournalStallAreTransparentToClients) {

@@ -94,6 +94,40 @@ TEST(TraceCollector, RingOverwritesOldestButHistogramsSeeAll) {
   EXPECT_NE(os.str().find("\"op\":10"), std::string::npos);
 }
 
+TEST(TraceCollector, ExportAndSummaryAreExact) {
+  trace::Collector c;
+  const auto write = c.stage_id(stage::kWriteOp);
+  const auto kv = c.stage_id(stage::kKvWrite);
+  c.stage_id(stage::kReadOp);  // interned but never fired: not in the summary
+  // Labelled out of track order: the export lists them by track.
+  c.name_track(trace::osd_track(2), "osd.2");
+  c.name_track(trace::client_track(7), "client.7");
+  c.name_track(trace::osd_track(0), "osd.0");
+
+  c.begin(trace::Span{5, trace::osd_track(2)}, write, 1'000'001);
+  c.complete(trace::Span{5, trace::osd_track(2)}, kv, 1'200'000, 1'450'250);
+  c.end(trace::Span{5, trace::osd_track(2)}, write, 3'500'123);
+  c.complete(trace::Span{6, trace::osd_track(0)}, write, 2'000'000, 2'750'000);
+  c.instant(trace::Span{6, trace::client_track(7)}, kv, 4'000'007);
+
+  std::ostringstream os;
+  c.export_chrome_json(os);
+  EXPECT_EQ(os.str(), R"({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":7,"tid":0,"args":{"name":"client.7"}},
+{"name":"process_name","ph":"M","pid":16777216,"tid":0,"args":{"name":"osd.0"}},
+{"name":"process_name","ph":"M","pid":16777218,"tid":0,"args":{"name":"osd.2"}},
+{"name":"kv.write","cat":"afc","ph":"X","pid":16777218,"tid":5,"ts":1200.000,"dur":250.250,"args":{"op":5}},
+{"name":"osd.write_op","cat":"afc","ph":"X","pid":16777218,"tid":5,"ts":1000.001,"dur":2500.122,"args":{"op":5}},
+{"name":"osd.write_op","cat":"afc","ph":"X","pid":16777216,"tid":6,"ts":2000.000,"dur":750.000,"args":{"op":6}},
+{"name":"kv.write","cat":"afc","ph":"X","pid":7,"tid":6,"ts":4000.007,"dur":0.000,"args":{"op":6}}
+]}
+)");
+  EXPECT_EQ(c.summary(),
+            "stage                             count      mean (ms)\n"
+            "osd.write_op                           2        1.625\n"
+            "kv.write                               2        0.125\n");
+}
+
 TEST(TraceCluster, DisabledTracingAddsNoEventsAndChangesNothing) {
   ASSERT_EQ(trace::Collector::active(), nullptr);
   const auto spec = small_mixed();
