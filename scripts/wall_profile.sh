@@ -22,7 +22,10 @@
 # `match` (a Python regular expression), also prints the share of samples
 # taken in a matching function, inlined or not, with the functions they
 # were charged to, and the share of samples with a matching function
-# anywhere on the stack.
+# anywhere on the stack; then their callers: each such sample is charged to
+# the first function outward on its stack (inline frames included) that
+# neither matches nor belongs to the C++ standard library, printed with the
+# next such function outward, the one that called it.
 #
 # The shim costs little (a frame-pointer walk per sample), but frame
 # pointers and the RelWithDebInfo flags differ from the Release build of
@@ -105,8 +108,25 @@ def chain(frame):
     where = os.path.basename(module)
     return [f"{where}: near {symbol}" if symbol != "-" else f"{where}: ??"]
 
+def in_std(name):
+    """Whether `name` is a C++ standard-library function: its qualified
+    name, without template arguments and parameter list, is in std:: or
+    __gnu_cxx::."""
+    head, depth = [], 0
+    for ch in name:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            if ch == "(" and head and head[-1] != " ":
+                break
+            head.append(ch)
+    return re.search(r"(^|\s)(std|__gnu_cxx)::", "".join(head)) is not None
+
 self_n, incl_n = collections.Counter(), collections.Counter()
 match_self, match_incl, match_in = 0, 0, collections.Counter()
+match_callers = collections.Counter()  # (first non-matching function, its caller)
 for count, frames in stacks:
     chains = [chain(f) for f in frames]
     if not chains:
@@ -119,6 +139,10 @@ for count, frames in stacks:
         if any(re.search(match, f) for f in chains[0]):
             match_self += count
             match_in[names[0]] += count
+            own = [f for c in chains for f in c  # innermost first
+                   if not re.search(match, f) and not in_std(f)]
+            if own:
+                match_callers[(own[0], own[1] if len(own) > 1 else "-")] += count
         if any(re.search(match, f) for c in chains for f in c):
             match_incl += count
 
@@ -144,6 +168,9 @@ if match:
     print(f"/{match}/: self {pct(match_self):.1f}%, on the stack {pct(match_incl):.1f}%")
     for name, n in match_in.most_common(top):
         print(f"{pct(n):7.1f}  in {short(name)}")
+    print(f"\n/{match}/ self time by caller (first own non-matching function <- its caller)")
+    for (name, outer), n in match_callers.most_common(top):
+        print(f"{pct(n):7.1f}  {short(name)} <- {short(outer)}")
 for title, counter in (("self", self_n), ("inclusive", incl_n)):
     print(f"\ntop {top} by {title}\n{'self%':>7} {'incl%':>7}  function")
     for name, _ in counter.most_common(top):

@@ -72,15 +72,17 @@ class IdMap {
   /// Insert (k, v) unless `k` is present; an existing value is left alone.
   /// Returns whether it was inserted.
   bool emplace(std::uint64_t k, V v) {
-    if (index_of(k) != table_.npos) return false;
-    table_.claim(hash(k)) = Entry{k, std::move(v)};
+    const auto p = probe(k);
+    if (p.found) return false;
+    table_.claim(hash(k), p) = Entry{k, std::move(v)};
     return true;
   }
 
   /// The value under `k`, default-constructed first if absent.
   V& operator[](std::uint64_t k) {
-    if (V* v = find(k)) return *v;
-    Entry& e = table_.claim(hash(k));
+    const auto p = probe(k);
+    if (p.found) return table_[p.slot].value;
+    Entry& e = table_.claim(hash(k), p);
     e.key = k;
     return e.value;
   }
@@ -109,8 +111,12 @@ class IdMap {
     static std::uint32_t hash(const Entry& e) { return IdMap::hash(e.key); }
   };
 
+  auto probe(std::uint64_t k) const {
+    return table_.probe(hash(k), [k](const Entry& e) { return e.key == k; });
+  }
   std::size_t index_of(std::uint64_t k) const {
-    return table_.find(hash(k), [k](const Entry& e) { return e.key == k; });
+    const auto p = probe(k);
+    return p.found ? p.slot : table_.npos;
   }
 
   ProbeTable<Entry, Traits> table_;

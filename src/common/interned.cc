@@ -10,14 +10,17 @@ InternPool::Id InternPool::find_id(std::string_view s, std::size_t h) const {
 
 InternPool::Id InternPool::intern(std::string_view s) {
   const std::size_t h = std::hash<std::string_view>{}(s);
-  if (const Id id = find_id(s, h); id != IndexSlot::kNil) {
+  const auto h32 = std::uint32_t(h);
+  const DenseIndex::Probe p =
+      probe_pos(index_, h32, [&](Id id) { return records_[id].bytes == s; });
+  if (p.found) {
     hits_++;
-    return id;
+    return index_[p.slot].pos;
   }
   misses_++;
   const Id id = Id(records_.size());
   records_.push_back(Record{h, arena_.copy(s)});
-  index_.claim(std::uint32_t(h)) = IndexSlot{id, std::uint32_t(h)};
+  index_.claim(h32, p) = IndexSlot{id, h32};
   return id;
 }
 

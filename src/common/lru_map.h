@@ -38,16 +38,22 @@ class LruMap {
   /// full the least recently used entry is evicted first; with capacity 0
   /// nothing stays.
   void insert(const K& k, V v) {
-    if (V* cur = touch(k); cur != nullptr) {
-      *cur = std::move(v);
+    const std::uint32_t h = hash(k);
+    auto p = probe(k, h);
+    if (p.found) {
+      const std::uint32_t n = index_[p.slot].pos;
+      move_to_front(n);
+      nodes_[n].value = std::move(v);
       return;
     }
     if (capacity_ == 0) return;
-    if (size() >= capacity_) evict(tail_);
-    const std::uint32_t h = hash(k);
+    if (size() >= capacity_) {
+      evict(tail_);
+      p.slot = DenseIndex::npos;  // the erase may have moved the run's end
+    }
     const std::uint32_t n = alloc_node(k, std::move(v));
     link_front(n);
-    index_.claim(h) = IndexSlot{n, h};
+    index_.claim(h, p) = IndexSlot{n, h};
   }
 
   /// Drop `k` if present.
@@ -71,6 +77,9 @@ class LruMap {
 
   static std::uint32_t hash(const K& k) { return std::uint32_t(Hash{}(k)); }
 
+  DenseIndex::Probe probe(const K& k, std::uint32_t h) const {
+    return probe_pos(index_, h, [&](std::uint32_t n) { return nodes_[n].key == k; });
+  }
   std::uint32_t find(const K& k) const {
     return find_pos(index_, hash(k), [&](std::uint32_t n) { return nodes_[n].key == k; });
   }

@@ -21,25 +21,50 @@ class ProbeTable {
  public:
   static constexpr std::size_t npos = ~std::size_t(0);
 
+  /// Where a probe from hash `h`'s home stopped: at the first slot that
+  /// satisfies the match (`found`), or else at the empty slot that ends the
+  /// run, which is where a new entry of hash `h` belongs until the next
+  /// claim or erase (`slot` is npos while the table owns no storage).
+  struct Probe {
+    std::size_t slot;
+    bool found;
+  };
+
+  /// Walk the probe run from hash `h`'s home to the first slot that
+  /// satisfies `match` or to the run's end, whichever comes first.
+  template <class Match>
+  [[gnu::always_inline]] Probe probe(std::uint32_t h, Match match) const {
+    if (size_ == 0) return {npos, false};
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (Traits::empty(s)) return {i, false};
+      if (match(s)) return {i, true};
+    }
+  }
+
   /// Index of the first slot in the probe run from hash `h`'s home that
   /// satisfies `match`, or npos when the run ends first.
   template <class Match>
-  std::size_t find(std::uint32_t h, Match match) const {
-    if (size_ == 0) return npos;
-    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (Traits::empty(s)) return npos;
-      if (match(s)) return i;
-    }
+  [[gnu::always_inline]] std::size_t find(std::uint32_t h, Match match) const {
+    const Probe p = probe(h, match);
+    return p.found ? p.slot : npos;
   }
 
   /// The empty slot where a new entry of hash `h` belongs, counted as
   /// occupied from now on; the caller fills it so that `Traits` sees its
-  /// hash. Grows first when the new entry would pass 3/4 load.
-  Slot& claim(std::uint32_t h) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+  /// hash. `miss` is the caller's probe for the new entry, which found
+  /// nothing and has seen no claim or erase since: its end slot is taken as
+  /// it is, and the run is walked again only when the table grows first
+  /// (at 3/4 load). Without `miss` the run is walked from the home slot.
+  Slot& claim(std::uint32_t h, Probe miss = {npos, false}) {
+    std::size_t i = miss.slot;
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      grow();
+      i = npos;
+    }
+    if (i == npos) i = home_run_end(h);
     size_++;
-    return slots_[home_run_end(h)];
+    return slots_[i];
   }
 
   /// Empty slot `i` (from `find`) and close the hole: later members of the
@@ -107,16 +132,26 @@ struct IndexSlot {
 };
 
 /// An index from keys to positions in a dense array. Add an entry with
-/// `claim(h) = IndexSlot{pos, h}`.
+/// `claim(h, miss) = IndexSlot{pos, h}`, `miss` being the `probe_pos` that
+/// did not find it.
 using DenseIndex = ProbeTable<IndexSlot, IndexSlot::Traits>;
+
+/// The probe for the position indexed under hash `h` whose key
+/// `is_key(pos)` accepts; on a miss, its end slot is where `claim` puts the
+/// new key's slot.
+template <class IsKey>
+[[gnu::always_inline]] inline DenseIndex::Probe probe_pos(const DenseIndex& index,
+                                                          std::uint32_t h, IsKey is_key) {
+  return index.probe(h, [&](const IndexSlot& s) { return s.hash == h && is_key(s.pos); });
+}
 
 /// The position indexed under hash `h` whose key `is_key(pos)` accepts, or
 /// IndexSlot::kNil when there is none.
 template <class IsKey>
-std::uint32_t find_pos(const DenseIndex& index, std::uint32_t h, IsKey is_key) {
-  const std::size_t i =
-      index.find(h, [&](const IndexSlot& s) { return s.hash == h && is_key(s.pos); });
-  return i == DenseIndex::npos ? IndexSlot::kNil : index[i].pos;
+[[gnu::always_inline]] inline std::uint32_t find_pos(const DenseIndex& index, std::uint32_t h,
+                                                     IsKey is_key) {
+  const DenseIndex::Probe p = probe_pos(index, h, is_key);
+  return p.found ? index[p.slot].pos : IndexSlot::kNil;
 }
 
 }  // namespace afc

@@ -9,9 +9,10 @@ namespace afc {
 /// FIFO queue on a power-of-two ring. It allocates nothing until the first
 /// push, starts at one slot and doubles when full, so an idle queue costs
 /// nothing and a busy one allocates nothing once it has reached its working
-/// depth. The queue never shrinks. The simulator's channels and the PG
-/// pending queues use it where `std::deque` would allocate a 512-byte node
-/// and its map up front.
+/// depth. The queue never shrinks. The simulator's channels, the PG pending
+/// queues and FileStore's OpSequencers use it where `std::deque` would
+/// allocate a 512-byte node and its map up front; FlashStore's deferred
+/// ledger also indexes it and pushes at the front.
 template <class T>
 class RingQueue {
  public:
@@ -32,6 +33,23 @@ class RingQueue {
     if (size_ == slots_) grow();
     std::construct_at(&ring_[(head_ + size_) & (slots_ - 1)], std::move(v));
     size_++;
+  }
+
+  /// Add `v` ahead of the oldest element.
+  void push_front(T v) {
+    if (size_ == slots_) grow();
+    head_ = (head_ + slots_ - 1) & (slots_ - 1);
+    std::construct_at(&ring_[head_], std::move(v));
+    size_++;
+  }
+
+  /// The element `i` places behind the oldest (i < size()).
+  T& operator[](std::size_t i) { return ring_[(head_ + i) & (slots_ - 1)]; }
+  const T& operator[](std::size_t i) const { return ring_[(head_ + i) & (slots_ - 1)]; }
+
+  /// Remove every element; the ring keeps its slots.
+  void clear() {
+    while (size_ != 0) pop_front();
   }
 
   /// Remove and return the oldest element (the queue must not be empty).

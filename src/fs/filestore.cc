@@ -47,7 +47,9 @@ sim::CoTask<void> FileStore::op_thread() {
     auto item = co_await apply_q_.pop();
     if (!item) break;
     // OpSequencer: a PG's transactions apply strictly in submission order.
-    OpSequencer& seq = sequencers_[item->tx.ops().front().oid.pg];
+    std::unique_ptr<OpSequencer>& slot = sequencers_[item->tx.ops().front().oid.pg];
+    if (slot == nullptr) slot = std::make_unique<OpSequencer>();
+    OpSequencer& seq = *slot;
     if (seq.busy) {
       seq.pending.push_back(std::move(*item));
       continue;
@@ -55,8 +57,7 @@ sim::CoTask<void> FileStore::op_thread() {
     seq.busy = true;
     co_await apply_queued(std::move(*item));
     while (!seq.pending.empty()) {
-      PendingApply next = std::move(seq.pending.front());
-      seq.pending.pop_front();
+      PendingApply next = seq.pending.pop_front();
       co_await apply_queued(std::move(next));
     }
     seq.busy = false;

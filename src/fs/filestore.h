@@ -1,8 +1,10 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
+#include <memory>
 
+#include "common/id_map.h"
+#include "common/ring_queue.h"
 #include "common/stats.h"
 #include "fs/journal.h"
 #include "fs/transaction.h"
@@ -116,9 +118,11 @@ class FileStore final : public store::ObjectStore {
   /// in submission order even with several op threads.
   struct OpSequencer {
     bool busy = false;
-    std::deque<PendingApply> pending;
+    RingQueue<PendingApply> pending;
   };
-  std::unordered_map<std::uint32_t, OpSequencer> sequencers_;
+  /// By PG. Each sequencer sits in its own allocation: an op thread holds
+  /// it across its applies while other PGs' sequencers are created.
+  IdMap<std::unique_ptr<OpSequencer>> sequencers_;
 
   sim::Semaphore dirty_sem_;           // units = dirty bytes allowed
   sim::Semaphore wb_parallel_;         // concurrent writeback I/Os

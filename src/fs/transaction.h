@@ -24,12 +24,22 @@ namespace afc::fs {
 /// Nothing observable depends on handle values. Order is by pg, then by
 /// name bytes, and ObjectIdHash hashes the name bytes, so both match what
 /// an owned std::string name would give.
+///
+/// Handle values follow the order in which names were first seen, so they
+/// may key only tables whose order nothing observes: such a table (the
+/// store's read gate, FlashStore's block map and deferred ledger) hashes
+/// the 8 bytes of key() directly. A table whose order can reach an output
+/// (ExtentMap's objects, whose hash order is the backfill order) keys by
+/// ObjectIdHash or operator<=>, which see only pg and name bytes.
 class ObjectId {
  public:
   ObjectId() = default;
   ObjectId(std::uint32_t pg, std::string_view name) : pg(pg), name_(names().intern(name)) {}
 
   std::string_view name() const { return names().lookup(name_); }
+  /// The pg and the name handle as one 64-bit id (never IdMap's reserved
+  /// ~0: that would take 2^32 - 1 names).
+  std::uint64_t key() const { return std::uint64_t(pg) << 32 | name_; }
   /// std::hash<std::string> of name(), cached in the table.
   std::size_t name_hash() const { return names().hash(name_); }
 

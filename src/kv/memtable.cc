@@ -22,12 +22,13 @@ std::uint32_t MemTable::find(std::string_view key, std::uint32_t h) const {
 
 MemEntry& MemTable::find_or_append(std::string_view key, bool& appended) {
   const auto h = std::uint32_t(std::hash<std::string_view>{}(key));
-  const std::uint32_t found = find(key, h);
-  appended = found == IndexSlot::kNil;
-  if (!appended) return at(found);
+  const DenseIndex::Probe p =
+      probe_pos(index_, h, [&](std::uint32_t i) { return at(i).key() == key; });
+  appended = !p.found;
+  if (!appended) return at(index_[p.slot].pos);
   const auto idx = std::uint32_t(index_.size());
   if ((idx & kChunkMask) == 0) chunks_.push_back(std::make_unique<MemEntry[]>(kChunkMask + 1));
-  index_.claim(h) = IndexSlot{idx, h};
+  index_.claim(h, p) = IndexSlot{idx, h};
   MemEntry& e = at(idx);
   const std::string_view stored = keys_.copy(key);
   e.key_data = stored.data();

@@ -1,6 +1,7 @@
 #include "store/flashstore/flashstore.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/stage_names.h"
 #include "core/trace.h"
@@ -33,12 +34,9 @@ sim::CoTask<void> FlashStore::read_cold_metadata(const fs::ObjectId& oid) {
 }
 
 std::uint64_t FlashStore::ensure_phys(const fs::ObjectId& oid, std::uint64_t block_off) {
-  auto& pm = phys_[oid];
-  auto it = pm.find(block_off);
-  if (it != pm.end()) return it->second;
-  const std::uint64_t phys = alloc_.allocate(cfg_.block_size);
-  pm.emplace(block_off, phys);
-  return phys;
+  auto [it, inserted] = phys_[oid.key()].emplace(block_off, 0);
+  if (inserted) it->second = alloc_.allocate(cfg_.block_size);
+  return it->second;
 }
 
 sim::CoTask<void> FlashStore::write_blocks(const fs::ObjectId& oid, std::uint64_t off,
@@ -47,9 +45,9 @@ sim::CoTask<void> FlashStore::write_blocks(const fs::ObjectId& oid, std::uint64_
   // the blocks it replaces free only after the new data is durable.
   const std::uint64_t phys = alloc_.allocate(len);
   co_await dev_.submit(dev::IoType::kWrite, phys, len, stream_of(oid));
-  auto& pm = phys_[oid];
+  auto& pm = phys_[oid.key()];
   for (std::uint64_t b = 0; b < len; b += cfg_.block_size) {
-    auto [it, inserted] = pm.try_emplace(off + b, phys + b);
+    auto [it, inserted] = pm.emplace(off + b, phys + b);
     if (!inserted) {
       alloc_.free(it->second, cfg_.block_size);
       it->second = phys + b;
@@ -57,16 +55,84 @@ sim::CoTask<void> FlashStore::write_blocks(const fs::ObjectId& oid, std::uint64_
   }
 }
 
+FlashStore::DeferredBlock* FlashStore::find_block(const BlockKey& key) {
+  const std::uint32_t h = block_hash(key);
+  const std::size_t i =
+      blocks_.find(h, [&](const DeferredBlock& b) { return b.hash == h && b.key == key; });
+  return i == blocks_.npos ? nullptr : &blocks_[i];
+}
+
+FlashStore::DeferredRec& FlashStore::make_record(std::uint64_t seq) {
+  if (records_.empty()) records_base_ = seq;
+  for (; seq < records_base_; records_base_--) records_.push_front(DeferredRec{});
+  while (seq - records_base_ >= records_.size()) records_.push_back(DeferredRec{});
+  DeferredRec& rec = records_[seq - records_base_];
+  if (!rec.live) {
+    rec.live = true;
+    records_live_++;
+  }
+  return rec;
+}
+
+void FlashStore::drop_record(std::uint64_t seq) {
+  records_[seq - records_base_] = DeferredRec{};
+  records_live_--;
+  for (; !records_.empty() && !records_[0].live; records_base_++) records_.pop_front();
+}
+
+void FlashStore::add_link(DeferredRec& rec, std::uint64_t seq, const BlockKey& key) {
+  const std::uint32_t h = block_hash(key);
+  const auto p =
+      blocks_.probe(h, [&](const DeferredBlock& b) { return b.hash == h && b.key == key; });
+  DeferredBlock& blk = p.found ? blocks_[p.slot] : blocks_.claim(h, p);
+  if (!p.found) blk = DeferredBlock{key, h};
+  // Keep the block's list in ascending seq order: a new record appends, and
+  // a record already on the list (a transaction writing the block twice)
+  // is not added again.
+  std::uint32_t prev = blk.tail;
+  std::uint32_t next = kNil;
+  if (prev != kNil && links_[prev].seq >= seq) {
+    prev = kNil;
+    next = blk.head;
+    while (links_[next].seq < seq) {
+      prev = next;
+      next = links_[next].next_in_block;
+    }
+    if (links_[next].seq == seq) return;
+  }
+  std::uint32_t l = free_link_;
+  if (l == kNil) {
+    l = std::uint32_t(links_.size());
+    links_.emplace_back();
+  } else {
+    free_link_ = links_[l].next_in_block;
+  }
+  links_[l] = Link{key, seq, rec.links, next};
+  rec.links = l;
+  (prev == kNil ? blk.head : links_[prev].next_in_block) = l;
+  if (next == kNil) blk.tail = l;
+  flush_scan_ = std::min(flush_scan_, seq);
+}
+
+void FlashStore::drop_link(std::uint32_t l) {
+  const Link& link = links_[l];
+  DeferredRec* rec = find_record(link.seq);
+  std::uint32_t* at = &rec->links;
+  while (*at != l) at = &links_[*at].next_in_record;
+  *at = link.next_in_record;
+  links_[l].next_in_block = free_link_;
+  free_link_ = l;
+}
+
 void FlashStore::register_deferred(const fs::ObjectId& oid, std::uint64_t off,
                                    std::uint64_t len, std::uint64_t seq) {
-  DeferredRec& rec = deferred_[seq];
+  DeferredRec& rec = make_record(seq);
   rec.bytes += len;
   const std::uint64_t b0 = off / cfg_.block_size * cfg_.block_size;
   const std::uint64_t bend =
       (off + len + cfg_.block_size - 1) / cfg_.block_size * cfg_.block_size;
   for (std::uint64_t b = b0; b < bend; b += cfg_.block_size) {
-    rec.blocks.insert({oid, b});
-    deferred_blocks_[{oid, b}].insert(seq);
+    add_link(rec, seq, BlockKey{oid, b});
     // The eventual read-modify-write needs a backing block; allocating now
     // keeps the flush path free of mapping decisions.
     ensure_phys(oid, b);
@@ -74,46 +140,58 @@ void FlashStore::register_deferred(const fs::ObjectId& oid, std::uint64_t off,
   deferred_pending_bytes_ += len;
 }
 
-void FlashStore::retire_block_seqs(const BlockKey& key,
-                                   const std::set<std::uint64_t>& seqs,
+void FlashStore::retire_block_seqs(const BlockKey& key, const std::vector<std::uint64_t>& seqs,
                                    std::uint64_t* counter) {
-  auto bit = deferred_blocks_.find(key);
-  if (bit == deferred_blocks_.end()) return;
+  DeferredBlock* blk = find_block(key);
+  if (blk == nullptr || blk->head == kNil) return;
+  // One merge walk: the block's list and `seqs` are both ascending. A seq
+  // of the snapshot that left the block since (a fold) is still visited.
+  std::uint32_t prev = kNil;
+  std::uint32_t cur = blk->head;
   for (std::uint64_t seq : seqs) {
-    bit->second.erase(seq);
-    auto it = deferred_.find(seq);
-    if (it == deferred_.end()) continue;
-    it->second.blocks.erase(key);
-    if (!it->second.blocks.empty()) continue;
+    while (cur != kNil && links_[cur].seq < seq) {
+      prev = cur;
+      cur = links_[cur].next_in_block;
+    }
+    if (cur != kNil && links_[cur].seq == seq) {
+      const std::uint32_t next = links_[cur].next_in_block;
+      (prev == kNil ? blk->head : links_[prev].next_in_block) = next;
+      if (blk->tail == cur) blk->tail = prev;
+      drop_link(cur);
+      cur = next;
+    }
+    DeferredRec* rec = find_record(seq);
+    if (rec == nullptr || rec->links != kNil) continue;
     // Every block this record was waiting on has been durably rewritten:
     // the payload is realized on media and leaves the flush backlog.
-    deferred_pending_bytes_ -= std::min(deferred_pending_bytes_, it->second.bytes);
-    it->second.bytes = 0;
+    deferred_pending_bytes_ -= std::min(deferred_pending_bytes_, rec->bytes);
+    rec->bytes = 0;
     (*counter)++;
-    if (it->second.kv_pending) continue;  // ring space frees once KV lands
-    deferred_.erase(it);
+    if (rec->kv_pending) continue;  // ring space frees once KV lands
+    drop_record(seq);
     wal_.mark_applied(seq);
   }
-  if (bit->second.empty()) deferred_blocks_.erase(bit);
+  if (blk->head == kNil && !blk->inflight) {
+    blocks_.erase_at(std::size_t(blk - &blocks_[0]));
+  }
 }
 
 void FlashStore::fold_block(const BlockKey& key, std::uint64_t* counter) {
-  auto bit = deferred_blocks_.find(key);
-  if (bit == deferred_blocks_.end()) return;
-  const std::set<std::uint64_t> seqs = bit->second;
-  retire_block_seqs(key, seqs, counter);
+  const DeferredBlock* blk = find_block(key);
+  if (blk == nullptr) return;
+  fold_seqs_.clear();
+  for (std::uint32_t l = blk->head; l != kNil; l = links_[l].next_in_block) {
+    fold_seqs_.push_back(links_[l].seq);
+  }
+  retire_block_seqs(key, fold_seqs_, counter);
 }
 
 void FlashStore::fold_covered(const fs::ObjectId& oid, std::uint64_t off,
                               std::uint64_t len) {
-  if (deferred_blocks_.empty()) return;
-  const std::uint64_t b0 = off / cfg_.block_size * cfg_.block_size;
-  for (auto it = deferred_blocks_.lower_bound({oid, b0});
-       it != deferred_blocks_.end() && it->first.first == oid &&
-       it->first.second < off + len;) {
-    const BlockKey key = it->first;
-    ++it;  // fold_block erases exactly this entry
-    fold_block(key, &deferred_folds_);
+  if (blocks_.size() == 0) return;
+  for (std::uint64_t b = off / cfg_.block_size * cfg_.block_size; b < off + len;
+       b += cfg_.block_size) {
+    fold_block(BlockKey{oid, b}, &deferred_folds_);
   }
 }
 
@@ -127,58 +205,79 @@ void FlashStore::maybe_flush_deferred() {
   });
 }
 
+bool FlashStore::pick_flush_block(BlockKey& key) {
+  std::uint64_t seq = std::max(flush_scan_, records_base_);
+  for (; seq - records_base_ < records_.size(); seq++) {
+    const DeferredRec& rec = records_[seq - records_base_];
+    bool found = false;
+    for (std::uint32_t l = rec.links; l != kNil; l = links_[l].next_in_record) {
+      const BlockKey& k = links_[l].key;
+      if ((!found || k < key) && !find_block(k)->inflight) {
+        key = k;
+        found = true;
+      }
+    }
+    if (found) {
+      flush_scan_ = seq;
+      return true;
+    }
+  }
+  flush_scan_ = seq;
+  return false;
+}
+
 sim::CoTask<void> FlashStore::flush_deferred(std::uint64_t floor) {
   // Oldest record first, `flush_iodepth` in-place rewrites in flight at
   // once — the drive's channels absorb them, so the flush keeps pace with
   // the deferred ingest rate instead of serializing one program at a time.
-  while (!deferred_.empty() && deferred_pending_bytes_ > floor) {
-    if (flush_inflight_.size() >= cfg_.flush_iodepth) {
+  while (records_live_ > 0 && deferred_pending_bytes_ > floor) {
+    if (flush_inflight_ >= cfg_.flush_iodepth) {
       co_await flush_idle_cv_.wait();
       continue;
     }
-    BlockKey key{};
-    bool found = false;
-    for (const auto& [seq, rec] : deferred_) {
-      for (const BlockKey& k : rec.blocks) {
-        if (!flush_inflight_.contains(k)) {
-          key = k;
-          found = true;
-          break;
-        }
-      }
-      if (found) break;
-    }
-    if (!found) {
+    BlockKey key;
+    if (!pick_flush_block(key)) {
       // Every pending block is already on the device; wait for a landing.
-      if (flush_inflight_.empty()) break;  // ledger cleared under us (crash)
+      if (flush_inflight_ == 0) break;  // ledger cleared under us (crash)
       co_await flush_idle_cv_.wait();
       continue;
     }
-    flush_inflight_.insert(key);
+    find_block(key)->inflight = true;
+    flush_inflight_++;
     sim::spawn(flush_block(key));
   }
-  while (!flush_inflight_.empty()) co_await flush_idle_cv_.wait();
+  while (flush_inflight_ > 0) co_await flush_idle_cv_.wait();
+}
+
+void FlashStore::end_flush(const BlockKey& key) {
+  DeferredBlock* blk = find_block(key);
+  blk->inflight = false;
+  if (blk->head == kNil) blocks_.erase_at(std::size_t(blk - &blocks_[0]));
+  flush_inflight_--;
+  flush_scan_ = 0;  // the block's records may be pickable again
+  flush_idle_cv_.notify_all();
 }
 
 sim::CoTask<void> FlashStore::flush_block(BlockKey key) {
   // Snapshot the records waiting on this block now: a write that registers
   // *while* the device program is in flight is newer than the data going to
   // media and must keep its WAL record.
-  auto bit = deferred_blocks_.find(key);
-  if (bit == deferred_blocks_.end()) {
+  const DeferredBlock* blk = find_block(key);
+  if (blk->head == kNil) {
     // Folded away (direct overwrite / object removal) between dispatch and
     // start — nothing left to make durable.
-    flush_inflight_.erase(key);
-    flush_idle_cv_.notify_all();
+    end_flush(key);
     co_return;
   }
-  const std::set<std::uint64_t> snapshot = bit->second;
+  std::vector<std::uint64_t> snapshot;
+  for (std::uint32_t l = blk->head; l != kNil; l = links_[l].next_in_block) {
+    snapshot.push_back(links_[l].seq);
+  }
   co_await charge_cpu(cfg_.flush_submit_cpu);
-  const std::uint64_t phys = ensure_phys(key.first, key.second);
-  co_await dev_.submit(dev::IoType::kWrite, phys, cfg_.block_size, stream_of(key.first));
+  const std::uint64_t phys = ensure_phys(key.oid, key.off);
+  co_await dev_.submit(dev::IoType::kWrite, phys, cfg_.block_size, stream_of(key.oid));
   retire_block_seqs(key, snapshot, &deferred_flushes_);
-  flush_inflight_.erase(key);
-  flush_idle_cv_.notify_all();
+  end_flush(key);
 }
 
 sim::CoTask<void> FlashStore::admit(std::uint64_t bytes) {
@@ -274,7 +373,9 @@ sim::CoTask<bool> FlashStore::queue_transaction(fs::Transaction tx, std::uint64_
   const bool has_deferred = deferred_bytes > 0;
   meta.has_deferred = has_deferred;
   if (has_deferred) {
-    deferred_[seq].kv_pending = true;
+    // A direct write later in the transaction may have folded the record
+    // away already; it comes back empty, to retire when the KV batch lands.
+    make_record(seq).kv_pending = true;
     deferred_writes_++;
   }
   meta_inflight_++;
@@ -351,12 +452,11 @@ sim::CoTask<void> FlashStore::kv_finalize_loop() {
     for (const KvTxn& t : txns) {
       if (!t.has_deferred) {
         wal_.mark_applied(t.seq);  // data durable in Phase 1, metadata now too
-      } else if (auto it = deferred_.find(t.seq);
-                 it != deferred_.end() && it->second.kv_pending) {
-        it->second.kv_pending = false;
-        if (it->second.blocks.empty()) {
+      } else if (DeferredRec* rec = find_record(t.seq); rec != nullptr && rec->kv_pending) {
+        rec->kv_pending = false;
+        if (rec->links == kNil) {
           // The flush finished while the batch was in flight; retire now.
-          deferred_.erase(it);
+          drop_record(t.seq);
           wal_.mark_applied(t.seq);
         }
       }
@@ -447,19 +547,16 @@ sim::CoTask<void> FlashStore::apply_transaction(const fs::Transaction& tx,
 
 void FlashStore::remove_object(const fs::ObjectId& oid) {
   ObjectStore::remove_object(oid);
-  auto pit = phys_.find(oid);
-  if (pit != phys_.end()) {
-    for (const auto& [lb, pb] : pit->second) alloc_.free(pb, cfg_.block_size);
-    phys_.erase(pit);
+  FlatMap<std::uint64_t, std::uint64_t> blocks;
+  if (auto* pm = phys_.find(oid.key()); pm != nullptr) {
+    blocks = std::move(*pm);
+    phys_.erase(oid.key());
+    for (const auto& [lb, pb] : blocks) alloc_.free(pb, cfg_.block_size);
   }
   // Deferred records pending on this object are moot — the object is being
   // replaced wholesale (recovery) and the importer rewrites everything.
-  for (auto it = deferred_blocks_.lower_bound({oid, 0});
-       it != deferred_blocks_.end() && it->first.first == oid;) {
-    const BlockKey key = it->first;
-    ++it;  // fold_block erases exactly this entry
-    fold_block(key, &deferred_folds_);
-  }
+  // Every block they wait on is mapped, so the map names them all.
+  for (const auto& [lb, pb] : blocks) fold_block(BlockKey{oid, lb}, &deferred_folds_);
 }
 
 void FlashStore::on_daemon_crash() {
@@ -468,9 +565,22 @@ void FlashStore::on_daemon_crash() {
   // replays them (their sub-block payloads are rewritten in place by
   // apply_transaction) and the OSD's replay loop then retires them. The
   // epoch bump stops a finalizer group popped before the crash from
-  // retiring records afterwards.
-  deferred_.clear();
-  deferred_blocks_.clear();
+  // retiring records afterwards. Rewrites already on the device keep their
+  // blocks' in-flight flags until they land.
+  std::vector<BlockKey> inflight;
+  for (const DeferredBlock& b : blocks_.slots()) {
+    if (!DeferredBlock::Traits::empty(b) && b.inflight) inflight.push_back(b.key);
+  }
+  blocks_.clear();
+  for (const BlockKey& key : inflight) {
+    const std::uint32_t h = block_hash(key);
+    blocks_.claim(h) = DeferredBlock{key, h, kNil, kNil, true};
+  }
+  links_.clear();
+  free_link_ = kNil;
+  records_.clear();
+  records_live_ = 0;
+  flush_scan_ = 0;
   deferred_pending_bytes_ = 0;
   kv_queue_.clear();
   meta_inflight_ = 0;
@@ -487,7 +597,7 @@ void FlashStore::close() {
 sim::CoTask<void> FlashStore::drain() {
   while (meta_inflight_ > 0) co_await flush_idle_cv_.wait();
   co_await flush_deferred(0);
-  while (flush_running_ || !flush_inflight_.empty() || meta_inflight_ > 0) {
+  while (flush_running_ || flush_inflight_ > 0 || meta_inflight_ > 0) {
     co_await flush_idle_cv_.wait();
   }
 }

@@ -1,13 +1,15 @@
 #pragma once
 
+#include <compare>
 #include <deque>
-#include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/id_map.h"
+#include "common/probe_table.h"
+#include "common/ring_queue.h"
 #include "common/stats.h"
 #include "fs/journal.h"
 #include "fs/transaction.h"
@@ -122,10 +124,17 @@ class FlashStore final : public ObjectStore {
   std::uint64_t deferred_writes() const { return deferred_writes_; }
   std::uint64_t deferred_folds() const { return deferred_folds_; }
   std::uint64_t deferred_flushes() const { return deferred_flushes_; }
-  std::uint64_t deferred_pending() const { return deferred_.size(); }
+  std::uint64_t deferred_pending() const { return records_live_; }
 
  private:
-  using BlockKey = std::pair<fs::ObjectId, std::uint64_t>;  // (object, block off)
+  /// One block of one object, by its logical offset. Ordered by pg, name
+  /// bytes, then offset: the order flush_deferred picks a record's blocks in.
+  struct BlockKey {
+    fs::ObjectId oid;
+    std::uint64_t off = 0;
+    bool operator==(const BlockKey&) const = default;
+    std::strong_ordering operator<=>(const BlockKey&) const = default;
+  };
 
   /// Per-read bookkeeping.
   Time lookup_cpu() override { return cpu_time(cfg_.read_cpu); }
@@ -161,10 +170,10 @@ class FlashStore final : public ObjectStore {
   /// Register `seq`'s sub-block payload as deferred on its covering blocks.
   void register_deferred(const fs::ObjectId& oid, std::uint64_t off,
                          std::uint64_t len, std::uint64_t seq);
-  /// The block is durably rewritten for `seqs` (a snapshot taken when the
-  /// rewrite was issued): drop the block from each record, retiring records
-  /// left with nothing pending. `counter` attributes the retirement.
-  void retire_block_seqs(const BlockKey& key, const std::set<std::uint64_t>& seqs,
+  /// The block is durably rewritten for `seqs` (ascending; a snapshot taken
+  /// when the rewrite was issued): drop the block from each record, retiring
+  /// records left with nothing pending. `counter` attributes the retirement.
+  void retire_block_seqs(const BlockKey& key, const std::vector<std::uint64_t>& seqs,
                          std::uint64_t* counter);
   /// A durable rewrite covered this block: retire every WAL record that was
   /// only waiting on it. `counter` attributes the retirement (fold/flush).
@@ -174,9 +183,16 @@ class FlashStore final : public ObjectStore {
   /// Drive the deferred backlog below `floor` via in-place rewrites, up to
   /// `flush_iodepth` blocks in flight at once.
   sim::CoTask<void> flush_deferred(std::uint64_t floor);
+  /// The block flush_deferred rewrites next: in the oldest record that has
+  /// a block not in flight, the first such block in BlockKey order. False
+  /// when every pending block is in flight.
+  bool pick_flush_block(BlockKey& key);
   /// One in-flight block rewrite: device write, then retire the records
   /// that were waiting on the block when the write was issued.
   sim::CoTask<void> flush_block(BlockKey key);
+  /// The rewrite of `key` has landed or was dropped: the block leaves the
+  /// in-flight set (and the table, when no record waits on it).
+  void end_flush(const BlockKey& key);
   /// The single KV finalizer (BlueStore's kv_sync_thread): drains queued
   /// per-transaction metadata into merged atomic KV batches, then retires
   /// the WAL records whose only outstanding obligation was the KV commit.
@@ -187,28 +203,82 @@ class FlashStore final : public ObjectStore {
   fs::Journal wal_;
   ExtentAllocator alloc_;
 
-  /// logical block offset -> physical block offset, per object. Only
-  /// explicitly written blocks are mapped; implicit populated base data is
-  /// conceptually outside the allocator pool.
-  std::unordered_map<fs::ObjectId, std::map<std::uint64_t, std::uint64_t>,
-                     fs::ObjectIdHash>
-      phys_;
+  /// logical block offset -> physical block offset, per object
+  /// (ObjectId::key()), in block order. Only explicitly written blocks are
+  /// mapped; implicit populated base data is conceptually outside the
+  /// allocator pool. Every block the deferred ledger holds is mapped here.
+  IdMap<FlatMap<std::uint64_t, std::uint64_t>> phys_;
 
-  /// Deferred-write ledger (RAM; lost on crash, rebuilt by WAL replay).
+  /// Deferred-write ledger (RAM; lost on crash, rebuilt by WAL replay): which
+  /// WAL records wait on which blocks. A record's payload is realized once
+  /// every block it covers has been durably rewritten (flush or fold); each
+  /// (record, block) pair is one Link, threaded on two lists.
+  static constexpr std::uint32_t kNil = IndexSlot::kNil;
+  struct Link {
+    BlockKey key;
+    std::uint64_t seq = 0;
+    std::uint32_t next_in_record = kNil;
+    std::uint32_t next_in_block = kNil;  // free-list link when free
+  };
+  /// A deferred WAL record.
   struct DeferredRec {
     std::uint64_t bytes = 0;
-    std::set<BlockKey> blocks;  // covering blocks not yet rewritten
+    std::uint32_t links = kNil;  // its blocks not yet rewritten, any order
     /// The transaction's KV batch is still in flight: even with every block
     /// durable, the record must stay replayable until the batch commits.
     bool kv_pending = false;
+    bool live = false;  // false: a WAL seq with no deferred record
   };
-  std::map<std::uint64_t, DeferredRec> deferred_;  // WAL seq -> record
-  std::map<BlockKey, std::set<std::uint64_t>> deferred_blocks_;
+  /// A block some record waits on, or one with a rewrite on the device.
+  struct DeferredBlock {
+    static constexpr std::uint64_t kNoBlock = ~std::uint64_t(0);
+    BlockKey key{{}, kNoBlock};  // kNoBlock: empty slot
+    std::uint32_t hash = 0;
+    std::uint32_t head = kNil;  // its records' links, ascending seq
+    std::uint32_t tail = kNil;
+    /// An in-place rewrite is on the device (each spawned flush_block owns
+    /// the flag until the write lands).
+    bool inflight = false;
+    struct Traits {
+      static bool empty(const DeferredBlock& b) { return b.key.off == kNoBlock; }
+      static std::uint32_t hash(const DeferredBlock& b) { return b.hash; }
+    };
+  };
+  static std::uint32_t block_hash(const BlockKey& k) {
+    std::uint64_t x = k.oid.key() * 0x9e3779b97f4a7c15ull ^ k.off;
+    x = (x ^ (x >> 29)) * 0xbf58476d1ce4e5b9ull;
+    return std::uint32_t(x >> 32);
+  }
+  DeferredBlock* find_block(const BlockKey& key);
+  /// Thread (seq, key) on both lists unless the pair is already there.
+  void add_link(DeferredRec& rec, std::uint64_t seq, const BlockKey& key);
+  /// Unthread link `l` from its record's list and free it.
+  void drop_link(std::uint32_t l);
+  /// The live record of WAL seq `seq`, or nullptr.
+  DeferredRec* find_record(std::uint64_t seq) {
+    if (seq < records_base_ || seq - records_base_ >= records_.size()) return nullptr;
+    DeferredRec& r = records_[seq - records_base_];
+    return r.live ? &r : nullptr;
+  }
+  DeferredRec& make_record(std::uint64_t seq);
+  /// Retire `seq`'s record; the window's front advances past dead slots.
+  void drop_record(std::uint64_t seq);
+
+  /// records_[i] is WAL seq records_base_ + i, from the oldest live record
+  /// to the newest: oldest record first is a walk from the front.
+  RingQueue<DeferredRec> records_;
+  std::uint64_t records_base_ = 0;
+  std::size_t records_live_ = 0;
+  ProbeTable<DeferredBlock, DeferredBlock::Traits> blocks_;
+  std::vector<Link> links_;
+  std::uint32_t free_link_ = kNil;
+  /// Every live record below this seq has all its blocks in flight, so
+  /// pick_flush_block starts here. A landing or a new link moves it back.
+  std::uint64_t flush_scan_ = 0;
+  std::vector<std::uint64_t> fold_seqs_;  // fold_block's snapshot, reused
   std::uint64_t deferred_pending_bytes_ = 0;
   bool flush_running_ = false;
-  /// Blocks with an in-place rewrite currently on the device (each spawned
-  /// flush_block owns its entry until the write lands).
-  std::set<BlockKey> flush_inflight_;
+  unsigned flush_inflight_ = 0;  // blocks with inflight set
   sim::CondVar flush_idle_cv_;
 
   /// Commit-path Phase 4 metadata, queued for the single KV finalizer.

@@ -9,10 +9,10 @@
 namespace afc::store {
 
 void ObjectStore::note_apply_done(const fs::ObjectId& oid) {
-  auto it = pending_applies_.find(oid);
-  if (it == pending_applies_.end()) return;
-  if (--it->second == 0) {
-    pending_applies_.erase(it);
+  unsigned* pending = pending_applies_.find(oid.key());
+  if (pending == nullptr) return;
+  if (--*pending == 0) {
+    pending_applies_.erase(oid.key());
     gate_cv_.notify_all();
   }
 }
@@ -117,7 +117,7 @@ sim::CoTask<std::optional<kv::Value>> ObjectStore::getattr(const fs::ObjectId& o
 }
 
 sim::CoTask<void> ObjectStore::wait_object_readable(const fs::ObjectId& oid) {
-  while (pending_applies_.find(oid) != pending_applies_.end()) {
+  while (pending_applies_.find(oid.key()) != nullptr) {
     co_await gate_cv_.wait();
   }
 }

@@ -4,9 +4,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_map.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "device/device.h"
@@ -213,7 +213,7 @@ class ObjectStore {
   void install_attrs(const fs::TxOp& op);
 
   /// The read gate: a transaction on `oid` was queued / has applied.
-  void note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid]++; }
+  void note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid.key()]++; }
   void note_apply_done(const fs::ObjectId& oid);
 
   sim::Simulation& sim_;
@@ -243,7 +243,8 @@ class ObjectStore {
   const bool assume_populated_;
   std::uint64_t metadata_device_reads_ = 0;
   std::uint64_t data_bytes_written_ = 0;
-  std::unordered_map<fs::ObjectId, unsigned, fs::ObjectIdHash> pending_applies_;
+  /// Queued-but-unapplied transactions per object (ObjectId::key()).
+  IdMap<unsigned> pending_applies_;
   sim::CondVar gate_cv_;
 };
 

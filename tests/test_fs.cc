@@ -7,6 +7,7 @@
 
 #include <compare>
 #include <list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "fs/journal.h"
 #include "fs/pagecache.h"
+#include "osd/op.h"
 #include "store_harness.h"
 
 namespace afc::fs {
@@ -117,6 +119,54 @@ TEST(FileStore, ColdMetadataCostsDeviceReads) {
     }
     EXPECT_GE(f.store.metadata_device_reads(), 15u);
   });
+}
+
+// FileStore's OpSequencer: a PG's applies run in submission order. All
+// transactions arrive at once, one op thread each: PG 1's later ones queue
+// behind its first apply, and while that apply runs the first transactions
+// of 30 higher PGs create their sequencers (the table grows twice) under
+// the op thread that holds PG 1's.
+TEST(FileStore, SequencerKeepsPgOrderWhileOtherPgsArrive) {
+  struct OrderHooks : store::StoreHarness {
+    using StoreHarness::StoreHarness;
+    sim::CoTask<void> on_applied(const store::OpRef& op) override {
+      applied.push_back(op->version);
+      co_return;
+    }
+    std::vector<std::uint64_t> applied;  // each op's id, in apply order
+  };
+  sim::Simulation sim;
+  sim::CpuPool cpu{sim, 8};
+  dev::NvramModel nvram{sim, "nvram"};
+  dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
+  kv::Db kvdb{sim, ssd};
+  OrderHooks hooks{sim};
+  store::StoreConfig cfg;
+  cfg.file.apply_threads = 32;
+  auto store = store::make_store(sim, cpu, nvram, ssd, kvdb, cfg, Journal::Config{}, hooks,
+                                 hooks.throttles());
+  auto submit = [&](std::uint32_t pg, std::uint64_t off, std::uint64_t id) -> sim::CoTask<void> {
+    Transaction t;
+    t.write(ObjectId{pg, "obj"}, off, Payload::pattern(4096, id));
+    auto op = std::make_shared<osd::OpCtx>();
+    op->version = id;
+    const std::uint64_t bytes = t.encoded_bytes();
+    co_await store->admit(bytes);
+    co_await store->queue_transaction(std::move(t), bytes, false, std::move(op));
+  };
+  for (std::uint64_t i = 0; i < 4; i++) sim::spawn(submit(1, i * 4096, 100 + i));
+  for (std::uint32_t pg = 2; pg < 32; pg++) sim::spawn(submit(pg, 0, pg));
+  for (std::uint64_t i = 4; i < 8; i++) sim::spawn(submit(1, i * 4096, 100 + i));
+  sim.run();
+  ASSERT_EQ(hooks.applied.size(), 38u);
+  std::vector<std::uint64_t> pg1;
+  for (std::uint64_t id : hooks.applied) {
+    if (id >= 100) pg1.push_back(id);
+  }
+  EXPECT_EQ(pg1, (std::vector<std::uint64_t>{100, 101, 102, 103, 104, 105, 106, 107}));
+  // The other PGs applied while PG 1 still had applies queued.
+  EXPECT_EQ(hooks.applied.front(), 100u);
+  EXPECT_LT(hooks.applied[1], 100u);
 }
 
 TEST(FileStore, WritebackBackpressureStallsWhenDirtyLimitHit) {

@@ -1,8 +1,12 @@
 // Tests for the FlashStore raw-device backend: the prefer-deferred routing
 // rule, COW direct writes, deferred fold/flush retirement, the KV-commit
-// durability gate, and crash consistency through WAL replay.
+// durability gate, crash consistency through WAL replay, and a golden log
+// of the deferred ledger's device writes and WAL retirements.
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "store_harness.h"
 
@@ -176,6 +180,123 @@ TEST(FlashStore, ReplayStopsAtFlippedRecord) {
     EXPECT_EQ(replay.records.size() + 1 + replay.truncated, 6u);
     co_await f.store.drain();
   });
+}
+
+// The deferred ledger end to end: every data-device write (time, offset,
+// length, stream hint) and every simulator step that retires WAL records
+// (time, ring bytes freed, records retained, then the ledger's pending
+// records, folds and flushes), in order. The scenario drives each ledger
+// path: sub-block and small aligned writes on several objects, a direct
+// rewrite that folds some of them, a backlog past deferred_flush_bytes
+// with flush_iodepth rewrites in flight, a write that registers on a block
+// while its rewrite is in flight, remove_object mid-backlog, then a crash
+// with rewrites in flight, WAL replay, and writes after the restart. The
+// KV sits on its own drive, so only the store's data writes are logged.
+TEST(FlashStore, DeferredLedgerMatchesGoldenLog) {
+  struct LoggedSsd : dev::SsdModel {
+    LoggedSsd(sim::Simulation& sim, std::ostringstream& log)
+        : SsdModel(sim, "data", Config{}), log(log) {}
+    Time latency_time(dev::IoType type, std::uint64_t off, std::uint64_t len,
+                      unsigned stream) override {
+      if (type == dev::IoType::kWrite) {
+        log << sim_.now() << " write " << off << " " << len << " s" << stream << "\n";
+      }
+      return SsdModel::latency_time(type, off, len, stream);
+    }
+    std::ostringstream& log;
+  };
+  sim::Simulation sim;
+  sim::CpuPool cpu{sim, 8};
+  dev::NvramModel nvram{sim, "nvram"};
+  std::ostringstream log;
+  LoggedSsd ssd{sim, log};
+  dev::SsdModel kv_ssd{sim, "kv", dev::SsdModel::Config{}};
+  kv::Db kvdb{sim, kv_ssd};
+  StoreHarness owner{sim};
+  FlashStore::Config cfg;
+  cfg.deferred_flush_bytes = 16384;
+  cfg.flush_iodepth = 4;
+  auto owned = make_store(sim, cpu, nvram, ssd, kvdb, StoreConfig{Backend::kFlash, {}, cfg},
+                          fs::Journal::Config{}, owner, owner.throttles());
+  auto& store = static_cast<FlashStore&>(*owned);
+
+  auto write = [&](const char* name, std::uint64_t off, std::uint64_t len,
+                   std::uint64_t seed) -> sim::CoTask<void> {
+    fs::Transaction t;
+    t.write(fs::ObjectId{1, name}, off, Payload::pattern(len, seed));
+    co_await commit_txn(store, t);
+    co_await sim::delay(sim, 10 * kMicrosecond, "test.gap");
+  };
+  bool done = false;
+  sim::spawn_fn([&]() -> sim::CoTask<void> {
+    co_await write("a", 100, 1000, 1);
+    co_await write("b", 5000, 3000, 2);
+    co_await write("c", 4000, 200, 3);  // straddles blocks 0 and 4096
+    co_await write("a", 8192, 4096, 4);
+    co_await write("b", 0, 4096, 5);
+    co_await write("a", 0, 65536, 6);  // direct: folds a's two records
+    co_await sim::delay(sim, 2 * kMillisecond, "test.gap");  // KV batches land
+    for (std::uint64_t i = 0; i < 4; i++) co_await write("d", i * 4096, 4096, 10 + i);
+    co_await write("b", 4200, 100, 20);  // b:4096's rewrite is in flight
+    co_await write("d", 16384, 4096, 14);
+    store.remove_object(fs::ObjectId{1, "d"});
+    co_await sim::delay(sim, 2 * kMillisecond, "test.gap");
+    for (std::uint64_t i = 0; i < 6; i++) co_await write("e", i * 4096, 4096, 30 + i);
+    store.on_daemon_crash();
+    co_await store.replay(false);
+    co_await write("e", 0, 512, 40);  // its pre-crash rewrite may still be in flight
+    co_await write("f", 4096, 4096, 41);
+    co_await store.drain();
+    done = true;
+  });
+  std::uint64_t in_use = 0;
+  while (sim.step()) {
+    const std::uint64_t now_in_use = store.wal()->bytes_in_use();
+    if (now_in_use < in_use) {
+      log << sim.now() << " retire " << in_use - now_in_use << " retained "
+          << store.wal()->records_retained() << " | " << store.deferred_pending() << " "
+          << store.deferred_folds() << " " << store.deferred_flushes() << "\n";
+    }
+    in_use = now_in_use;
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(store.wal()->records_retained(), 0u);
+  EXPECT_EQ(store.deferred_pending(), 0u);
+  EXPECT_EQ(store.dirty_bytes(), 0u);
+  const std::string golden = R"(112898 write 24576 65536 s8
+1018073 retire 7400 retained 5 | 3 2 0
+2464866 write 4096 4096 s2
+2464866 write 8192 4096 s2
+2464866 write 12288 4096 s2
+2464866 write 20480 4096 s2
+2556703 retire 3768 retained 10 | 8 7 1
+2580377 retire 968 retained 8 | 7 7 2
+2592214 retire 4864 retained 6 | 6 7 3
+3423458 retire 24320 retained 2 | 1 7 3
+4629709 write 4096 4096 s2
+4629709 write 0 4096 s2
+4629709 write 16384 4096 s2
+4629709 write 90112 4096 s2
+4721546 write 4096 4096 s2
+4813383 retire 868 retained 6 | 0 7 3
+4815283 write 106496 4096 s2
+4907120 retire 4864 retained 5 | 0 7 3
+4909020 write 0 4096 s2
+5000857 retire 4864 retained 4 | 0 7 3
+5002757 write 16384 4096 s2
+5094594 retire 4864 retained 3 | 0 7 3
+5096494 write 90112 4096 s2
+5188331 retire 4864 retained 2 | 0 7 3
+5190231 write 94208 4096 s2
+5282068 retire 4864 retained 1 | 0 7 3
+5283968 write 98304 4096 s2
+5375805 retire 3584 retained 0 | 0 7 3
+5559647 write 106496 4096 s2
+5559647 write 102400 4096 s8
+5651484 retire 1280 retained 1 | 1 7 4
+5663321 retire 4864 retained 0 | 0 7 5
+)";
+  EXPECT_EQ(log.str(), golden);
 }
 
 }  // namespace
